@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator, SystemLayout, embed, layout, permutation_matrix
+from .linalg import HermitianOperator, SystemLayout, bisect_sup, embed, layout, permutation_matrix
 from .states import DensityOperator, gamma_from_p
 
 SIGMA = (
@@ -33,8 +33,9 @@ class IrrepCoefficients:
 
     s/t are the qubit-factor components (index 0 = identity); the tilded rows
     differ only by the sign of index 2.  The plus/minus entries are the scalar
-    components on the totally (anti)symmetric subspaces; t_minus is always 0
-    because a qubit triple has no totally antisymmetric subspace.
+    components on the totally (anti)symmetric subspaces; the target side has
+    no antisymmetric component because a qubit triple has no totally
+    antisymmetric subspace.
     """
 
     s: tuple[float, float, float, float]
@@ -44,7 +45,6 @@ class IrrepCoefficients:
     s_plus: float
     s_minus: float
     t_plus: float
-    t_minus: float
 
 
 def st_coefficients(gamma: float, alpha: float) -> IrrepCoefficients:
@@ -66,7 +66,6 @@ def st_coefficients(gamma: float, alpha: float) -> IrrepCoefficients:
         s_plus=1.0 + gamma,
         s_minus=1.0 - gamma,
         t_plus=alpha,
-        t_minus=0.0,
     )
 
 
@@ -143,7 +142,7 @@ def coefficients_from_traces(gamma: float, alpha: float, d: int = 3) -> IrrepCoe
     t_tilde, _, _ = expand(y2, ops_target, flip=False)
     return IrrepCoefficients(
         s=s, s_tilde=s_tilde, t=t, t_tilde=t_tilde,
-        s_plus=s_plus, s_minus=s_minus, t_plus=t_plus, t_minus=0.0,
+        s_plus=s_plus, s_minus=s_minus, t_plus=t_plus,
     )
 
 
@@ -332,13 +331,4 @@ def mnp_threshold_numeric(
     be skipped).
     """
     k1, k2, _ = _z_pieces(state)
-    lo, hi = 0.0, 1.0
-    if not _min_over_ellipse(lo, k1, k2, n_grid) < -tol_eig:
-        return 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _min_over_ellipse(mid, k1, k2, n_grid) < -tol_eig:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return bisect_sup(lambda alpha: _min_over_ellipse(alpha, k1, k2, n_grid) < -tol_eig, tol)

@@ -13,14 +13,14 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from . import validate as validate_mod
 from .linalg import SolverConvergenceError
-from .solver import KExtProblem, fidelity_threshold
+from .solver import BACKENDS, BELLS, SIDES, KExtProblem, fidelity_threshold
 from .states import StateValidationError, load_state
 from .analytic import MnPTradeoff
 
@@ -53,7 +53,6 @@ class SweepConfig:
     tol_alpha: float = 1e-6
     output: str = "sweep_n{n}_k{k}.csv"
     threads: int = 1
-    extras: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         if self.family not in ("werner", "file", "ellipse"):
@@ -68,6 +67,13 @@ class SweepConfig:
                 raise ConfigError(
                     f"range [{self.start}, {self.stop}] outside the valid domain [{low}, {high}]"
                 )
+        for key, value, allowed in (
+            ("side", self.side, SIDES),
+            ("bell", self.bell, BELLS),
+            ("backend", self.backend, BACKENDS),
+        ):
+            if value not in allowed:
+                raise ConfigError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
         if self.points < 2:
             raise ConfigError("points must be >= 2")
         if any(n < 1 for n in self.n_values) or any(k < 1 for k in self.k_values):
@@ -80,8 +86,32 @@ class SweepConfig:
                 raise ConfigError("output pattern needs {k} when several k values are given")
 
 
+def _ints(value: str) -> tuple[int, ...]:
+    return tuple(int(v.strip()) for v in value.split(",") if v.strip())
+
+
+# config key -> (SweepConfig field, parser of the value text)
+CONFIG_KEYS = {
+    "family": ("family", str),
+    "file": ("file", str),
+    "d": ("d", int),
+    "parametrization": ("parametrization", str),
+    "start": ("start", float),
+    "stop": ("stop", float),
+    "points": ("points", int),
+    "n": ("n_values", _ints),
+    "k": ("k_values", _ints),
+    "side": ("side", str),
+    "bell": ("bell", str),
+    "backend": ("backend", str),
+    "tol_alpha": ("tol_alpha", float),
+    "output": ("output", str),
+    "threads": ("threads", int),
+}
+
+
 def parse_config_text(text: str) -> SweepConfig:
-    values: dict[str, str] = {}
+    cfg = SweepConfig()
     for raw_line in text.splitlines():
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -89,47 +119,14 @@ def parse_config_text(text: str) -> SweepConfig:
         if "=" not in line:
             raise ConfigError(f"malformed config line: {raw_line!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-
-    cfg = SweepConfig()
-    cfg.extras = {}
-
-    def ints(value: str) -> tuple[int, ...]:
-        return tuple(int(v.strip()) for v in value.split(",") if v.strip())
-
-    for key, value in values.items():
-        if key == "family":
-            cfg.family = value
-        elif key == "file":
-            cfg.file = value
-        elif key == "d":
-            cfg.d = int(value)
-        elif key == "parametrization":
-            cfg.parametrization = value
-        elif key == "start":
-            cfg.start = float(value)
-        elif key == "stop":
-            cfg.stop = float(value)
-        elif key == "points":
-            cfg.points = int(value)
-        elif key == "n":
-            cfg.n_values = ints(value)
-        elif key == "k":
-            cfg.k_values = ints(value)
-        elif key == "side":
-            cfg.side = value
-        elif key == "bell":
-            cfg.bell = value
-        elif key == "backend":
-            cfg.backend = value
-        elif key == "tol_alpha":
-            cfg.tol_alpha = float(value)
-        elif key == "output":
-            cfg.output = value
-        elif key == "threads":
-            cfg.threads = int(value)
-        else:
-            cfg.extras[key] = value
+        key, value = key.strip(), value.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}; known keys: {', '.join(CONFIG_KEYS)}")
+        name, parse = CONFIG_KEYS[key]
+        try:
+            setattr(cfg, name, parse(value))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {value!r}") from exc
     cfg.validate()
     return cfg
 
@@ -326,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--p", type=float, help="symmetric weight in [0, 1]")
     p_thr.add_argument("--n", type=int, default=1, help="number of state copies")
     p_thr.add_argument("--k", type=int, default=1, help="number of extensions")
-    p_thr.add_argument("--side", choices=("bob", "alice"), default="bob")
-    p_thr.add_argument("--bell", choices=("phi_plus", "psi_minus"), default="phi_plus")
-    p_thr.add_argument("--backend", choices=("auto", "dense", "iterative", "s3_blocks"), default="auto")
+    p_thr.add_argument("--side", choices=SIDES, default="bob")
+    p_thr.add_argument("--bell", choices=BELLS, default="phi_plus")
+    p_thr.add_argument("--backend", choices=BACKENDS, default="auto")
     p_thr.add_argument("--tol-alpha", type=float, default=1e-8, dest="tol_alpha")
     p_thr.set_defaults(func=cmd_threshold)
 

@@ -144,10 +144,6 @@ def kron(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     return HermitianOperator(a.layout.concat(b.layout), np.kron(a.entries, b.entries))
 
 
-def identity_op(lay: SystemLayout) -> HermitianOperator:
-    return HermitianOperator(lay, np.eye(lay.total_dim))
-
-
 def relabel(h: HermitianOperator, mapping: Mapping[str, str]) -> HermitianOperator:
     """Rename subsystem labels without touching the entries."""
     subs = tuple((mapping.get(lab, lab), dim) for lab, dim in h.layout.subsystems)
@@ -358,3 +354,25 @@ def eig_min_iterative(
     raise SolverConvergenceError(
         f"ARPACK did not converge on dimension {n} (tol={tol}, maxiter={max_iter})"
     ) from last_exc
+
+
+# ---------------------------------------------------------------------------
+# thresholds
+
+
+def bisect_sup(holds: Callable[[float], bool], tol: float) -> float:
+    """Largest point of [0, 1] at which `holds` was seen true, bisecting to width tol.
+
+    `holds` must be true on an initial segment of [0, 1] and false after it.
+    Returns 0.0 when it fails at 0.
+    """
+    lo, hi = 0.0, 1.0
+    if not holds(lo):
+        return 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .linalg import (
     LinearMapHandle,
     SolverConvergenceError,
     SystemLayout,
+    bisect_sup,
     eig_min_dense,
     eig_min_dense_vec,
     eig_min_iterative,
@@ -83,7 +84,9 @@ class ThresholdResult:
 
     alpha_star is the largest probe value certified negative, a lower bound on
     the supremum that is exact (within tolerance) for full-rank states and a
-    certified lower bound otherwise.
+    certified lower bound otherwise.  certificate is the probe eigenvector of
+    lambda_residual at alpha_star: None for s3_blocks, or when no alpha was
+    certified negative.
     """
 
     alpha_star: float
@@ -192,8 +195,19 @@ def _fuse_copies(mat: np.ndarray, d_a: int, d_b: int, n: int) -> np.ndarray:
     return acc.reshape(dims * 2).transpose(order).reshape(big, big)
 
 
+def _apply_pair(op4: np.ndarray, tensor: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Contract a two-system operator (shape (dp, dq, dp, dq)) into axes p, q of tensor."""
+    out = np.tensordot(op4, tensor, axes=([2, 3], [p, q]))
+    return np.moveaxis(out, (0, 1), (p, q))
+
+
 class ProbeAssembly:
-    """Precomputed pieces of the probe: probe(alpha) = const_part + alpha * linear_part."""
+    """The probe as probe(alpha) = const_part + alpha * linear_part, built from one term kernel.
+
+    Pair i contributes alpha * rho_i - Bell_i rho_i, where rho_i is the fused
+    state on the i-th big pair and Bell_i the target on the i-th qubit pair;
+    both the matrix-free handle and the dense pieces are sums of `term`.
+    """
 
     def __init__(self, problem: KExtProblem):
         self.problem = problem
@@ -213,18 +227,38 @@ class ProbeAssembly:
             self.pairs = [((f"A{i}", "B"), (f"a{i}", "b")) for i in range(k + 1)]
         self.layout = SystemLayout(tuple(subs))
         self.is_real = not np.iscomplexobj(self.rho_fused)
+        self._rho_r = self.rho_fused.reshape(big_a, big_b, big_a, big_b)
+        self._bell_r = self.bell.reshape(2, 2, 2, 2)
+        self._axes = [
+            (
+                (self.layout.index(big[0]), self.layout.index(big[1])),
+                (self.layout.index(small[0]), self.layout.index(small[1])),
+            )
+            for big, small in self.pairs
+        ]
         self._dense_pieces: tuple[np.ndarray, np.ndarray] | None = None
+
+    def term(self, x: np.ndarray, pair: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rho_i x, Bell_i rho_i x) for x shaped layout.dims plus optional trailing columns."""
+        (pa, pb), (qa, qb) = self._axes[pair]
+        rv = _apply_pair(self._rho_r, x, pa, pb)
+        return rv, _apply_pair(self._bell_r, rv, qa, qb)
 
     def dense_pieces(self) -> tuple[np.ndarray, np.ndarray]:
         if self._dense_pieces is None:
             dim = self.layout.total_dim
+            shape = self.layout.dims + (dim,)
             dtype = np.float64 if self.is_real else np.complex128
-            const = np.zeros((dim, dim), dtype=dtype)
-            linear = np.zeros((dim, dim), dtype=dtype)
-            for big, small in self.pairs:
-                linear += embed(self.layout, {big: self.rho_fused}).entries
-                const -= embed(self.layout, {big: self.rho_fused, small: self.bell}).entries
-            self._dense_pieces = (const, linear)
+            const = np.zeros(shape, dtype=dtype)
+            linear = np.zeros(shape, dtype=dtype)
+            eye = np.eye(dim, dtype=dtype).reshape(shape)
+            for i in range(len(self.pairs)):
+                rv, brv = self.term(eye, i)
+                linear += rv
+                const -= brv
+                # free this pair's columns before the next pair allocates its own
+                del rv, brv
+            self._dense_pieces = (const.reshape(dim, dim), linear.reshape(dim, dim))
         return self._dense_pieces
 
     def dense(self, alpha: float) -> HermitianOperator:
@@ -233,31 +267,13 @@ class ProbeAssembly:
 
     def handle(self, alpha: float) -> LinearMapHandle:
         dims = self.layout.dims
-        rho_r = self.rho_fused.reshape(
-            self.layout.dim_of(self.pairs[0][0][0]),
-            self.layout.dim_of(self.pairs[0][0][1]),
-            self.layout.dim_of(self.pairs[0][0][0]),
-            self.layout.dim_of(self.pairs[0][0][1]),
-        )
-        bell_r = self.bell.reshape(2, 2, 2, 2)
-        axis_pairs = [
-            (
-                (self.layout.index(big[0]), self.layout.index(big[1])),
-                (self.layout.index(small[0]), self.layout.index(small[1])),
-            )
-            for big, small in self.pairs
-        ]
-
-        def apply_pair(op4: np.ndarray, tensor: np.ndarray, p: int, q: int) -> np.ndarray:
-            out = np.tensordot(op4, tensor, axes=([2, 3], [p, q]))
-            return np.moveaxis(out, (0, 1), (p, q))
 
         def apply(vec: np.ndarray) -> np.ndarray:
             vt = vec.reshape(dims)
             acc = np.zeros_like(vt)
-            for (pa, pb), (qa, qb) in axis_pairs:
-                rv = apply_pair(rho_r, vt, pa, pb)
-                acc = acc + alpha * rv - apply_pair(bell_r, rv, qa, qb)
+            for i in range(len(self.pairs)):
+                rv, brv = self.term(vt, i)
+                acc = acc + alpha * rv - brv
             return acc.reshape(-1)
 
         return LinearMapHandle(
@@ -278,37 +294,39 @@ def build_probe(problem: KExtProblem, alpha: float) -> HermitianOperator | Linea
     return assembly.handle(alpha)
 
 
-def _lambda_min_from_assembly(
-    assembly: ProbeAssembly, alpha: float, backend: str, return_vector: bool = False
-):
-    if backend == "dense":
-        probe = assembly.dense(alpha)
-        if return_vector:
-            return eig_min_dense_vec(probe)
-        return eig_min_dense(probe)
-    try:
-        return eig_min_iterative(assembly.handle(alpha), return_vector=return_vector)
-    except SolverConvergenceError:
-        if assembly.layout.total_dim <= 2 * DENSE_DIM_LIMIT:
-            log.warning(
-                "iterative eigensolver did not converge at alpha=%.6g on dim %d; "
-                "falling back to a dense solve",
-                alpha,
-                assembly.layout.total_dim,
-            )
-            probe = assembly.dense(alpha)
-            if return_vector:
-                return eig_min_dense_vec(probe)
-            return eig_min_dense(probe)
-        raise
+def _lambda_min_solver(problem: KExtProblem) -> Callable[[float], tuple[float, np.ndarray | None]]:
+    """alpha -> (lambda_min, eigenvector or None) through the problem's backend.
+
+    The block backend has no eigenvector.  A non-converging iterative solve
+    falls back to the dense branch when the dimension allows it.
+    """
+    backend = problem.resolved_backend()
+    if backend == "s3_blocks":
+        return lambda alpha: (blocks.s3_block_lambda_min(problem.werner_gamma, alpha, problem.n), None)
+    assembly = ProbeAssembly(problem)
+    dim = assembly.layout.total_dim
+
+    def solve(alpha: float) -> tuple[float, np.ndarray]:
+        if backend == "iterative":
+            try:
+                return eig_min_iterative(assembly.handle(alpha), return_vector=True)
+            except SolverConvergenceError:
+                if dim > 2 * DENSE_DIM_LIMIT:
+                    raise
+                log.warning(
+                    "iterative eigensolver did not converge at alpha=%.6g on dim %d; "
+                    "falling back to a dense solve",
+                    alpha,
+                    dim,
+                )
+        return eig_min_dense_vec(assembly.dense(alpha))
+
+    return solve
 
 
 def lambda_min_alpha(problem: KExtProblem, alpha: float) -> float:
     """Smallest probe eigenvalue at alpha via the problem's backend."""
-    backend = problem.resolved_backend()
-    if backend == "s3_blocks":
-        return blocks.s3_block_lambda_min(problem.werner_gamma, alpha, problem.n)
-    return _lambda_min_from_assembly(ProbeAssembly(problem), alpha, backend)
+    return _lambda_min_solver(problem)(alpha)[0]
 
 
 def fidelity_threshold(
@@ -324,47 +342,26 @@ def fidelity_threshold(
     if tol_alpha < 1e-10:
         raise ValueError("tol_alpha below 1e-10 is tighter than the eigensolver tolerances")
     backend = problem.resolved_backend()
-    if backend == "s3_blocks":
-        def lam(alpha: float) -> float:
-            return blocks.s3_block_lambda_min(problem.werner_gamma, alpha, problem.n)
-        assembly = None
-    else:
-        assembly = ProbeAssembly(problem)
-
-        def lam(alpha: float) -> float:
-            return _lambda_min_from_assembly(assembly, alpha, backend)
-
+    solve = _lambda_min_solver(problem)
     samples: list[tuple[float, float]] = []
+    residual, certificate = None, None
 
     def negative(alpha: float) -> bool:
-        value = lam(alpha)
+        nonlocal residual, certificate
+        value, vec = solve(alpha)
         samples.append((alpha, value))
+        if value < -tol_eig:
+            # the bisection moves its lower end here, so this sample certifies it
+            residual, certificate = value, vec
         return value < -tol_eig
 
-    full_rank = problem.state.is_full_rank()
-    lo, hi = 0.0, 1.0
-    if not negative(lo):
-        return ThresholdResult(
-            alpha_star=0.0,
-            samples=tuple(sorted(samples)),
-            full_rank=full_rank,
-            backend=backend,
-            lambda_residual=samples[0][1],
-        )
-    while hi - lo > tol_alpha:
-        mid = 0.5 * (lo + hi)
-        if negative(mid):
-            lo = mid
-        else:
-            hi = mid
-    certificate = None
-    if assembly is not None:
-        _, certificate = _lambda_min_from_assembly(assembly, lo, backend, return_vector=True)
-    residual = min(value for alpha, value in samples if alpha == lo)
+    alpha_star = bisect_sup(negative, tol_alpha)
+    if residual is None:
+        residual = samples[0][1]
     return ThresholdResult(
-        alpha_star=lo,
+        alpha_star=alpha_star,
         samples=tuple(sorted(samples)),
-        full_rank=full_rank,
+        full_rank=problem.state.is_full_rank(),
         backend=backend,
         lambda_residual=residual,
         certificate=certificate,
@@ -614,8 +611,3 @@ def _strategy_from_extension(state: DensityOperator, k: int, extension: DensityO
     }
     sigma_in = from_matrix(embed(lay, pieces).entries, lay)
     return cj_of_mnp(sigma_in, _mnp_output(k), side="bob"), "bob"
-
-
-def maximally_mixed_probe_triple(alpha: float) -> tuple[float, float, float]:
-    """Eigenvalues {2a, (4a-3)/2, (4a-1)/2} of M_ab x I + M_ae x I on three qubits."""
-    return 2.0 * alpha, (4.0 * alpha - 3.0) / 2.0, (4.0 * alpha - 1.0) / 2.0

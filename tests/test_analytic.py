@@ -82,7 +82,6 @@ def test_coefficient_table_target_row():
     assert c.t[0] == pytest.approx(0.25, abs=1e-15)
     assert c.t == (0.25, -0.25, math.sqrt(3.0) / 4.0, 0.0)
     assert c.t_plus == 0.75
-    assert c.t_minus == 0.0
 
 
 def test_coefficient_invariants():

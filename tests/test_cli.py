@@ -108,6 +108,29 @@ def test_config_parsing_and_validation():
         parse_config_text("points only\n")
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "tol_alfa = 1e-9",  # misspelt key: must not run silently at the default tolerance
+        "points = 5.5",
+        "tol_alpha = tight",
+        "n = 1,two",
+        "side = charlie",
+        "bell = phi_minus",
+        "backend = lanczos",
+    ],
+)
+def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, line):
+    text = BASE_CFG.format(out=tmp_path / "x.csv") + line + "\n"
+    with pytest.raises(ConfigError):
+        parse_config_text(text)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert run_cli(["sweep", "--config", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_sweep_rows_match_closed_form(tmp_path):
     out = tmp_path / "curve.csv"
     cfg = parse_config_text(BASE_CFG.format(out=out))

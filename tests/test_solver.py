@@ -14,8 +14,10 @@ from kextdistill.linalg import (
     permute_subsystems,
 )
 from kextdistill.solver import (
+    TOL_EIG,
     CJOperator,
     KExtProblem,
+    ProbeAssembly,
     SingularOutputError,
     build_probe,
     cj_of_mnp,
@@ -122,11 +124,42 @@ def test_probe_real_fast_path():
     assert probe.is_real
 
 
-def test_dense_and_handle_agree():
+def embed_reference_pieces(assembly):
+    """The probe pieces built term by term from full Kronecker products."""
+    dim = assembly.layout.total_dim
+    dtype = np.float64 if assembly.is_real else np.complex128
+    const = np.zeros((dim, dim), dtype=dtype)
+    linear = np.zeros((dim, dim), dtype=dtype)
+    for big, small in assembly.pairs:
+        linear += embed(assembly.layout, {big: assembly.rho_fused}).entries
+        const -= embed(assembly.layout, {big: assembly.rho_fused, small: assembly.bell}).entries
+    return const, linear
+
+
+@pytest.mark.parametrize("bell", ["phi_plus", "psi_minus"])
+@pytest.mark.parametrize("kind", ["werner", "complex"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("side", ["bob", "alice"])
+def test_dense_pieces_match_embed_reference(side, n, kind, bell):
+    if kind == "werner":
+        state = werner(WernerParams(d=2, gamma=-0.3))
+    else:
+        state = random_state(np.random.default_rng(7), 2, 2)
+    assembly = ProbeAssembly(KExtProblem(state=state, n=n, k=1, side=side, bell=bell))
+    const, linear = assembly.dense_pieces()
+    ref_const, ref_linear = embed_reference_pieces(assembly)
+    assert assembly.is_real == (kind == "werner")
+    assert const.dtype == ref_const.dtype
+    assert np.array_equal(const, ref_const)
+    assert np.array_equal(linear, ref_linear)
+
+
+@pytest.mark.parametrize("side,n", [("bob", 1), ("alice", 1), ("bob", 2), ("alice", 2)])
+def test_dense_and_handle_agree(side, n):
     rng = np.random.default_rng(1)
     state = random_state(rng, 2, 2)
-    prob_dense = KExtProblem(state=state, n=1, k=1, backend="dense")
-    prob_iter = KExtProblem(state=state, n=1, k=1, backend="iterative")
+    prob_dense = KExtProblem(state=state, n=n, k=1, side=side, backend="dense")
+    prob_iter = KExtProblem(state=state, n=n, k=1, side=side, backend="iterative")
     probe = build_probe(prob_dense, 0.7)
     handle = build_probe(prob_iter, 0.7)
     assert isinstance(handle, LinearMapHandle)
@@ -183,6 +216,25 @@ def test_threshold_result_invariants():
     assert result.lambda_residual < 0.0
     assert result.certificate is not None
     assert result.certificate.shape == (64,)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        KExtProblem.for_werner(d=2, gamma=-0.3, k=1, backend="dense"),
+        KExtProblem(state=random_state(np.random.default_rng(4), 2, 2), k=1, backend="iterative"),
+    ],
+    ids=["dense", "iterative"],
+)
+def test_threshold_certificate_is_a_negative_eigenvector(problem):
+    result = fidelity_threshold(problem)
+    v = result.certificate
+    probe = build_probe(problem, result.alpha_star)
+    pv = probe.entries @ v if isinstance(probe, HermitianOperator) else probe.apply(v)
+    lam = result.lambda_residual
+    assert (result.alpha_star, lam) in result.samples
+    assert np.vdot(v, pv).real / np.vdot(v, v).real < -TOL_EIG
+    assert np.linalg.norm(pv - lam * v) <= 1e-8
 
 
 def test_threshold_tolerance_validation():
