@@ -16,13 +16,6 @@ import numpy as np
 from .linalg import HermitianOperator, SystemLayout, bisect_sup, embed, layout, permutation_matrix
 from .states import DensityOperator, gamma_from_p
 
-SIGMA = (
-    np.eye(2),
-    np.array([[0.0, 1.0], [1.0, 0.0]]),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-    np.array([[1.0, 0.0], [0.0, -1.0]]),
-)
-
 MNP_TOL_EIG = 1e-9
 MNP_THETA_POINTS = 720
 
@@ -69,7 +62,7 @@ def st_coefficients(gamma: float, alpha: float) -> IrrepCoefficients:
     )
 
 
-def r_operators(d: int, labels: tuple[str, str, str] = ("x1", "x2", "x3")):
+def r_operators(d: int):
     """The six commutant operators on a triple of d-dimensional systems.
 
     Returns (R_plus, R_minus, R_0, R_1, R_2, R_3).  R_plus/R_minus/R_0 are
@@ -78,8 +71,8 @@ def r_operators(d: int, labels: tuple[str, str, str] = ("x1", "x2", "x3")):
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    lay = layout(*[(lab, d) for lab in labels])
-    a, b, c = labels
+    a, b, c = "x1", "x2", "x3"
+    lay = layout((a, d), (b, d), (c, d))
 
     def v(perm: dict) -> np.ndarray:
         return permutation_matrix(lay, perm)
@@ -280,8 +273,8 @@ def _z_pieces(state: DensityOperator) -> tuple[np.ndarray, np.ndarray, SystemLay
     return k1, k2, lay
 
 
-def _min_over_ellipse(alpha: float, k1: np.ndarray, k2: np.ndarray, n_grid: int) -> float:
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
+def _min_over_ellipse(alpha: float, k1: np.ndarray, k2: np.ndarray) -> float:
+    thetas = np.linspace(0.0, 2.0 * math.pi, MNP_THETA_POINTS, endpoint=False)
     f1, f2 = _ellipse_points(thetas)
     zs = (alpha - f1)[:, None, None] * k1 + (alpha - f2)[:, None, None] * k2
     lams = np.linalg.eigvalsh(zs)[:, 0]
@@ -294,7 +287,7 @@ def _min_over_ellipse(alpha: float, k1: np.ndarray, k2: np.ndarray, n_grid: int)
         return float(np.linalg.eigvalsh(z)[0])
 
     # golden-section refine inside the bracketing grid cells
-    step = 2.0 * math.pi / n_grid
+    step = 2.0 * math.pi / MNP_THETA_POINTS
     lo, hi = thetas[i_best] - step, thetas[i_best] + step
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
@@ -312,18 +305,13 @@ def _min_over_ellipse(alpha: float, k1: np.ndarray, k2: np.ndarray, n_grid: int)
     return min(best, v1, v2)
 
 
-def mnp_min_lambda(state: DensityOperator, alpha: float, n_grid: int = MNP_THETA_POINTS) -> float:
+def mnp_min_lambda(state: DensityOperator, alpha: float) -> float:
     """Infimum over the ellipse boundary of the smallest eigenvalue of Z."""
     k1, k2, _ = _z_pieces(state)
-    return _min_over_ellipse(alpha, k1, k2, n_grid)
+    return _min_over_ellipse(alpha, k1, k2)
 
 
-def mnp_threshold_numeric(
-    state: DensityOperator,
-    tol: float = 1e-7,
-    n_grid: int = MNP_THETA_POINTS,
-    tol_eig: float = MNP_TOL_EIG,
-) -> float:
+def mnp_threshold_numeric(state: DensityOperator, tol: float = 1e-7) -> float:
     """Bisect the largest fidelity certified achievable by one-extension M&P maps.
 
     For each candidate alpha the inner scan walks the ellipse boundary (the
@@ -331,4 +319,4 @@ def mnp_threshold_numeric(
     be skipped).
     """
     k1, k2, _ = _z_pieces(state)
-    return bisect_sup(lambda alpha: _min_over_ellipse(alpha, k1, k2, n_grid) < -tol_eig, tol)
+    return bisect_sup(lambda alpha: _min_over_ellipse(alpha, k1, k2) < -MNP_TOL_EIG, tol)

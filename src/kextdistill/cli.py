@@ -12,7 +12,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -52,7 +51,6 @@ class SweepConfig:
     backend: str = "auto"
     tol_alpha: float = 1e-6
     output: str = "sweep_n{n}_k{k}.csv"
-    threads: int = 1
 
     def validate(self) -> None:
         if self.family not in ("werner", "file", "ellipse"):
@@ -106,7 +104,6 @@ CONFIG_KEYS = {
     "backend": ("backend", str),
     "tol_alpha": ("tol_alpha", float),
     "output": ("output", str),
-    "threads": ("threads", int),
 }
 
 
@@ -143,29 +140,14 @@ def load_recipe(name: str) -> str:
     return ref.read_text()
 
 
-def _threads(cfg: SweepConfig) -> int:
-    env = os.environ.get("KEXT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"KEXT_THREADS must be an integer, got {env!r}") from exc
-    return max(1, cfg.threads)
-
-
-def _threshold_row(cfg: SweepConfig, param: float, n: int, k: int):
+def _problem(cfg: SweepConfig, param: float, n: int, k: int) -> KExtProblem:
     if cfg.family == "werner":
         kwargs = {"gamma": param} if cfg.parametrization == "gamma" else {"p": param}
-        problem = KExtProblem.for_werner(
+        return KExtProblem.for_werner(
             d=cfg.d, n=n, k=k, side=cfg.side, bell=cfg.bell, backend=cfg.backend, **kwargs
         )
-    else:
-        state = load_state(cfg.file)
-        problem = KExtProblem(
-            state=state, n=n, k=k, side=cfg.side, bell=cfg.bell, backend=cfg.backend
-        )
-    result = fidelity_threshold(problem, tol_alpha=cfg.tol_alpha)
-    return (param, result.alpha_star, result.backend, result.lambda_residual)
+    state = load_state(cfg.file)
+    return KExtProblem(state=state, n=n, k=k, side=cfg.side, bell=cfg.bell, backend=cfg.backend)
 
 
 def _write_csv(path: str, rows) -> None:
@@ -189,8 +171,10 @@ def _write_ellipse(path: str, points: int) -> None:
 def run_sweep(cfg: SweepConfig) -> list[str]:
     """Execute the sweep; returns the list of files written.
 
-    Rows are emitted in parameter order regardless of the worker pool
-    schedule, and a partially written output is removed on failure.
+    Every problem is built before the first threshold runs, so a problem the
+    configuration cannot describe is a ConfigError and writes nothing.  Rows
+    are emitted in parameter order, and a partially written output is removed
+    on failure.
     """
     cfg.validate()
     written: list[str] = []
@@ -204,7 +188,7 @@ def run_sweep(cfg: SweepConfig) -> list[str]:
             raise
         return [path]
 
-    workers = _threads(cfg)
+    grid = []
     for n in cfg.n_values:
         for k in cfg.k_values:
             path = cfg.output.replace("{n}", str(n)).replace("{k}", str(k))
@@ -213,17 +197,22 @@ def run_sweep(cfg: SweepConfig) -> list[str]:
             else:
                 params = [float(k)]
             try:
-                if workers == 1:
-                    rows = [_threshold_row(cfg, p, n, k) for p in params]
-                else:
-                    with ThreadPoolExecutor(max_workers=workers) as pool:
-                        rows = list(pool.map(lambda p: _threshold_row(cfg, p, n, k), params))
-                _write_csv(path, rows)
-            except BaseException:
-                if os.path.exists(path):
-                    os.remove(path)
-                raise
-            written.append(path)
+                problems = [(p, _problem(cfg, p, n, k)) for p in params]
+            except ValueError as exc:
+                raise ConfigError(f"n = {n}, k = {k}: {exc}") from exc
+            grid.append((path, problems))
+    for path, problems in grid:
+        try:
+            rows = []
+            for param, problem in problems:
+                result = fidelity_threshold(problem, tol_alpha=cfg.tol_alpha)
+                rows.append((param, result.alpha_star, result.backend, result.lambda_residual))
+            _write_csv(path, rows)
+        except BaseException:
+            if os.path.exists(path):
+                os.remove(path)
+            raise
+        written.append(path)
     return written
 
 

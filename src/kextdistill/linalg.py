@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 import scipy.linalg
@@ -150,24 +150,30 @@ def relabel(h: HermitianOperator, mapping: Mapping[str, str]) -> HermitianOperat
     return HermitianOperator(SystemLayout(subs), h.entries)
 
 
-def permutation_matrix(lay: SystemLayout, perm: Mapping[str, str]) -> np.ndarray:
-    """Matrix of the permutation moving the content of subsystem l to perm[l].
-
-    Not Hermitian in general (cycles of length > 2 are not); returned as a
-    plain array.
-    """
+def _permutation_axes(lay: SystemLayout, perm: Mapping[str, str]) -> list[int]:
+    """axes[p] = position that the content of subsystem p moves to under perm."""
     full = {lab: perm.get(lab, lab) for lab in lay.labels}
     if set(full.values()) != set(lay.labels):
         raise ValueError("perm must be a permutation of the layout labels")
     for src, dst in full.items():
         if lay.dim_of(src) != lay.dim_of(dst):
             raise ValueError(f"dimension mismatch: {src} ({lay.dim_of(src)}) -> {dst} ({lay.dim_of(dst)})")
+    return [lay.index(full[lab]) for lab in lay.labels]
+
+
+def permutation_matrix(lay: SystemLayout, perm: Mapping[str, str]) -> np.ndarray:
+    """Matrix of the permutation moving the content of subsystem l to perm[l].
+
+    Not Hermitian in general (cycles of length > 2 are not); returned as a
+    plain array.
+    """
+    axes = _permutation_axes(lay, perm)
     dims = lay.dims
     d = lay.total_dim
     digits = np.unravel_index(np.arange(d), dims)
     target = [None] * len(dims)
-    for src, dst in full.items():
-        target[lay.index(dst)] = digits[lay.index(src)]
+    for src, dst in enumerate(axes):
+        target[dst] = digits[src]
     dest = np.ravel_multi_index(tuple(target), dims)
     mat = np.zeros((d, d))
     mat[dest, np.arange(d)] = 1.0
@@ -184,17 +190,9 @@ def swap_op(lay: SystemLayout, i: str, j: str) -> HermitianOperator:
 def permute_subsystems(h: HermitianOperator, perm: Mapping[str, str]) -> HermitianOperator:
     """Conjugate h by the permutation moving the content of subsystem l to perm[l]."""
     lay = h.layout
-    full = {lab: perm.get(lab, lab) for lab in lay.labels}
-    if set(full.values()) != set(lay.labels):
-        raise ValueError("perm must be a permutation of the layout labels")
-    for src, dst in full.items():
-        if lay.dim_of(src) != lay.dim_of(dst):
-            raise ValueError(f"dimension mismatch: {src} -> {dst}")
     n = len(lay.dims)
     # out[J] = H[sigma(J)] with sigma(J)_l = J_{pos(perm[l])}
-    axes = [0] * n
-    for src, dst in full.items():
-        axes[lay.index(src)] = lay.index(dst)
+    axes = _permutation_axes(lay, perm)
     order = axes + [a + n for a in axes]
     out = h.entries.reshape(lay.dims * 2).transpose(order).reshape(h.dim, h.dim)
     return HermitianOperator(lay, out)
@@ -313,8 +311,8 @@ def eig_min_dense_vec(h: HermitianOperator | np.ndarray) -> tuple[float, np.ndar
     return float(vals[0]), vecs[:, 0]
 
 
-def start_vector(dim: int, is_real: bool, seed: int = EIG_SEED) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+def start_vector(dim: int, is_real: bool) -> np.ndarray:
+    rng = np.random.default_rng(EIG_SEED)
     if is_real:
         v = rng.standard_normal(dim)
     else:
@@ -326,13 +324,12 @@ def eig_min_iterative(
     handle: LinearMapHandle,
     tol: float = ITER_EIG_TOL,
     max_iter: int | None = None,
-    seed: int = EIG_SEED,
     return_vector: bool = False,
 ):
     """Smallest eigenvalue of a self-adjoint matrix-free operator (ARPACK Lanczos).
 
-    Deterministic for a fixed seed.  Raises SolverConvergenceError instead of
-    silently returning a stale iterate.
+    Deterministic: the start vector is drawn from EIG_SEED.  Raises
+    SolverConvergenceError instead of silently returning a stale iterate.
     """
     n = handle.dim
     if n < 4:
@@ -341,7 +338,7 @@ def eig_min_iterative(
             return eig_min_dense_vec(mat)
         return eig_min_dense(mat)
     op = handle.as_linear_operator()
-    v0 = start_vector(n, handle.is_real, seed)
+    v0 = start_vector(n, handle.is_real)
     last_exc: Exception | None = None
     for ncv in (None, min(n - 1, 48)):
         try:

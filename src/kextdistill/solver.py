@@ -15,7 +15,6 @@ by a k-extendible map.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,7 +38,15 @@ from .linalg import (
     relabel,
     reorder_to,
 )
-from .states import TOL_PSD, DensityOperator, bell_state, from_matrix, werner, WernerParams
+from .states import (
+    TOL_PSD,
+    DensityOperator,
+    WernerParams,
+    bell_state,
+    from_matrix,
+    werner,
+    werner_params_of,
+)
 
 log = logging.getLogger("kextdistill")
 
@@ -107,7 +114,6 @@ class KExtProblem:
     side: str = "bob"
     bell: str = "phi_plus"
     backend: str = "auto"
-    werner_gamma: float | None = None
 
     def __post_init__(self) -> None:
         if len(self.state.layout.subsystems) != 2:
@@ -128,17 +134,7 @@ class KExtProblem:
         if self.backend == "s3_blocks":
             if self.k != 1:
                 raise ValueError("the block backend covers k = 1 only")
-            if self.werner_gamma is None:
-                raise ValueError("the block backend needs werner_gamma")
-            self._check_is_werner()
-
-    def _check_is_werner(self) -> None:
-        d_a, d_b = self.input_dims
-        if d_a != d_b:
-            raise ValueError("a Werner state lives on d x d")
-        ref = werner(WernerParams(d=d_a, gamma=self.werner_gamma))
-        if np.abs(ref.matrix - self.state.matrix).max() > 1e-10:
-            raise ValueError("state does not match the declared Werner parameters")
+            werner_params_of(self.state)
 
     @classmethod
     def for_werner(
@@ -152,15 +148,13 @@ class KExtProblem:
         bell: str = "phi_plus",
         backend: str = "auto",
     ) -> "KExtProblem":
-        params = WernerParams(d=d, gamma=gamma, p=p)
         return cls(
-            state=werner(params),
+            state=werner(WernerParams(d=d, gamma=gamma, p=p)),
             n=n,
             k=k,
             side=side,
             bell=bell,
             backend=backend,
-            werner_gamma=params.gamma_value,
         )
 
     @property
@@ -297,12 +291,14 @@ def build_probe(problem: KExtProblem, alpha: float) -> HermitianOperator | Linea
 def _lambda_min_solver(problem: KExtProblem) -> Callable[[float], tuple[float, np.ndarray | None]]:
     """alpha -> (lambda_min, eigenvector or None) through the problem's backend.
 
-    The block backend has no eigenvector.  A non-converging iterative solve
-    falls back to the dense branch when the dimension allows it.
+    The block backend reads gamma from the Werner state and has no eigenvector.
+    A non-converging iterative solve falls back to the dense branch when the
+    dimension allows it.
     """
     backend = problem.resolved_backend()
     if backend == "s3_blocks":
-        return lambda alpha: (blocks.s3_block_lambda_min(problem.werner_gamma, alpha, problem.n), None)
+        gamma = werner_params_of(problem.state).gamma
+        return lambda alpha: (blocks.s3_block_lambda_min(gamma, alpha, problem.n), None)
     assembly = ProbeAssembly(problem)
     dim = assembly.layout.total_dim
 
@@ -329,12 +325,8 @@ def lambda_min_alpha(problem: KExtProblem, alpha: float) -> float:
     return _lambda_min_solver(problem)(alpha)[0]
 
 
-def fidelity_threshold(
-    problem: KExtProblem,
-    tol_alpha: float = DEFAULT_TOL_ALPHA,
-    tol_eig: float = TOL_EIG,
-) -> ThresholdResult:
-    """Bisect sup{alpha : lambda_min(alpha) < -tol_eig} over [0, 1].
+def fidelity_threshold(problem: KExtProblem, tol_alpha: float = DEFAULT_TOL_ALPHA) -> ThresholdResult:
+    """Bisect sup{alpha : lambda_min(alpha) < -TOL_EIG} over [0, 1].
 
     Valid because the alpha-derivative of the probe is a symmetrized PSD
     operator, so lambda_min is nondecreasing in alpha.
@@ -350,10 +342,10 @@ def fidelity_threshold(
         nonlocal residual, certificate
         value, vec = solve(alpha)
         samples.append((alpha, value))
-        if value < -tol_eig:
+        if value < -TOL_EIG:
             # the bisection moves its lower end here, so this sample certifies it
             residual, certificate = value, vec
-        return value < -tol_eig
+        return value < -TOL_EIG
 
     alpha_star = bisect_sup(negative, tol_alpha)
     if residual is None:
@@ -460,8 +452,9 @@ def cj_of_mnp(
 # unit-fidelity constructions for rank-deficient states
 
 
-def _find_product_kernel_vector(state: DensityOperator, tol: float = 1e-11):
+def _find_product_kernel_vector(state: DensityOperator):
     """Search for |phi>|psi> annihilated by the state; None if the search fails."""
+    tol = 1e-11
     (_, d_a), (_, d_b) = state.layout.subsystems
     rho = state.matrix
     tensor = rho.reshape(d_a, d_b, d_a, d_b)

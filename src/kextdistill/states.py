@@ -60,8 +60,8 @@ class DensityOperator:
     def eig_min(self) -> float:
         return eig_min_dense(self.op)
 
-    def is_full_rank(self, tol: float = TOL_PSD) -> bool:
-        return self.eig_min() > tol
+    def is_full_rank(self) -> bool:
+        return self.eig_min() > TOL_PSD
 
 
 def from_matrix(mat: np.ndarray, lay: SystemLayout, normalized: bool = True) -> DensityOperator:
@@ -118,18 +118,38 @@ def _swap_matrix(d: int) -> np.ndarray:
     return swap_op(lay, "A", "B").entries
 
 
-def werner(params: WernerParams, labels: tuple[str, str] = ("A", "B")) -> DensityOperator:
+def werner(params: WernerParams) -> DensityOperator:
     """Normalized Werner state (I + gamma*V)/(d^2 + gamma*d) on d x d."""
     d = params.d
     gamma = params.gamma_value
     mat = np.eye(d * d) + gamma * _swap_matrix(d)
-    lay = layout((labels[0], d), (labels[1], d))
-    return from_matrix(mat, lay)
+    return from_matrix(mat, layout(("A", d), ("B", d)))
 
 
-def maximally_mixed(d_a: int, d_b: int, labels: tuple[str, str] = ("A", "B")) -> DensityOperator:
-    lay = layout((labels[0], d_a), (labels[1], d_b))
-    return from_matrix(np.eye(d_a * d_b), lay)
+def werner_params_of(state: DensityOperator) -> WernerParams:
+    """The parameters of a Werner state, with gamma read as rho[01,10] / rho[01,01].
+
+    Raises ValueError unless the state is d x d and equals
+    (I + gamma*V)/(d^2 + gamma*d) entrywise to 1e-10.
+    """
+    subs = state.layout.subsystems
+    if len(subs) != 2 or subs[0][1] != subs[1][1]:
+        raise ValueError("a Werner state lives on d x d")
+    d = subs[0][1]
+    rho = state.matrix
+    # |01> sits at index 1 and |10> at index d; every Werner state has rho[01,01] > 0
+    if rho[1, 1].real <= 1e-10:
+        raise ValueError("state is not a Werner state")
+    params = WernerParams(d=d, gamma=float((rho[1, d] / rho[1, 1]).real))
+    gamma = params.gamma
+    ref = (np.eye(d * d) + gamma * _swap_matrix(d)) / (d * d + gamma * d)
+    if np.abs(ref - rho).max() > 1e-10:
+        raise ValueError("state is not a Werner state")
+    return params
+
+
+def maximally_mixed(d_a: int, d_b: int) -> DensityOperator:
+    return from_matrix(np.eye(d_a * d_b), layout(("A", d_a), ("B", d_b)))
 
 
 def bell_state(kind: str, d: int = 2, labels: tuple[str, str] = ("a", "b")) -> DensityOperator:
@@ -151,20 +171,20 @@ def bell_state(kind: str, d: int = 2, labels: tuple[str, str] = ("a", "b")) -> D
     return from_matrix(np.outer(vec, vec), lay)
 
 
-def projectors(d: int, labels: tuple[str, str] = ("A", "B")) -> tuple[HermitianOperator, HermitianOperator]:
+def projectors(d: int) -> tuple[HermitianOperator, HermitianOperator]:
     """Symmetric and antisymmetric projectors P_s = (I+V)/2, P_as = (I-V)/2 on d x d."""
     if d < 2:
         raise ValueError("need d >= 2")
     v = _swap_matrix(d)
-    lay = layout((labels[0], d), (labels[1], d))
+    lay = layout(("A", d), ("B", d))
     p_s = HermitianOperator(lay, (np.eye(d * d) + v) / 2.0)
     p_as = HermitianOperator(lay, (np.eye(d * d) - v) / 2.0)
     return p_s, p_as
 
 
-def probe_operator(alpha: float, kind: str = "phi_plus", labels: tuple[str, str] = ("a", "b")) -> HermitianOperator:
+def probe_operator(alpha: float, kind: str = "phi_plus") -> HermitianOperator:
     """The two-qubit operator alpha*I - Bell, with spectrum {alpha-1, alpha, alpha, alpha}."""
-    bell = bell_state(kind, 2, labels=labels)
+    bell = bell_state(kind, 2)
     return HermitianOperator(bell.layout, alpha * np.eye(4) - bell.matrix)
 
 

@@ -72,9 +72,26 @@ def test_block_backend_has_no_explicit_probe():
 
 
 def test_block_backend_requires_werner_and_k1():
-    with pytest.raises(ValueError):
-        KExtProblem.for_werner(d=2, gamma=0.3, k=2, backend="s3_blocks")
-    from kextdistill.states import maximally_mixed
+    from kextdistill.linalg import layout
+    from kextdistill.states import from_matrix, maximally_mixed
 
     with pytest.raises(ValueError):
-        KExtProblem(state=maximally_mixed(2, 2), backend="s3_blocks")
+        KExtProblem.for_werner(d=2, gamma=0.3, k=2, backend="s3_blocks")
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    full_rank = from_matrix(g @ g.conj().T, layout(("A", 2), ("B", 2)))
+    for state in (full_rank, maximally_mixed(2, 3)):
+        with pytest.raises(ValueError):
+            KExtProblem(state=state, backend="s3_blocks")
+    # the maximally mixed two-qubit state is the gamma = 0 Werner state
+    square = fidelity_threshold(KExtProblem(state=maximally_mixed(2, 2), backend="s3_blocks"))
+    assert abs(square.alpha_star - 0.75) < 1e-7
+
+
+def test_block_backend_reads_gamma_from_the_state():
+    from kextdistill.states import WernerParams, werner
+
+    problem = KExtProblem(state=werner(WernerParams(d=3, p=0.3)), backend="s3_blocks")
+    derived = fidelity_threshold(problem)
+    declared = fidelity_threshold(KExtProblem.for_werner(d=3, p=0.3, backend="s3_blocks"))
+    assert derived.alpha_star == declared.alpha_star

@@ -9,7 +9,7 @@ from kextdistill.analytic import alpha_max_k1, maxmixed_bound
 from kextdistill.cli import ConfigError, load_recipe, parse_config_text, run_sweep
 from kextdistill.linalg import SolverConvergenceError, layout
 from kextdistill.solver import KExtProblem, fidelity_threshold, lambda_min_alpha
-from kextdistill.states import from_matrix, save_state
+from kextdistill.states import WernerParams, from_matrix, save_state, werner
 
 
 def run_cli(args):
@@ -59,6 +59,16 @@ def test_threshold_from_state_file(tmp_path, capsys):
     assert code == 0
     assert float(out["alpha_star"]) >= 0.99
     assert out["full_rank"] == "False"
+
+
+def test_threshold_block_backend_from_werner_state_file(tmp_path, capsys):
+    path = tmp_path / "w.state"
+    save_state(path, werner(WernerParams(d=3, gamma=-0.5)))
+    code = run_cli(["threshold", "--file", str(path), "--backend", "s3_blocks"])
+    out = parse_output(capsys.readouterr().out)
+    assert code == 0
+    assert out["backend"] == "s3_blocks"
+    assert abs(float(out["alpha_star"]) - alpha_max_k1(-0.5)) < 1e-8
 
 
 def test_threshold_invalid_arguments(capsys):
@@ -118,6 +128,7 @@ def test_config_parsing_and_validation():
         "side = charlie",
         "bell = phi_minus",
         "backend = lanczos",
+        "threads = 2",  # sweeps run serially; a threads key is not silently ignored
     ],
 )
 def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, line):
@@ -156,14 +167,6 @@ def test_sweep_is_byte_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
-    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    run_sweep(parse_config_text(BASE_CFG.format(out=serial)))
-    monkeypatch.setenv("KEXT_THREADS", "3")
-    run_sweep(parse_config_text(BASE_CFG.format(out=parallel)))
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 def test_sweep_partial_output_removed(tmp_path, monkeypatch):
     out = tmp_path / "partial.csv"
 
@@ -176,6 +179,35 @@ def test_sweep_partial_output_removed(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         run_sweep(parse_config_text(BASE_CFG.format(out=out)))
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "backend = s3_blocks\nk = 1,2\n",  # the block backend covers k = 1 only
+        "backend = dense\nd = 3\nn = 1,3\n",  # n = 3 exceeds the dense dimension limit
+    ],
+)
+def test_sweep_rejects_unbuildable_problems_before_any_work(tmp_path, capsys, lines):
+    text = BASE_CFG.format(out=tmp_path / "x_n{n}_k{k}.csv") + lines
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert run_cli(["sweep", "--config", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_sweep_block_backend_on_a_werner_state_file(tmp_path):
+    state_path = tmp_path / "w.state"
+    save_state(state_path, werner(WernerParams(d=3, gamma=-0.5)))
+    out = tmp_path / "w.csv"
+    cfg = parse_config_text(
+        f"family = file\nfile = {state_path}\nbackend = s3_blocks\noutput = {out}\n"
+    )
+    assert run_sweep(cfg) == [str(out)]
+    row = out.read_text().splitlines()[2].split(",")
+    assert abs(float(row[1]) - alpha_max_k1(-0.5)) < 1e-6
+    assert row[2] == "s3_blocks"
 
 
 def test_sweep_missing_state_file(tmp_path):

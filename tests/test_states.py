@@ -15,6 +15,7 @@ from kextdistill.states import (
     projectors,
     save_state,
     werner,
+    werner_params_of,
 )
 
 
@@ -207,3 +208,14 @@ def test_swap_symmetry_of_werner():
     rho = werner(WernerParams(d=3, gamma=0.25))
     v = swap_op(rho.layout, "A", "B").entries
     assert np.abs(v @ rho.matrix @ v - rho.matrix).max() < 1e-14
+
+
+def test_werner_params_read_back_from_the_state():
+    for d, gamma in ((2, -1.0), (3, -0.5), (3, 0.0), (4, 0.37), (3, 1.0)):
+        params = werner_params_of(werner(WernerParams(d=d, gamma=gamma)))
+        assert params.d == d
+        assert abs(params.gamma - gamma) < 1e-15
+    assert werner_params_of(maximally_mixed(3, 3)).gamma == 0.0
+    # rho[01,01] = 0: no gamma can be read, and no Werner state has it
+    with pytest.raises(ValueError):
+        werner_params_of(from_matrix(np.diag([1.0, 0.0, 0.0, 0.0]), layout(("A", 2), ("B", 2))))
