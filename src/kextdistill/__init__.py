@@ -3,7 +3,7 @@
 A bipartite state can be distilled toward the two-qubit Bell state by a
 k-extendible map exactly when a symmetrized probe operator acquires a
 negative eigenvalue; this package assembles those probes (dense or
-matrix-free), bisects the fidelity threshold, evaluates maps through their
+matrix-free), finds the fidelity threshold, evaluates maps through their
 Choi states, builds the measure-and-prepare strategies that reach unit
 fidelity on rank-deficient states, and carries the closed-form Werner-state
 results plus a symmetric-group block fast path for multi-copy curves.

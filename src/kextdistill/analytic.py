@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator, SystemLayout, bisect_sup, embed, layout, permutation_matrix
+from .linalg import HermitianOperator, SystemLayout, embed, layout, permutation_matrix, threshold_sup
 from .states import DensityOperator, gamma_from_p
 
 MNP_TOL_EIG = 1e-9
@@ -319,4 +319,4 @@ def mnp_threshold_numeric(state: DensityOperator, tol: float = 1e-7) -> float:
     be skipped).
     """
     k1, k2, _ = _z_pieces(state)
-    return bisect_sup(lambda alpha: _min_over_ellipse(alpha, k1, k2) < -MNP_TOL_EIG, tol)
+    return threshold_sup(lambda alpha: (_min_over_ellipse(alpha, k1, k2), None), tol, MNP_TOL_EIG)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import validate as validate_mod
 from .linalg import SolverConvergenceError
-from .solver import BACKENDS, BELLS, SIDES, KExtProblem, fidelity_threshold
+from .solver import BACKENDS, BELLS, MIN_TOL_ALPHA, SIDES, KExtProblem, fidelity_threshold
 from .states import StateValidationError, load_state
 from .analytic import MnPTradeoff
 
@@ -74,6 +74,8 @@ class SweepConfig:
                 raise ConfigError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
         if self.points < 2:
             raise ConfigError("points must be >= 2")
+        if not self.tol_alpha >= MIN_TOL_ALPHA:
+            raise ConfigError(f"tol_alpha must be at least {MIN_TOL_ALPHA:g}, got {self.tol_alpha!r}")
         if any(n < 1 for n in self.n_values) or any(k < 1 for k in self.k_values):
             raise ConfigError("n and k must be >= 1")
         multi = len(self.n_values) > 1 or len(self.k_values) > 1
@@ -82,6 +84,13 @@ class SweepConfig:
                 raise ConfigError("output pattern needs {n} when several n values are given")
             if len(self.k_values) > 1 and "{k}" not in self.output:
                 raise ConfigError("output pattern needs {k} when several k values are given")
+
+
+def _tol_alpha(text: str) -> float:
+    value = float(text)
+    if not value >= MIN_TOL_ALPHA:
+        raise argparse.ArgumentTypeError(f"must be at least {MIN_TOL_ALPHA:g}, got {text}")
+    return value
 
 
 def _ints(value: str) -> tuple[int, ...]:
@@ -315,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--side", choices=SIDES, default="bob")
     p_thr.add_argument("--bell", choices=BELLS, default="phi_plus")
     p_thr.add_argument("--backend", choices=BACKENDS, default="auto")
-    p_thr.add_argument("--tol-alpha", type=float, default=1e-8, dest="tol_alpha")
+    p_thr.add_argument("--tol-alpha", type=_tol_alpha, default=1e-8, dest="tol_alpha")
     p_thr.set_defaults(func=cmd_threshold)
 
     p_sw = sub.add_parser("sweep", help="run a parameter sweep to CSV")

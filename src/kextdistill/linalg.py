@@ -7,6 +7,7 @@ partial-trace machinery relies on this and is bit-exact reproducible.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -21,6 +22,7 @@ DENSE_EIG_TOL = 1e-10
 ITER_EIG_TOL = 1e-8
 DENSE_DIM_LIMIT = 4096  # dense eigensolves below this dimension, iterative at/above
 EIG_SEED = 20260810     # start vector for iterative solves; fixed for reproducible curves
+WARM_START_SEED_WEIGHT = 0.01  # share of the seeded start vector kept in a warm start
 
 
 class SolverConvergenceError(RuntimeError):
@@ -325,11 +327,16 @@ def eig_min_iterative(
     tol: float = ITER_EIG_TOL,
     max_iter: int | None = None,
     return_vector: bool = False,
+    v0: np.ndarray | None = None,
 ):
     """Smallest eigenvalue of a self-adjoint matrix-free operator (ARPACK Lanczos).
 
-    Deterministic: the start vector is drawn from EIG_SEED.  Raises
-    SolverConvergenceError instead of silently returning a stale iterate.
+    Deterministic: the start vector is drawn from EIG_SEED, with v0 (a warm
+    start, such as the eigenvector of a nearby operator) added to it when
+    given.  The seeded part keeps every eigenvector in the Krylov space: from
+    a warm start alone, ARPACK converged to a higher eigenvalue once the
+    lowest branch had changed.  Raises SolverConvergenceError instead of
+    silently returning a stale iterate.
     """
     n = handle.dim
     if n < 4:
@@ -338,11 +345,13 @@ def eig_min_iterative(
             return eig_min_dense_vec(mat)
         return eig_min_dense(mat)
     op = handle.as_linear_operator()
-    v0 = start_vector(n, handle.is_real)
+    start = start_vector(n, handle.is_real)
+    if v0 is not None:
+        start = v0 / np.linalg.norm(v0) + WARM_START_SEED_WEIGHT * start
     last_exc: Exception | None = None
     for ncv in (None, min(n - 1, 48)):
         try:
-            vals, vecs = spla.eigsh(op, k=1, which="SA", tol=tol, maxiter=max_iter, v0=v0, ncv=ncv)
+            vals, vecs = spla.eigsh(op, k=1, which="SA", tol=tol, maxiter=max_iter, v0=start, ncv=ncv)
             if return_vector:
                 return float(vals[0]), vecs[:, 0]
             return float(vals[0])
@@ -357,19 +366,47 @@ def eig_min_iterative(
 # thresholds
 
 
-def bisect_sup(holds: Callable[[float], bool], tol: float) -> float:
-    """Largest point of [0, 1] at which `holds` was seen true, bisecting to width tol.
+def threshold_sup(
+    f: Callable[[float], tuple[float, float | None]], tol_alpha: float, tol_eig: float
+) -> float:
+    """Largest sampled alpha in [0, 1] with f(alpha) below -tol_eig, to bracket width tol_alpha.
 
-    `holds` must be true on an initial segment of [0, 1] and false after it.
-    Returns 0.0 when it fails at 0.
+    f(alpha) returns (value, slope or None).  value must be concave and
+    nondecreasing in alpha, as lambda_min(C + alpha L) with L PSD is, and a
+    slope must be at least the right derivative there.  The tangent from the
+    lower end lo then never passes the root, so a tangent step lands on a new
+    certified lower end.  Concavity also caps the slope by the chord from the
+    previous lower end, which ends a stall on a slope that is too steep.
+
+    Each step aims a quarter of tol_alpha short of the tangent's -tol_eig
+    crossing: far enough below -tol_eig to survive the eigensolver's error
+    there, and close enough that the next probe, at lo + tol_alpha (the
+    shortest step taken), closes the bracket.  A midpoint is taken instead
+    when there is no positive slope, when the step does not end below hi, or
+    when it is more than half the step before last (the rtsafe safeguard, for
+    roots where tangent steps shrink slowly).  Without slopes the samples are
+    the bisection midpoints.  Returns 0.0 when f(0) is not below -tol_eig;
+    hi = 1 is never sampled.
     """
     lo, hi = 0.0, 1.0
-    if not holds(lo):
+    value, slope = f(lo)
+    if not value < -tol_eig:
         return 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
+    last_step = step_before = math.inf
+    while hi - lo > tol_alpha:
+        alpha, closing = 0.5 * (lo + hi), False
+        if slope is not None and slope > 0.0:
+            step = max((-tol_eig - value) / slope - 0.25 * tol_alpha, tol_alpha)
+            if lo + step < hi and step <= 0.5 * step_before:
+                alpha, closing = lo + step, step == tol_alpha
+        sample, sample_slope = f(alpha)
+        step_before, last_step = last_step, alpha - lo
+        if sample < -tol_eig:
+            if sample_slope is not None:
+                sample_slope = min(sample_slope, (sample - value) / last_step)
+            lo, value, slope = alpha, sample, sample_slope
         else:
-            hi = mid
+            hi = alpha
+            if closing:
+                break
     return lo

@@ -1,4 +1,4 @@
-"""Core engine: symmetrized probe assembly, threshold bisection, CJ-map evaluation,
+"""Core engine: symmetrized probe assembly, threshold search, CJ-map evaluation,
 and the measure-and-prepare constructions reaching unit fidelity.
 
 The probe for a state rho on A x B with n copies and k extensions is
@@ -15,6 +15,7 @@ by a k-extendible map.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,7 +28,6 @@ from .linalg import (
     LinearMapHandle,
     SolverConvergenceError,
     SystemLayout,
-    bisect_sup,
     eig_min_dense,
     eig_min_dense_vec,
     eig_min_iterative,
@@ -37,6 +37,7 @@ from .linalg import (
     permute_subsystems,
     relabel,
     reorder_to,
+    threshold_sup,
 )
 from .states import (
     TOL_PSD,
@@ -52,6 +53,7 @@ log = logging.getLogger("kextdistill")
 
 TOL_EIG = 1e-9          # threshold predicate: lambda_min < -TOL_EIG
 DEFAULT_TOL_ALPHA = 1e-8
+MIN_TOL_ALPHA = 1e-10   # tighter than the eigensolver tolerances can resolve
 SIDES = ("bob", "alice")
 BELLS = ("phi_plus", "psi_minus")
 BACKENDS = ("auto", "dense", "iterative", "s3_blocks")
@@ -87,13 +89,14 @@ class CJOperator:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Outcome of the fidelity bisection.
+    """Outcome of the threshold search.
 
-    alpha_star is the largest probe value certified negative, a lower bound on
-    the supremum that is exact (within tolerance) for full-rank states and a
-    certified lower bound otherwise.  certificate is the probe eigenvector of
-    lambda_residual at alpha_star: None for s3_blocks, or when no alpha was
-    certified negative.
+    alpha_star is the largest sampled alpha at which the probe was certified
+    negative, a lower bound on the supremum that is exact (within tolerance)
+    for full-rank states and a certified lower bound otherwise.  samples holds
+    every (alpha, lambda_min) the search evaluated, sorted by alpha.
+    certificate is the probe eigenvector of lambda_residual at alpha_star:
+    None for s3_blocks, or when no alpha was certified negative.
     """
 
     alpha_star: float
@@ -288,34 +291,120 @@ def build_probe(problem: KExtProblem, alpha: float) -> HermitianOperator | Linea
     return assembly.handle(alpha)
 
 
-def _lambda_min_solver(problem: KExtProblem) -> Callable[[float], tuple[float, np.ndarray | None]]:
-    """alpha -> (lambda_min, eigenvector or None) through the problem's backend.
+def _read_int(path: str) -> int | None:
+    try:
+        with open(path) as fh:
+            return int(fh.read())
+    except (OSError, ValueError):  # missing file, or "max" for no limit
+        return None
 
-    The block backend reads gamma from the Werner state and has no eigenvector.
+
+def _cgroup_headroom() -> int | None:
+    """Memory limit minus usage, the tightest over this process's cgroup and its ancestors.
+
+    Reads cgroup v2 (memory.max, memory.current) and v1 (memory.limit_in_bytes,
+    memory.usage_in_bytes).  None when no limit can be read.
+    """
+    try:
+        with open("/proc/self/cgroup") as fh:
+            entries = [line.rstrip("\n").split(":", 2) for line in fh]
+    except OSError:
+        return None
+    headroom = None
+    for _, controllers, path in entries:
+        if controllers == "":
+            root, limit_file, usage_file = "/sys/fs/cgroup", "memory.max", "memory.current"
+        elif "memory" in controllers.split(","):
+            root = "/sys/fs/cgroup/memory"
+            limit_file, usage_file = "memory.limit_in_bytes", "memory.usage_in_bytes"
+        else:
+            continue
+        parts = [part for part in path.split("/") if part]
+        # the mount root stands for this cgroup when the namespace hides its path
+        for depth in range(len(parts), -1, -1):
+            directory = os.path.join(root, *parts[:depth])
+            limit = _read_int(os.path.join(directory, limit_file))
+            usage = _read_int(os.path.join(directory, usage_file))
+            if limit is not None and usage is not None:
+                headroom = limit - usage if headroom is None else min(headroom, limit - usage)
+    return headroom
+
+
+def _available_bytes() -> int:
+    """Memory a new allocation can take without swapping or hitting a cgroup limit.
+
+    MemAvailable from /proc/meminfo, which counts reclaimable page cache,
+    bounded by the cgroup headroom; the free physical pages when neither can
+    be read.
+    """
+    available = None
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    available = int(line.split()[1]) * 1024
+    except (OSError, ValueError):
+        pass
+    figures = [b for b in (available, _cgroup_headroom()) if b is not None]
+    if not figures:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    return max(0, min(figures))
+
+
+def _lambda_min_solver(
+    problem: KExtProblem,
+) -> Callable[[float], tuple[float, np.ndarray | None, float | None]]:
+    """alpha -> (lambda_min, eigenvector or None, slope or None) through the problem's backend.
+
+    The slope is v^dag L v for the returned eigenvector v and the linear part
+    L: a supergradient of the concave lambda_min (Hellmann-Feynman), computed
+    through the term kernel for both backends.  Each iterative solve starts
+    from the previous eigenvector, the first from EIG_SEED.  The block backend
+    reads gamma from the Werner state and has neither eigenvector nor slope.
     A non-converging iterative solve falls back to the dense branch when the
-    dimension allows it.
+    dimension and the available memory allow it.
     """
     backend = problem.resolved_backend()
     if backend == "s3_blocks":
         gamma = werner_params_of(problem.state).gamma
-        return lambda alpha: (blocks.s3_block_lambda_min(gamma, alpha, problem.n), None)
+        return lambda alpha: (blocks.s3_block_lambda_min(gamma, alpha, problem.n), None, None)
     assembly = ProbeAssembly(problem)
+    dims = assembly.layout.dims
     dim = assembly.layout.total_dim
+    previous: np.ndarray | None = None
 
-    def solve(alpha: float) -> tuple[float, np.ndarray]:
-        if backend == "iterative":
-            try:
-                return eig_min_iterative(assembly.handle(alpha), return_vector=True)
-            except SolverConvergenceError:
-                if dim > 2 * DENSE_DIM_LIMIT:
-                    raise
-                log.warning(
-                    "iterative eigensolver did not converge at alpha=%.6g on dim %d; "
-                    "falling back to a dense solve",
-                    alpha,
-                    dim,
-                )
-        return eig_min_dense_vec(assembly.dense(alpha))
+    def with_slope(lam: float, vec: np.ndarray) -> tuple[float, np.ndarray, float]:
+        v = vec.reshape(dims)
+        slope = sum(np.vdot(v, assembly.term(v, i)[0]).real for i in range(len(assembly.pairs)))
+        return lam, vec, float(slope)
+
+    def solve(alpha: float) -> tuple[float, np.ndarray, float]:
+        nonlocal previous
+        if backend == "dense":
+            return with_slope(*eig_min_dense_vec(assembly.dense(alpha)))
+        try:
+            lam, vec = eig_min_iterative(assembly.handle(alpha), return_vector=True, v0=previous)
+        except SolverConvergenceError as exc:
+            if dim > 2 * DENSE_DIM_LIMIT:
+                raise
+            # the probe, plus both dense pieces unless an earlier fallback cached them
+            matrices = 1 if assembly._dense_pieces is not None else 3
+            need = matrices * dim * dim * (8 if assembly.is_real else 16)
+            free = _available_bytes()
+            if need > free:
+                raise SolverConvergenceError(
+                    f"ARPACK did not converge at alpha={alpha:.6g} on dim {dim}, and the dense "
+                    f"fallback needs {need / 2**20:.1f} MiB with {free / 2**20:.1f} MiB available"
+                ) from exc
+            log.warning(
+                "iterative eigensolver did not converge at alpha=%.6g on dim %d; "
+                "falling back to a dense solve",
+                alpha,
+                dim,
+            )
+            return with_slope(*eig_min_dense_vec(assembly.dense(alpha)))
+        previous = vec
+        return with_slope(lam, vec)
 
     return solve
 
@@ -326,28 +415,29 @@ def lambda_min_alpha(problem: KExtProblem, alpha: float) -> float:
 
 
 def fidelity_threshold(problem: KExtProblem, tol_alpha: float = DEFAULT_TOL_ALPHA) -> ThresholdResult:
-    """Bisect sup{alpha : lambda_min(alpha) < -TOL_EIG} over [0, 1].
+    """sup{alpha : lambda_min(alpha) < -TOL_EIG} over [0, 1], found by linalg.threshold_sup.
 
-    Valid because the alpha-derivative of the probe is a symmetrized PSD
-    operator, so lambda_min is nondecreasing in alpha.
+    The alpha-derivative of the probe is a symmetrized PSD operator, so
+    lambda_min is a minimum of nondecreasing affine functions of alpha:
+    nondecreasing and concave, with the backend's slope as a tangent.
     """
-    if tol_alpha < 1e-10:
-        raise ValueError("tol_alpha below 1e-10 is tighter than the eigensolver tolerances")
+    if tol_alpha < MIN_TOL_ALPHA:
+        raise ValueError(f"tol_alpha below {MIN_TOL_ALPHA:g} is tighter than the eigensolver tolerances")
     backend = problem.resolved_backend()
     solve = _lambda_min_solver(problem)
     samples: list[tuple[float, float]] = []
     residual, certificate = None, None
 
-    def negative(alpha: float) -> bool:
+    def evaluate(alpha: float) -> tuple[float, float | None]:
         nonlocal residual, certificate
-        value, vec = solve(alpha)
+        value, vec, slope = solve(alpha)
         samples.append((alpha, value))
         if value < -TOL_EIG:
-            # the bisection moves its lower end here, so this sample certifies it
+            # the driver moves its lower end here, so this sample certifies it
             residual, certificate = value, vec
-        return value < -TOL_EIG
+        return value, slope
 
-    alpha_star = bisect_sup(negative, tol_alpha)
+    alpha_star = threshold_sup(evaluate, tol_alpha, TOL_EIG)
     if residual is None:
         residual = samples[0][1]
     return ThresholdResult(

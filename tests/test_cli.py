@@ -77,6 +77,15 @@ def test_threshold_invalid_arguments(capsys):
     capsys.readouterr()
 
 
+def test_threshold_rejects_tol_alpha_below_the_floor(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["threshold", "--d", "2", "--gamma", "0", "--tol-alpha", "1e-12"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--tol-alpha" in captured.err and "solver failure" not in captured.err
+    assert captured.out == ""
+
+
 def test_threshold_solver_failure_exit_code(capsys, monkeypatch):
     def boom(problem, tol_alpha):
         raise SolverConvergenceError("stalled")
@@ -124,6 +133,7 @@ def test_config_parsing_and_validation():
         "tol_alfa = 1e-9",  # misspelt key: must not run silently at the default tolerance
         "points = 5.5",
         "tol_alpha = tight",
+        "tol_alpha = 1e-12",  # below the floor the eigensolvers can resolve
         "n = 1,two",
         "side = charlie",
         "bell = phi_minus",

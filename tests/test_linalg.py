@@ -15,6 +15,7 @@ from kextdistill.linalg import (
     permute_subsystems,
     reorder_to,
     swap_op,
+    threshold_sup,
 )
 from kextdistill.states import bell_state, probe_operator, werner, WernerParams
 
@@ -322,3 +323,141 @@ def test_handle_self_adjointness_on_random_pairs():
         lhs = np.vdot(u, handle.apply(v))
         rhs = np.vdot(handle.apply(u), v)
         assert abs(lhs - rhs) / max(1.0, abs(lhs)) < 1e-10
+
+
+def test_eig_min_iterative_warm_start_orthogonal_to_the_lowest_eigenvector():
+    # as a warm start from another symmetry sector is: the Krylov space of v0
+    # alone never reaches the lowest eigenvector, the seeded part must
+    values = np.arange(1.0, 1001.0)
+    v0 = np.ones(len(values))
+    v0[0] = 0.0
+    lam, vec = eig_min_iterative(_diag_handle(values), return_vector=True, v0=v0)
+    assert lam == pytest.approx(1.0, abs=1e-8)
+    assert abs(vec[0]) == pytest.approx(1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# threshold_sup on minima of affine functions, where the root and kinks are exact
+
+TOL_EIG = 1e-9
+TOL_ALPHA = 1e-8
+
+
+def min_of_affine(pieces, samples, slopes=True, window=0.0):
+    """f(alpha) = min_j (a_j + b_j alpha), recording every sample.
+
+    The slope is the largest among the pieces within `window` of the minimum.
+    With window 0 that is the left derivative at a kink, the worst
+    supergradient for a step to the right; a wider window keeps feeding the
+    steeper slope past the kink, as an eigenvector from a near-degenerate
+    eigenspace can.
+    """
+
+    def f(alpha):
+        values = [a + b * alpha for a, b in pieces]
+        low = min(values)
+        samples.append(alpha)
+        slope = max(b for (a, b), v in zip(pieces, values) if v <= low + window)
+        return low, (slope if slopes else None)
+
+    return f
+
+
+def through(root, slope):
+    """The affine piece with this slope that equals -TOL_EIG at root."""
+    return (-TOL_EIG - slope * root, slope)
+
+
+def assert_certified_and_tight(pieces, alpha_star):
+    f = min_of_affine(pieces, [])
+    assert f(alpha_star)[0] < -TOL_EIG
+    above = min(1.0, alpha_star + TOL_ALPHA)
+    assert above == alpha_star or f(above)[0] >= -TOL_EIG
+
+
+@pytest.mark.parametrize("left,right", [(4.0, 0.25), (50.0, 0.02), (0.3, 0.001), (1.0, 1.0)])
+@pytest.mark.parametrize("root", [0.6, 0.75, 0.123456789])
+def test_threshold_sup_root_at_a_kink(root, left, right):
+    # a third, steeper piece puts a second kink at root / 2
+    steep = (through(root, left)[0] - 2.0 * left * 0.5 * root, 3.0 * left)
+    pieces = [through(root, left), through(root, right), steep]
+    samples = []
+    alpha_star = threshold_sup(min_of_affine(pieces, samples), TOL_ALPHA, TOL_EIG)
+    assert root - TOL_ALPHA <= alpha_star < root
+    assert alpha_star in samples
+    assert_certified_and_tight(pieces, alpha_star)
+    assert len(samples) <= 28
+
+
+@pytest.mark.parametrize("left,right", [(4.0, 0.25), (50.0, 0.02), (1.0, 0.001)])
+@pytest.mark.parametrize("kink", [0.5, 0.9, 0.99])
+def test_threshold_sup_slope_stuck_past_a_kink(kink, left, right):
+    root = 0.6
+    flat = through(root, right)
+    at_kink = flat[0] + right * kink * root
+    pieces = [(at_kink - left * kink * root, left), flat]
+    samples = []
+    alpha_star = threshold_sup(min_of_affine(pieces, samples, window=10.0), TOL_ALPHA, TOL_EIG)
+    assert root - TOL_ALPHA <= alpha_star < root
+    assert_certified_and_tight(pieces, alpha_star)
+    assert len(samples) <= 28
+
+
+@pytest.mark.parametrize("order", [3, 12, 30])
+@pytest.mark.parametrize("root", [0.6, 1.3])
+def test_threshold_sup_high_order_root_costs_no_more_than_bisection(order, root):
+    # -(root - alpha)^order flattens towards its root, so tangent steps shrink
+    # slowly there and the midpoint safeguard must take over
+    samples = []
+
+    def f(alpha):
+        samples.append(alpha)
+        return -((root - alpha) ** order), order * (root - alpha) ** (order - 1)
+
+    alpha_star = threshold_sup(f, TOL_ALPHA, TOL_EIG)
+    assert len(samples) <= 28
+    assert f(alpha_star)[0] < -TOL_EIG
+    above = alpha_star + TOL_ALPHA
+    assert above >= 1.0 or f(above)[0] >= -TOL_EIG
+
+
+def test_threshold_sup_takes_tangent_steps(reference_bisection):
+    # 200 tangents of the concave 0.05 - 0.3 (1 - alpha)^2, which crosses zero near 0.59
+    pieces = [
+        (0.05 - 0.3 * (1 - t) ** 2 - 0.6 * (1 - t) * t, 0.6 * (1 - t)) for t in np.linspace(0, 1, 200)
+    ]
+    samples = []
+    alpha_star = threshold_sup(min_of_affine(pieces, samples), TOL_ALPHA, TOL_EIG)
+    bisection = reference_bisection(lambda a: min_of_affine(pieces, [])(a)[0] < -TOL_EIG, TOL_ALPHA)
+    assert abs(alpha_star - bisection) <= TOL_ALPHA
+    assert_certified_and_tight(pieces, alpha_star)
+    assert len(samples) <= 10
+
+
+def test_threshold_sup_negative_everywhere_stays_below_one():
+    pieces = [(-0.5, 0.1), (-0.2, 0.0)]
+    samples = []
+    alpha_star = threshold_sup(min_of_affine(pieces, samples), TOL_ALPHA, TOL_EIG)
+    assert 1.0 - TOL_ALPHA <= alpha_star < 1.0
+    assert 1.0 not in samples
+
+
+def test_threshold_sup_nonnegative_at_zero_returns_zero():
+    for value in (0.0, -TOL_EIG, 0.3):
+        samples = []
+        assert threshold_sup(min_of_affine([(value, 1.0)], samples), TOL_ALPHA, TOL_EIG) == 0.0
+        assert samples == [0.0]
+
+
+@pytest.mark.parametrize("root", [1.0 / 3.0, 0.75, 0.999, 1e-6])
+def test_threshold_sup_without_slopes_is_the_old_bisection(root, reference_bisection):
+    pieces = [through(root, 0.7), through(root, 0.05)]
+    samples, expected = [], []
+    alpha_star = threshold_sup(min_of_affine(pieces, samples, slopes=False), TOL_ALPHA, TOL_EIG)
+
+    def holds(alpha):
+        expected.append(alpha)
+        return min_of_affine(pieces, [])(alpha)[0] < -TOL_EIG
+
+    assert alpha_star == reference_bisection(holds, TOL_ALPHA)
+    assert samples == expected

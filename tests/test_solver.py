@@ -1,12 +1,16 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kextdistill import solver
 from kextdistill.analytic import alpha_max_k1, maxmixed_bound
 from kextdistill.linalg import (
     HermitianOperator,
     LinearMapHandle,
+    SolverConvergenceError,
     eig_min_dense,
     embed,
     layout,
@@ -14,6 +18,8 @@ from kextdistill.linalg import (
     permute_subsystems,
 )
 from kextdistill.solver import (
+    BELLS,
+    SIDES,
     TOL_EIG,
     CJOperator,
     KExtProblem,
@@ -235,6 +241,104 @@ def test_threshold_certificate_is_a_negative_eigenvector(problem):
     assert (result.alpha_star, lam) in result.samples
     assert np.vdot(v, pv).real / np.vdot(v, v).real < -TOL_EIG
     assert np.linalg.norm(pv - lam * v) <= 1e-8
+
+
+@pytest.mark.parametrize("backend", ["dense", "iterative"])
+def test_threshold_past_a_kink(backend):
+    # lambda_min bends near alpha = 0.5, where its slope falls from 0.53 to
+    # 0.40, and the threshold is 3/4; a slope from the wrong side of the bend
+    # would stall short of it
+    problem = KExtProblem.for_werner(d=3, gamma=-0.5, k=2, backend=backend)
+    result = fidelity_threshold(problem)
+    assert abs(result.alpha_star - 0.75) <= 1e-8
+    assert len(result.samples) <= 12
+
+
+def test_threshold_certified_by_a_fresh_solve():
+    # with steps aimed at exactly -TOL_EIG, alpha* sat on -TOL_EIG: fresh
+    # solves there gave -0.99999989e-09 in one process, -1.0000000584e-09 in another
+    problem = KExtProblem.for_werner(d=2, gamma=0.0, k=3, backend="iterative")
+    result = fidelity_threshold(problem)
+    assert lambda_min_alpha(problem, result.alpha_star) < -TOL_EIG
+
+
+def stalled(*args, **kwargs):
+    raise SolverConvergenceError("stalled")
+
+
+def test_dense_fallback_checks_available_memory(monkeypatch):
+    problem = KExtProblem.for_werner(d=2, gamma=-0.3, k=1, backend="iterative")
+    monkeypatch.setattr(solver, "eig_min_iterative", stalled)
+    monkeypatch.setattr(solver, "_available_bytes", lambda: 10**9)
+    dense = KExtProblem.for_werner(d=2, gamma=-0.3, k=1, backend="dense")
+    assert lambda_min_alpha(problem, 0.5) == lambda_min_alpha(dense, 0.5)
+    # the probe and both dense pieces: 3 * 64^2 float64 entries, 0.1 MiB
+    monkeypatch.setattr(solver, "_available_bytes", lambda: 3 * 64 * 64 * 8 - 1)
+    with pytest.raises(SolverConvergenceError, match=r"needs 0\.1 MiB"):
+        lambda_min_alpha(problem, 0.5)
+
+
+def test_dense_fallback_charges_only_the_probe_once_the_pieces_are_cached(monkeypatch):
+    problem = KExtProblem.for_werner(d=2, gamma=-0.3, k=1, backend="iterative")
+    monkeypatch.setattr(solver, "eig_min_iterative", stalled)
+    monkeypatch.setattr(solver, "_available_bytes", lambda: 10**9)
+    solve = solver._lambda_min_solver(problem)
+    first = solve(0.5)[0]
+    probe_bytes = 64 * 64 * 8
+    monkeypatch.setattr(solver, "_available_bytes", lambda: probe_bytes)
+    assert solve(0.5)[0] == first
+    monkeypatch.setattr(solver, "_available_bytes", lambda: probe_bytes - 1)
+    with pytest.raises(SolverConvergenceError, match="did not converge"):
+        solve(0.5)
+
+
+def test_available_bytes_is_a_positive_figure():
+    assert solver._available_bytes() > 0
+
+
+# every (d_B, k, side) but (3, 2, bob), whose dimension 864 makes one example take seconds
+SHAPES = [
+    (d_b, k, side)
+    for d_b in (2, 3)
+    for k in (1, 2)
+    for side in SIDES
+    if (d_b, k, side) != (3, 2, "bob")
+]
+
+
+@st.composite
+def threshold_problems(draw):
+    d_b, k, side = draw(st.sampled_from(SHAPES))
+    dim = 2 * d_b
+    rank = draw(st.integers(1, dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    state = from_matrix(g @ g.conj().T, layout(("A", 2), ("B", d_b)))
+    return KExtProblem(
+        state=state,
+        k=k,
+        side=side,
+        bell=draw(st.sampled_from(BELLS)),
+        backend=draw(st.sampled_from(["dense", "iterative"])),
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(problem=threshold_problems())
+def test_threshold_matches_bisection_and_is_certified(problem, reference_bisection):
+    # the reference and the checks use dense solves: exact at these dimensions,
+    # and cheaper than ARPACK, which is slow near lambda = 0, where
+    # rank-deficient states end up as alpha nears 1; a coarse width keeps the
+    # bisection short
+    tol_alpha = 1e-3
+    alpha_star = fidelity_threshold(problem, tol_alpha=tol_alpha).alpha_star
+    exact = solver._lambda_min_solver(dataclasses.replace(problem, backend="dense"))
+    bisection = reference_bisection(lambda alpha: exact(alpha)[0] < -TOL_EIG, tol_alpha)
+    assert abs(alpha_star - bisection) <= tol_alpha
+    if alpha_star > 0.0:
+        assert exact(alpha_star)[0] < -TOL_EIG
+    above = min(1.0, alpha_star + tol_alpha)
+    assert above == alpha_star or exact(above)[0] >= -TOL_EIG
 
 
 def test_threshold_tolerance_validation():
