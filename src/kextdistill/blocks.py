@@ -30,8 +30,11 @@ def _qubit_factors(gamma: float, alpha: float):
 def s3_block_lambda_min(gamma: float, alpha: float, n: int) -> float:
     """Smallest eigenvalue over all symmetry blocks of the n-copy, one-extension operator.
 
-    Uses the unnormalized I + gamma*V state convention, so values are
-    positive multiples of the dense eigenvalues; signs and thresholds match.
+    Uses the unnormalized I + gamma*V state: for d >= 3 the value is
+    (d^2 + gamma d)^n times the probe's lambda_min.  For d = 2 the state
+    triples have no antisymmetric part either, yet its blocks enter the
+    minimum, so the value is a lower bound on that multiple (gamma = 0.3,
+    alpha = 0.95: 0.0609 against 0.0655); signs and thresholds still agree.
     Label tuples with the target triple on the antisymmetric label are
     skipped: a qubit triple has no totally antisymmetric subspace, so those
     blocks have dimension zero rather than eigenvalue zero.

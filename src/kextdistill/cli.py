@@ -19,7 +19,7 @@ import numpy as np
 
 from . import validate as validate_mod
 from .linalg import SolverConvergenceError
-from .solver import BACKENDS, BELLS, MIN_TOL_ALPHA, SIDES, KExtProblem, fidelity_threshold
+from .solver import BACKENDS, BELLS, DEFAULT_TOL_ALPHA, MIN_TOL_ALPHA, SIDES, KExtProblem, fidelity_threshold
 from .states import StateValidationError, load_state
 from .analytic import MnPTradeoff
 
@@ -231,6 +231,11 @@ def run_sweep(cfg: SweepConfig) -> list[str]:
 
 def cmd_threshold(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
+    family = args.family or ("file" if args.file else "werner")
+    werner_options = (args.d, args.gamma, args.p) != (None, None, None)
+    if (family == "file") != bool(args.file) or (args.file and werner_options):
+        print("error: give --file exactly for family file, and not with --d, --gamma or --p", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.file:
             state = load_state(args.file)
@@ -243,7 +248,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
                 print("error: provide --gamma or --p for the werner family", file=sys.stderr)
                 return EXIT_USAGE
             problem = KExtProblem.for_werner(
-                d=args.d, gamma=args.gamma, p=args.p, n=args.n, k=args.k,
+                d=3 if args.d is None else args.d, gamma=args.gamma, p=args.p, n=args.n, k=args.k,
                 side=args.side, bell=args.bell, backend=args.backend,
             )
     except (ValueError, StateValidationError, OSError) as exc:
@@ -314,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_thr = sub.add_parser("threshold", help="compute one fidelity threshold")
-    p_thr.add_argument("--family", choices=("werner", "file"), default="werner")
+    p_thr.add_argument("--family", choices=("werner", "file"), help="werner unless --file is given")
     p_thr.add_argument("--file", help="kext-state file (implies family=file)")
-    p_thr.add_argument("--d", type=int, default=3, help="local dimension of the Werner state")
+    p_thr.add_argument("--d", type=int, help="local dimension of the Werner state (default 3)")
     p_thr.add_argument("--gamma", type=float, help="Werner parameter in [-1, 1]")
     p_thr.add_argument("--p", type=float, help="symmetric weight in [0, 1]")
     p_thr.add_argument("--n", type=int, default=1, help="number of state copies")
@@ -324,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--side", choices=SIDES, default="bob")
     p_thr.add_argument("--bell", choices=BELLS, default="phi_plus")
     p_thr.add_argument("--backend", choices=BACKENDS, default="auto")
-    p_thr.add_argument("--tol-alpha", type=_tol_alpha, default=1e-8, dest="tol_alpha")
+    p_thr.add_argument("--tol-alpha", type=_tol_alpha, default=DEFAULT_TOL_ALPHA, dest="tol_alpha")
     p_thr.set_defaults(func=cmd_threshold)
 
     p_sw = sub.add_parser("sweep", help="run a parameter sweep to CSV")

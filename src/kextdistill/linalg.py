@@ -18,7 +18,6 @@ import scipy.sparse.linalg as spla
 
 TOL_HERM = 1e-12      # max entrywise |H - H^dag| accepted as Hermitian
 REAL_IMAG_TOL = 1e-14  # max imaginary part for the real fast path
-DENSE_EIG_TOL = 1e-10
 ITER_EIG_TOL = 1e-8
 DENSE_DIM_LIMIT = 4096  # dense eigensolves below this dimension, iterative at/above
 EIG_SEED = 20260810     # start vector for iterative solves; fixed for reproducible curves
@@ -130,7 +129,6 @@ class LinearMapHandle:
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
     is_real: bool = True
-    layout: SystemLayout | None = None
 
     def as_linear_operator(self) -> spla.LinearOperator:
         dtype = np.float64 if self.is_real else np.complex128
@@ -331,12 +329,14 @@ def eig_min_iterative(
 ):
     """Smallest eigenvalue of a self-adjoint matrix-free operator (ARPACK Lanczos).
 
-    Deterministic: the start vector is drawn from EIG_SEED, with v0 (a warm
-    start, such as the eigenvector of a nearby operator) added to it when
-    given.  The seeded part keeps every eigenvector in the Krylov space: from
-    a warm start alone, ARPACK converged to a higher eigenvalue once the
-    lowest branch had changed.  Raises SolverConvergenceError instead of
-    silently returning a stale iterate.
+    The start vector is drawn from EIG_SEED, with v0 (a warm start, such as
+    the eigenvector of a nearby operator) added to it when given.  The seeded
+    part keeps every eigenvector in the Krylov space: from a warm start alone,
+    ARPACK converged to a higher eigenvalue once the lowest branch had
+    changed.  ARPACK's restart vectors are not seeded, so repeated solves are
+    not bit-identical: Werner d = 2, gamma = 0, k = 3 at alpha = 0.624999999
+    gave -9.9999984e-10 to -1.0000001e-09 in one process.  Raises
+    SolverConvergenceError instead of silently returning a stale iterate.
     """
     n = handle.dim
     if n < 4:

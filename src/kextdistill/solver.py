@@ -22,6 +22,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import blocks
+
+# perfbench/spans.py wraps the eigensolvers and state constructors under these
+# names in this module, so they stay bound here by from-import.
 from .linalg import (
     DENSE_DIM_LIMIT,
     HermitianOperator,
@@ -31,11 +34,9 @@ from .linalg import (
     eig_min_dense,
     eig_min_dense_vec,
     eig_min_iterative,
-    embed,
     layout,
     partial_trace,
     permute_subsystems,
-    relabel,
     reorder_to,
     threshold_sup,
 )
@@ -97,6 +98,9 @@ class ThresholdResult:
     every (alpha, lambda_min) the search evaluated, sorted by alpha.
     certificate is the probe eigenvector of lambda_residual at alpha_star:
     None for s3_blocks, or when no alpha was certified negative.
+    For s3_blocks, lambda_residual is (d^2 + gamma d)^n times the probe
+    eigenvalue (see blocks.s3_block_lambda_min), left unscaled: TOL_EIG is
+    absolute, and at n = 8, d = 3 the probe-scale value is -4.4e-14 to -1.6e-10.
     """
 
     alpha_star: float
@@ -273,9 +277,7 @@ class ProbeAssembly:
                 acc = acc + alpha * rv - brv
             return acc.reshape(-1)
 
-        return LinearMapHandle(
-            dim=self.layout.total_dim, apply=apply, is_real=self.is_real, layout=self.layout
-        )
+        return LinearMapHandle(dim=self.layout.total_dim, apply=apply, is_real=self.is_real)
 
 
 def build_probe(problem: KExtProblem, alpha: float) -> HermitianOperator | LinearMapHandle:
@@ -497,6 +499,18 @@ def evaluate_map_fidelity(cj: CJOperator, state: DensityOperator) -> float:
     return min(max(fid, 0.0), 1.0)
 
 
+def _mnp_choi(pairs: Sequence[tuple[np.ndarray, np.ndarray]], dims: tuple[int, ...], side: str) -> CJOperator:
+    """sum_i m_in_i^T x m_out_i over (sigma_in on (S, X), sigma_out on (s, x)) marginal pairs.
+
+    dims are (d_S, d_X, d_s, d_x); (S, X, s, x) is (A, B, a, b) for bob, (B, A, b, a) for alice.
+    """
+    labels = ("A", "B", "a", "b") if side == "bob" else ("B", "A", "b", "a")
+    mat = sum(np.kron(m_in.T, m_out) for m_in, m_out in pairs)
+    core = HermitianOperator(SystemLayout(tuple(zip(labels, dims))), mat)
+    d_a, d_b = core.layout.dim_of("A"), core.layout.dim_of("B")
+    return CJOperator(reorder_to(core, layout(("A", d_a), ("B", d_b), ("a", 2), ("b", 2))))
+
+
 def cj_of_mnp(
     sigma_in: DensityOperator,
     sigma_out: DensityOperator,
@@ -506,8 +520,11 @@ def cj_of_mnp(
 
     Both states live on (spectator, slot_0, ..., slot_k); measuring the
     reduction of sigma_in on slot i prepares the matching reduction of
-    sigma_out.  The construction symmetrizes slot 0 against the others and
-    traces them out, so the result is k-extendible by construction.
+    sigma_out.  The Choi state is sum_i (sigma_in)_{S,X_i}^T x
+    (sigma_out)_{s,x_i} over the k + 1 two-slot marginals: the slot-0
+    reduction of the slot-symmetrized sigma_in^T x sigma_out, so it is
+    k-extendible by construction.  Nothing on the joint space of both states
+    is formed, so the cost is k + 1 partial traces of the given states.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
@@ -515,27 +532,17 @@ def cj_of_mnp(
     subs_out = sigma_out.layout.subsystems
     if len(subs_in) != len(subs_out) or len(subs_in) < 3:
         raise ValueError("need matching layouts (spectator, slot_0, ..., slot_k) with k >= 1")
-    k = len(subs_in) - 2
     slot_dims = {dim for _, dim in subs_in[1:]}
     if len(slot_dims) != 1 or {dim for _, dim in subs_out[1:]} != {subs_out[1][1]}:
         raise ValueError("all slots of each state must share one dimension")
 
-    in_labels = ["S"] + [f"X{i}" for i in range(k + 1)]
-    out_labels = ["s"] + [f"x{i}" for i in range(k + 1)]
-    lay = SystemLayout(
-        tuple((lab, dim) for lab, (_, dim) in zip(in_labels, subs_in))
-        + tuple((lab, dim) for lab, (_, dim) in zip(out_labels, subs_out))
-    )
-    big = embed(lay, {tuple(in_labels): sigma_in.matrix.T, tuple(out_labels): sigma_out.matrix})
-    sym = symmetrize(big, [("X0", "x0")] + [(f"X{i}", f"x{i}") for i in range(1, k + 1)])
-    core = partial_trace(sym, ("S", "X0", "s", "x0"))
-    if side == "bob":
-        named = relabel(core, {"S": "A", "X0": "B", "s": "a", "x0": "b"})
-    else:
-        named = relabel(core, {"S": "B", "X0": "A", "s": "b", "x0": "a"})
-    d_a, d_b = named.layout.dim_of("A"), named.layout.dim_of("B")
-    target = layout(("A", d_a), ("B", d_b), ("a", 2), ("b", 2))
-    return CJOperator(reorder_to(named, target))
+    (s_in, *x_in), (s_out, *x_out) = sigma_in.layout.labels, sigma_out.layout.labels
+    pairs = [
+        (partial_trace(sigma_in.op, (s_in, x)).entries, partial_trace(sigma_out.op, (s_out, y)).entries)
+        for x, y in zip(x_in, x_out)
+    ]
+    dims = (subs_in[0][1], subs_in[1][1], subs_out[0][1], subs_out[1][1])
+    return _mnp_choi(pairs, dims, side)
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +600,14 @@ def _projector(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def _mnp_output(k: int) -> DensityOperator:
-    """Joint output state: Bell pair on (spectator, slot 0), maximally mixed elsewhere."""
-    lay = SystemLayout((("s", 2),) + tuple((f"x{i}", 2) for i in range(k + 1)))
-    pieces = {("s", "x0"): bell_state("phi_plus", 2).matrix}
-    for i in range(1, k + 1):
-        pieces[f"x{i}"] = np.eye(2) / 2.0
-    return from_matrix(embed(lay, pieces).entries, lay)
+def _bell_from_slot0(m0: np.ndarray, m1: np.ndarray, k: int, dims: tuple[int, int], side: str):
+    """(cj, side) of the map preparing the Bell pair from slot 0 and I/4 from each of k slots.
+
+    m0 is the (S, X_0) marginal of sigma_in; slots 1..k share the marginal m1,
+    so they enter as one term of weight k.  dims are (d_S, d_X).
+    """
+    pairs = [(m0, bell_state("phi_plus", 2).matrix), (k * m1, np.eye(4) / 4.0)]
+    return _mnp_choi(pairs, dims + (2, 2), side), side
 
 
 def construct_f1_strategy(
@@ -613,6 +621,9 @@ def construct_f1_strategy(
     side, any k), any kernel vector (k = 1), or a caller-supplied symmetric
     extension of a kernel state on (A, E_1, ..., E_k).  Returns (cj, side),
     or None when the state is full rank or no qualifying structure is found.
+    The Choi state is M0^T x Bell + k M1^T x I/4, built from the two-slot
+    marginals M0 (slot 0) and M1 (each other slot) of the measured state,
+    which is never formed on all k + 1 slots; its cost does not depend on k.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -633,20 +644,14 @@ def construct_f1_strategy(
         )
         if overlap > TOL_PSD:
             # measure the product kernel state on the extension slots
-            lay = SystemLayout((("S", d_a), ("X0", d_b)) + tuple((f"X{i}", d_b) for i in range(1, k + 1)))
-            pieces = {"S": _projector(phi), "X0": np.eye(d_b) / d_b}
-            for i in range(1, k + 1):
-                pieces[f"X{i}"] = _projector(psi)
-            sigma_in = from_matrix(embed(lay, pieces).entries, lay)
-            return cj_of_mnp(sigma_in, _mnp_output(k), side="bob"), "bob"
+            m0 = np.kron(_projector(phi), np.eye(d_b) / d_b)
+            m1 = np.kron(_projector(phi), _projector(psi))
+            return _bell_from_slot0(m0, m1, k, (d_a, d_b), "bob")
         # phi x anything is annihilated: extend on the other side
         rho_a = partial_trace(state.op, (state.layout.labels[0],)).entries
-        lay = SystemLayout((("S", d_b), ("X0", d_a)) + tuple((f"X{i}", d_a) for i in range(1, k + 1)))
-        pieces = {"S": np.eye(d_b) / d_b, "X0": rho_a / np.trace(rho_a).real}
-        for i in range(1, k + 1):
-            pieces[f"X{i}"] = _projector(phi)
-        sigma_in = from_matrix(embed(lay, pieces).entries, lay)
-        return cj_of_mnp(sigma_in, _mnp_output(k), side="alice"), "alice"
+        m0 = np.kron(np.eye(d_b) / d_b, rho_a / np.trace(rho_a).real)
+        m1 = np.kron(np.eye(d_b) / d_b, _projector(phi))
+        return _bell_from_slot0(m0, m1, k, (d_b, d_a), "alice")
 
     if k == 1:
         _, vecs = np.linalg.eigh(rho)
@@ -668,10 +673,7 @@ def _strategy_from_extension(state: DensityOperator, k: int, extension: DensityO
     labels = extension.layout.labels
     marg0 = partial_trace(extension.op, (labels[0], labels[1])).entries
     for lab in labels[2:]:
-        marg = reorder_to(
-            partial_trace(extension.op, (labels[0], lab)),
-            layout((labels[0], d_a), (lab, d_b)),
-        ).entries
+        marg = partial_trace(extension.op, (labels[0], lab)).entries
         if np.abs(marg - marg0).max() > 1e-9:
             raise ValueError("kernel extension marginals are not symmetric")
     overlap_kernel = float(np.trace(state.matrix @ marg0).real)
@@ -685,12 +687,5 @@ def _strategy_from_extension(state: DensityOperator, k: int, extension: DensityO
         # every product of supp(sigma_a) with anything is annihilated; the
         # product-vector routes cover that case
         return construct_f1_strategy(state, k)
-    lay = SystemLayout(
-        (("S", d_a), ("X0", d_b)) + tuple((f"X{i}", d_b) for i in range(1, k + 1))
-    )
-    pieces = {
-        tuple(["S"] + [f"X{i}" for i in range(1, k + 1)]): extension.matrix,
-        "X0": np.eye(d_b) / d_b,
-    }
-    sigma_in = from_matrix(embed(lay, pieces).entries, lay)
-    return cj_of_mnp(sigma_in, _mnp_output(k), side="bob"), "bob"
+    # slot 0 holds I/d_B next to the spectator, slots 1..k the extension's E_i
+    return _bell_from_slot0(np.kron(sigma_a, np.eye(d_b) / d_b), marg0, k, (d_a, d_b), "bob")

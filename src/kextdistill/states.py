@@ -96,12 +96,6 @@ class WernerParams:
             return float(self.gamma)
         return gamma_from_p(self.p, self.d)
 
-    @property
-    def p_value(self) -> float:
-        if self.p is not None:
-            return float(self.p)
-        return p_from_gamma(self.gamma, self.d)
-
 
 def gamma_from_p(p: float, d: int) -> float:
     """gamma = -(2dp - d - 1)/(2p - d - 1); the denominator is negative for d >= 2."""

@@ -3,7 +3,8 @@ import pytest
 
 from kextdistill.analytic import alpha_max_k1
 from kextdistill.blocks import s3_block_lambda_min
-from kextdistill.solver import KExtProblem, fidelity_threshold, lambda_min_alpha
+from kextdistill import solver
+from kextdistill.solver import TOL_EIG, KExtProblem, fidelity_threshold, lambda_min_alpha
 
 
 def block_threshold(gamma, n, tol=1e-8):
@@ -37,6 +38,22 @@ def test_block_sign_matches_dense_probe():
             continue  # at a crossing both solvers sit at numerical zero
         dense = lambda_min_alpha(KExtProblem.for_werner(d=2, gamma=gamma), alpha)
         assert np.sign(block) == np.sign(dense)
+
+
+@pytest.mark.parametrize("d, n", [(3, 1), (4, 1), (2, 1), (2, 2)])
+def test_block_lambda_is_the_dense_lambda_times_the_trace_scale(d, n):
+    # the blocks take I + gamma V unnormalized, whose trace is d^2 + gamma d per copy
+    for gamma in (-1.0, -0.5, 0.0, 0.3, 1.0):
+        dense_solve = solver._lambda_min_solver(KExtProblem.for_werner(d, gamma=gamma, n=n, backend="dense"))
+        for alpha in (0.3, 0.6, 0.95):
+            dense = dense_solve(alpha)[0]
+            block = s3_block_lambda_min(gamma, alpha, n) / (d * d + gamma * d) ** n
+            assert (block < -TOL_EIG) == (dense < -TOL_EIG)
+            if d > 2:
+                assert abs(block - dense) < 1e-10
+            else:
+                # qubit triples have no antisymmetric part, but its blocks still enter the minimum
+                assert block < dense + 1e-10
 
 
 def test_two_copy_threshold_exceeds_single_copy():

@@ -77,6 +77,25 @@ def test_threshold_invalid_arguments(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "werner", "--file", "{path}", "--gamma", "-0.9", "--d", "3"],
+        ["--family", "file", "--d", "2", "--gamma", "0.4"],
+        ["--file", "{path}", "--gamma", "0.4"],
+        ["--file", "{path}", "--p", "0.4"],
+        ["--file", "{path}", "--d", "5"],
+    ],
+    ids=["werner_with_file", "file_without_file", "file_with_gamma", "file_with_p", "file_with_d"],
+)
+def test_threshold_rejects_a_family_the_other_options_contradict(tmp_path, capsys, args):
+    path = tmp_path / "w.state"
+    save_state(path, werner(WernerParams(d=2, gamma=0.4)))
+    assert run_cli(["threshold"] + [a.format(path=path) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
 def test_threshold_rejects_tol_alpha_below_the_floor(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["threshold", "--d", "2", "--gamma", "0", "--tol-alpha", "1e-12"])

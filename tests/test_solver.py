@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from kextdistill.linalg import (
     layout,
     partial_trace,
     permute_subsystems,
+    relabel,
+    reorder_to,
 )
 from kextdistill.solver import (
     BELLS,
@@ -546,8 +549,8 @@ def test_cj_of_mnp_two_evaluation_paths_agree():
 
 
 def test_cj_is_k_extendible_by_construction():
-    # the pre-trace symmetrized operator is invariant under slot swaps, so
-    # tracing different slots yields the same reduction
+    # the Choi state sums sigma_in^T x sigma_out over the two-slot marginals of
+    # every slot: the slot-0 reduction of a slot-symmetric PSD operator
     rng = np.random.default_rng(12)
     state = random_state(rng, 2, 2)
     kernel_vec = np.linalg.eigh(state.matrix)[1][:, 0]
@@ -565,8 +568,101 @@ def test_cj_is_k_extendible_by_construction():
     assert eig_min_dense(cj.op) > -1e-10
 
 
+def full_space_cj_of_mnp(sigma_in, sigma_out, side):
+    """cj_of_mnp as sigma_in^T x sigma_out on every slot, symmetrized and traced down to slot 0."""
+    subs_in, subs_out = sigma_in.layout.subsystems, sigma_out.layout.subsystems
+    k = len(subs_in) - 2
+    in_labels = ["S"] + [f"X{i}" for i in range(k + 1)]
+    out_labels = ["s"] + [f"x{i}" for i in range(k + 1)]
+    lay = layout(*zip(in_labels, [d for _, d in subs_in]), *zip(out_labels, [d for _, d in subs_out]))
+    big = embed(lay, {tuple(in_labels): sigma_in.matrix.T, tuple(out_labels): sigma_out.matrix})
+    sym = symmetrize(big, [(f"X{i}", f"x{i}") for i in range(k + 1)])
+    core = partial_trace(sym, ("S", "X0", "s", "x0"))
+    if side == "bob":
+        named = relabel(core, {"S": "A", "X0": "B", "s": "a", "x0": "b"})
+    else:
+        named = relabel(core, {"S": "B", "X0": "A", "s": "b", "x0": "a"})
+    target = layout(("A", named.layout.dim_of("A")), ("B", named.layout.dim_of("B")), ("a", 2), ("b", 2))
+    return reorder_to(named, target).entries
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("k", [1, 2])
+def test_cj_of_mnp_matches_the_full_space_construction(k, side, kind):
+    rng = np.random.default_rng([13, k])
+
+    def random_density(dims):
+        dim = int(np.prod(dims))
+        g = rng.standard_normal((dim, dim))
+        if kind == "complex":
+            g = g + 1j * rng.standard_normal((dim, dim))
+        labels = [f"q{i}" for i in range(len(dims))]
+        return from_matrix(g @ g.conj().T, layout(*zip(labels, dims)))
+
+    sigma_in = random_density((2,) + (3,) * (k + 1))
+    sigma_out = random_density((2,) * (k + 2))
+    cj = cj_of_mnp(sigma_in, sigma_out, side=side)
+    assert np.abs(cj.matrix - full_space_cj_of_mnp(sigma_in, sigma_out, side)).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # unit-fidelity strategies
+
+
+def test_f1_strategy_is_the_mnp_map_of_its_full_measured_state():
+    # each route's marginal sums match cj_of_mnp of the k + 1 slot states it measures
+    k = 2
+    p0, q0 = np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 0.0])
+    p_s, p_as = projectors(3)
+    antisym, sym = from_matrix(p_as.entries, p_as.layout), from_matrix(p_s.entries, p_s.layout)
+    alice = from_matrix(np.kron(np.diag([0.0, 1.0]), np.eye(2) / 2.0), layout(("A", 2), ("B", 2)))
+    vec = np.zeros(27)
+    for perm in itertools.permutations(range(3)):
+        vec[perm[0] * 9 + perm[1] * 3 + perm[2]] = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
+    det = np.outer(vec, vec) / 6.0
+    det_ext = from_matrix(det, layout(("A", 3), ("E1", 3), ("E2", 3)))
+    routes = [
+        # (state, extension, side, slot dimension, pieces of sigma_in on (S, X0, X1, X2))
+        (antisym, None, "bob", 3, {"S": p0, "X0": np.eye(3) / 3, "X1": p0, "X2": p0}),
+        (alice, None, "alice", 2, {"S": np.eye(2) / 2, "X0": np.eye(2) - q0, "X1": q0, "X2": q0}),
+        (sym, det_ext, "bob", 3, {("S", "X1", "X2"): det, "X0": np.eye(3) / 3}),
+    ]
+    lay_out = layout(("s", 2), ("x0", 2), ("x1", 2), ("x2", 2))
+    out_pieces = {("s", "x0"): bell_state("phi_plus", 2).matrix, "x1": np.eye(2) / 2, "x2": np.eye(2) / 2}
+    sigma_out = from_matrix(embed(lay_out, out_pieces).entries, lay_out)
+    for state, extension, side, d_x, pieces in routes:
+        d_s = state.layout.total_dim // d_x
+        lay_in = layout(("S", d_s), ("X0", d_x), ("X1", d_x), ("X2", d_x))
+        sigma_in = from_matrix(embed(lay_in, pieces).entries, lay_in)
+        cj, got_side = construct_f1_strategy(state, k, kernel_extension=extension)
+        assert got_side == side
+        assert np.abs(cj.matrix - cj_of_mnp(sigma_in, sigma_out, side=side).matrix).max() <= 1e-12
+
+
+def test_f1_strategy_unit_fidelity_at_many_extensions():
+    # the maps are built from two-slot marginals, so k = 4 and 6 cost what k = 1 does
+    start = time.perf_counter()
+    _, p_as = projectors(3)
+    antisym = from_matrix(p_as.entries, p_as.layout)
+    cj, side = construct_f1_strategy(antisym, 6)
+    assert side == "bob"
+    assert evaluate_map_fidelity(cj, antisym) == pytest.approx(1.0, abs=1e-10)
+
+    alice = from_matrix(np.kron(np.diag([0.0, 1.0]), np.eye(2) / 2.0), layout(("A", 2), ("B", 2)))
+    cj, side = construct_f1_strategy(alice, 6)
+    assert side == "alice"
+    assert evaluate_map_fidelity(cj, alice) == pytest.approx(1.0, abs=1e-10)
+
+    # |0>^5 on (A, E1..E4) extends |00>, a symmetric vector in the kernel of P_as
+    zeros = np.zeros(3**5)
+    zeros[0] = 1.0
+    ext_layout = layout(("A", 3), *((f"E{i}", 3) for i in range(1, 5)))
+    extension = from_matrix(np.outer(zeros, zeros), ext_layout)
+    cj, side = construct_f1_strategy(antisym, 4, kernel_extension=extension)
+    assert side == "bob"
+    assert evaluate_map_fidelity(cj, antisym) == pytest.approx(1.0, abs=1e-10)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_f1_strategy_pure_product_state():
