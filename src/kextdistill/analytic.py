@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianOperator, SystemLayout, embed, layout, permutation_matrix, threshold_sup
+from .linalg import TOL_EIG, HermitianOperator, SystemLayout, eig_min_dense_vec, embed, layout
+from .linalg import permutation_matrix, threshold_sup
 from .states import DensityOperator, gamma_from_p
 
-MNP_TOL_EIG = 1e-9
+MNP_TOL_EIG = TOL_EIG  # the one certification tolerance; perfbench/checks.py reads it under this name
+MNP_TOL_ALPHA = 1e-7
 MNP_THETA_POINTS = 720
 
 
@@ -273,18 +275,25 @@ def _z_pieces(state: DensityOperator) -> tuple[np.ndarray, np.ndarray, SystemLay
     return k1, k2, lay
 
 
-def _min_over_ellipse(alpha: float, k1: np.ndarray, k2: np.ndarray) -> float:
+def _min_over_ellipse(alpha: float, k1: np.ndarray, k2: np.ndarray) -> tuple[float, float]:
+    """min over the ellipse boundary of lambda_min(Z), and the supergradient v^dag (K1 + K2) v.
+
+    v is the lowest eigenvector of Z at the minimizing angle.  Z is affine in
+    alpha with the PSD derivative K1 + K2 at every angle, so the minimum is
+    concave and nondecreasing in alpha.
+    """
     thetas = np.linspace(0.0, 2.0 * math.pi, MNP_THETA_POINTS, endpoint=False)
     f1, f2 = _ellipse_points(thetas)
     zs = (alpha - f1)[:, None, None] * k1 + (alpha - f2)[:, None, None] * k2
     lams = np.linalg.eigvalsh(zs)[:, 0]
     i_best = int(np.argmin(lams))
-    best = float(lams[i_best])
+
+    def z_at(theta: float) -> np.ndarray:
+        f1s, f2s = _ellipse_points(np.array([theta]))
+        return (alpha - f1s[0]) * k1 + (alpha - f2s[0]) * k2
 
     def lam_at(theta: float) -> float:
-        f1s, f2s = _ellipse_points(np.array([theta]))
-        z = (alpha - f1s[0]) * k1 + (alpha - f2s[0]) * k2
-        return float(np.linalg.eigvalsh(z)[0])
+        return float(np.linalg.eigvalsh(z_at(theta))[0])
 
     # golden-section refine inside the bracketing grid cells
     step = 2.0 * math.pi / MNP_THETA_POINTS
@@ -302,21 +311,24 @@ def _min_over_ellipse(alpha: float, k1: np.ndarray, k2: np.ndarray) -> float:
             lo, x1, v1 = x1, x2, v2
             x2 = lo + invphi * (hi - lo)
             v2 = lam_at(x2)
-    return min(best, v1, v2)
+    theta_best = min((lams[i_best], thetas[i_best]), (v1, x1), (v2, x2))[1]
+    lam, v = eig_min_dense_vec(z_at(theta_best))
+    return lam, float(np.vdot(v, (k1 + k2) @ v).real)
 
 
 def mnp_min_lambda(state: DensityOperator, alpha: float) -> float:
     """Infimum over the ellipse boundary of the smallest eigenvalue of Z."""
     k1, k2, _ = _z_pieces(state)
-    return _min_over_ellipse(alpha, k1, k2)
+    return _min_over_ellipse(alpha, k1, k2)[0]
 
 
-def mnp_threshold_numeric(state: DensityOperator, tol: float = 1e-7) -> float:
-    """Bisect the largest fidelity certified achievable by one-extension M&P maps.
+def mnp_threshold_numeric(state: DensityOperator) -> float:
+    """The largest fidelity certified achievable by one-extension M&P maps, to MNP_TOL_ALPHA.
 
+    linalg.threshold_sup searches alpha with the slope of _min_over_ellipse.
     For each candidate alpha the inner scan walks the ellipse boundary (the
     infimum is attained there; the origin contributes a PSD operator and can
     be skipped).
     """
     k1, k2, _ = _z_pieces(state)
-    return threshold_sup(lambda alpha: (_min_over_ellipse(alpha, k1, k2), None), tol, MNP_TOL_EIG)
+    return threshold_sup(lambda alpha: _min_over_ellipse(alpha, k1, k2), MNP_TOL_ALPHA)

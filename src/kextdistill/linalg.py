@@ -19,6 +19,7 @@ import scipy.sparse.linalg as spla
 TOL_HERM = 1e-12      # max entrywise |H - H^dag| accepted as Hermitian
 REAL_IMAG_TOL = 1e-14  # max imaginary part for the real fast path
 ITER_EIG_TOL = 1e-8
+TOL_EIG = 1e-9          # threshold predicate of every search: lambda_min < -TOL_EIG
 DENSE_DIM_LIMIT = 4096  # dense eigensolves below this dimension, iterative at/above
 EIG_SEED = 20260810     # start vector for iterative solves; fixed for reproducible curves
 WARM_START_SEED_WEIGHT = 0.01  # share of the seeded start vector kept in a warm start
@@ -366,45 +367,41 @@ def eig_min_iterative(
 # thresholds
 
 
-def threshold_sup(
-    f: Callable[[float], tuple[float, float | None]], tol_alpha: float, tol_eig: float
-) -> float:
-    """Largest sampled alpha in [0, 1] with f(alpha) below -tol_eig, to bracket width tol_alpha.
+def threshold_sup(f: Callable[[float], tuple[float, float]], tol_alpha: float) -> float:
+    """Largest sampled alpha in [0, 1] with f(alpha) below -TOL_EIG, to bracket width tol_alpha.
 
-    f(alpha) returns (value, slope or None).  value must be concave and
-    nondecreasing in alpha, as lambda_min(C + alpha L) with L PSD is, and a
-    slope must be at least the right derivative there.  The tangent from the
-    lower end lo then never passes the root, so a tangent step lands on a new
-    certified lower end.  Concavity also caps the slope by the chord from the
-    previous lower end, which ends a stall on a slope that is too steep.
+    f(alpha) returns (value, slope).  value must be concave and nondecreasing
+    in alpha, as lambda_min(C + alpha L) with L PSD is, and slope must be a
+    supergradient there, as v^dag L v for a lowest eigenvector v is.  The
+    tangent from the lower end lo then never passes the root, so a tangent
+    step lands on a new certified lower end.  Concavity also caps the slope by
+    the chord from the previous lower end, which ends a stall on a slope that
+    is too steep.
 
-    Each step aims a quarter of tol_alpha short of the tangent's -tol_eig
-    crossing: far enough below -tol_eig to survive the eigensolver's error
+    Each step aims a quarter of tol_alpha short of the tangent's -TOL_EIG
+    crossing: far enough below -TOL_EIG to survive the eigensolver's error
     there, and close enough that the next probe, at lo + tol_alpha (the
     shortest step taken), closes the bracket.  A midpoint is taken instead
-    when there is no positive slope, when the step does not end below hi, or
+    when the slope is not positive, when the step does not end below hi, or
     when it is more than half the step before last (the rtsafe safeguard, for
-    roots where tangent steps shrink slowly).  Without slopes the samples are
-    the bisection midpoints.  Returns 0.0 when f(0) is not below -tol_eig;
-    hi = 1 is never sampled.
+    roots where tangent steps shrink slowly).  Returns 0.0 when f(0) is not
+    below -TOL_EIG; hi = 1 is never sampled.
     """
     lo, hi = 0.0, 1.0
     value, slope = f(lo)
-    if not value < -tol_eig:
+    if not value < -TOL_EIG:
         return 0.0
     last_step = step_before = math.inf
     while hi - lo > tol_alpha:
         alpha, closing = 0.5 * (lo + hi), False
-        if slope is not None and slope > 0.0:
-            step = max((-tol_eig - value) / slope - 0.25 * tol_alpha, tol_alpha)
+        if slope > 0.0:
+            step = max((-TOL_EIG - value) / slope - 0.25 * tol_alpha, tol_alpha)
             if lo + step < hi and step <= 0.5 * step_before:
                 alpha, closing = lo + step, step == tol_alpha
         sample, sample_slope = f(alpha)
         step_before, last_step = last_step, alpha - lo
-        if sample < -tol_eig:
-            if sample_slope is not None:
-                sample_slope = min(sample_slope, (sample - value) / last_step)
-            lo, value, slope = alpha, sample, sample_slope
+        if sample < -TOL_EIG:
+            lo, value, slope = alpha, sample, min(sample_slope, (sample - value) / last_step)
         else:
             hi = alpha
             if closing:

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import blocks
+from .linalg import TOL_EIG  # the one certification tolerance; perfbench/checks.py reads solver.TOL_EIG
 
 # perfbench/spans.py wraps the eigensolvers and state constructors under these
 # names in this module, so they stay bound here by from-import.
@@ -52,7 +53,6 @@ from .states import (
 
 log = logging.getLogger("kextdistill")
 
-TOL_EIG = 1e-9          # threshold predicate: lambda_min < -TOL_EIG
 DEFAULT_TOL_ALPHA = 1e-8
 MIN_TOL_ALPHA = 1e-10   # tighter than the eigensolver tolerances can resolve
 SIDES = ("bob", "alice")
@@ -355,32 +355,32 @@ def _available_bytes() -> int:
 
 def _lambda_min_solver(
     problem: KExtProblem,
-) -> Callable[[float], tuple[float, np.ndarray | None, float | None]]:
-    """alpha -> (lambda_min, eigenvector or None, slope or None) through the problem's backend.
+) -> Callable[[float], tuple[float, float, np.ndarray | None]]:
+    """alpha -> (lambda_min, slope, eigenvector or None) through the problem's backend.
 
     The slope is v^dag L v for the returned eigenvector v and the linear part
     L: a supergradient of the concave lambda_min (Hellmann-Feynman), computed
-    through the term kernel for both backends.  Each iterative solve starts
-    from the previous eigenvector, the first from EIG_SEED.  The block backend
-    reads gamma from the Werner state and has neither eigenvector nor slope.
-    A non-converging iterative solve falls back to the dense branch when the
-    dimension and the available memory allow it.
+    through the term kernel.  Each iterative solve starts from the previous
+    eigenvector, the first from EIG_SEED.  The block backend reads gamma and
+    d from the Werner state, takes the slope of its lowest block and returns
+    no probe eigenvector.  A non-converging iterative solve falls back to the
+    dense branch when the dimension and the available memory allow it.
     """
     backend = problem.resolved_backend()
     if backend == "s3_blocks":
-        gamma = werner_params_of(problem.state).gamma
-        return lambda alpha: (blocks.s3_block_lambda_min(gamma, alpha, problem.n), None, None)
+        params = werner_params_of(problem.state)
+        return lambda alpha: (*blocks.s3_block_lambda_min(params.gamma, alpha, problem.n, params.d), None)
     assembly = ProbeAssembly(problem)
     dims = assembly.layout.dims
     dim = assembly.layout.total_dim
     previous: np.ndarray | None = None
 
-    def with_slope(lam: float, vec: np.ndarray) -> tuple[float, np.ndarray, float]:
+    def with_slope(lam: float, vec: np.ndarray) -> tuple[float, float, np.ndarray]:
         v = vec.reshape(dims)
         slope = sum(np.vdot(v, assembly.term(v, i)[0]).real for i in range(len(assembly.pairs)))
-        return lam, vec, float(slope)
+        return lam, float(slope), vec
 
-    def solve(alpha: float) -> tuple[float, np.ndarray, float]:
+    def solve(alpha: float) -> tuple[float, float, np.ndarray]:
         nonlocal previous
         if backend == "dense":
             return with_slope(*eig_min_dense_vec(assembly.dense(alpha)))
@@ -430,16 +430,16 @@ def fidelity_threshold(problem: KExtProblem, tol_alpha: float = DEFAULT_TOL_ALPH
     samples: list[tuple[float, float]] = []
     residual, certificate = None, None
 
-    def evaluate(alpha: float) -> tuple[float, float | None]:
+    def evaluate(alpha: float) -> tuple[float, float]:
         nonlocal residual, certificate
-        value, vec, slope = solve(alpha)
+        value, slope, vec = solve(alpha)
         samples.append((alpha, value))
         if value < -TOL_EIG:
             # the driver moves its lower end here, so this sample certifies it
             residual, certificate = value, vec
         return value, slope
 
-    alpha_star = threshold_sup(evaluate, tol_alpha, TOL_EIG)
+    alpha_star = threshold_sup(evaluate, tol_alpha)
     if residual is None:
         residual = samples[0][1]
     return ThresholdResult(

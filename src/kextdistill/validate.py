@@ -12,6 +12,7 @@ import numpy as np
 
 from . import solver
 from . import analytic as wa
+from .blocks import s3_block_lambda_min
 from .linalg import eig_min_dense, embed, layout
 from .solver import KExtProblem, cj_of_mnp, fidelity_threshold, symmetrize
 from .states import DensityOperator, from_matrix, gamma_from_p, maximally_mixed, p_from_gamma, werner, WernerParams
@@ -97,7 +98,7 @@ def check_mnp_numeric_vs_closed() -> CheckResult:
     worst = 0.0
     for p in (0.2, 2.0 / 3.0):
         state = werner(WernerParams(d=3, p=p))
-        numeric = wa.mnp_threshold_numeric(state, tol=1e-7)
+        numeric = wa.mnp_threshold_numeric(state)
         worst = max(worst, abs(numeric - wa.mnp_alpha_max(p, 3)))
     return _result("mnp_numeric_vs_closed", worst, 1e-6)
 
@@ -137,14 +138,18 @@ def check_k_monotonicity() -> CheckResult:
 
 
 def check_s3_vs_dense() -> CheckResult:
-    worst = 0.0
+    worst, worst_lambda = 0.0, 0.0
     for n in (1, 2):
         dense = fidelity_threshold(KExtProblem.for_werner(d=2, gamma=-0.25, n=n, k=1))
-        fast = fidelity_threshold(
-            KExtProblem.for_werner(d=2, gamma=-0.25, n=n, k=1, backend="s3_blocks")
-        )
+        fast = fidelity_threshold(KExtProblem.for_werner(d=2, gamma=-0.25, n=n, k=1, backend="s3_blocks"))
         worst = max(worst, abs(dense.alpha_star - fast.alpha_star))
-    return _result("s3_vs_dense", worst, 1e-6)
+        # the blocks take I + gamma V unnormalized, whose trace is 4 + 2 gamma per copy
+        for g, a in ((-1.0, 0.3), (-0.25, 0.6), (0.5, 0.95)):
+            block = s3_block_lambda_min(g, a, n, 2)[0] / (4.0 + 2.0 * g) ** n
+            lam = solver.lambda_min_alpha(KExtProblem.for_werner(d=2, gamma=g, n=n, backend="dense"), a)
+            worst_lambda = max(worst_lambda, abs(block - lam))
+    passed = worst <= 1e-6 and worst_lambda <= 1e-10
+    return CheckResult("s3_vs_dense", passed, worst, 1e-6, {"lambda_gap": worst_lambda, "lambda_tol": 1e-10})
 
 
 def check_many_copy_growth() -> CheckResult:

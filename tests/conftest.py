@@ -18,3 +18,21 @@ def _reference_bisection(holds, tol):
 @pytest.fixture(scope="session")
 def reference_bisection():
     return _reference_bisection
+
+
+def _assert_supergradient(f, alphas):
+    """f(alpha) = (value, slope): every slope is >= 0 and its tangent bounds value from above.
+
+    Both up to rounding: a slope v^dag D v of a PSD D with a kernel can come out as -1e-19.
+    """
+    points = [(alpha, *f(alpha)) for alpha in alphas]
+    for a1, v1, s1 in points:
+        rounding = 1e-12 * max(1.0, abs(v1))
+        assert s1 >= -rounding, a1
+        for a2, v2, _ in points:
+            assert v2 <= v1 + s1 * (a2 - a1) + rounding, (a1, a2)
+
+
+@pytest.fixture(scope="session")
+def assert_supergradient():
+    return _assert_supergradient

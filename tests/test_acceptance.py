@@ -80,7 +80,7 @@ def test_criterion_3_mnp_equals_general():
     for d in (2, 3, 4):
         for p in np.linspace(0.0, 1.0, 11):
             state = werner(WernerParams(d=d, p=float(p)))
-            numeric = mnp_threshold_numeric(state, tol=1e-7)
+            numeric = mnp_threshold_numeric(state)
             closed = alpha_max_k1(gamma_from_p(float(p), d))
             worst = max(worst, abs(numeric - closed))
     report(

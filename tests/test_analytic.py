@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kextdistill import analytic
 from kextdistill.analytic import (
     MnPTradeoff,
     alpha_max_k1,
@@ -245,11 +246,33 @@ def test_tradeoff_coordinates_and_feasibility():
 
 def test_mnp_threshold_numeric_on_werner():
     state = werner(WernerParams(d=3, gamma=0.0))
-    assert abs(mnp_threshold_numeric(state, tol=1e-7) - 0.75) < 1e-6
+    assert abs(mnp_threshold_numeric(state) - 0.75) < 1e-6
     state = werner(WernerParams(d=2, gamma=0.5))
-    assert abs(mnp_threshold_numeric(state, tol=1e-7) - 0.8162277660168379) < 1e-6
+    assert abs(mnp_threshold_numeric(state) - 0.8162277660168379) < 1e-6
     state = werner(WernerParams(d=3, gamma=-1.0))
-    assert mnp_threshold_numeric(state, tol=1e-7) >= 1.0 - 1e-6
+    assert mnp_threshold_numeric(state) >= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_ellipse_slope_is_a_supergradient(d, assert_supergradient):
+    for gamma in (-1.0, -0.3, 0.5):
+        k1, k2, _ = analytic._z_pieces(werner(WernerParams(d=d, gamma=gamma)))
+        assert_supergradient(
+            lambda alpha: analytic._min_over_ellipse(alpha, k1, k2), np.linspace(0.0, 1.0, 5)
+        )
+
+
+def test_mnp_threshold_takes_tangent_steps(monkeypatch):
+    scans = []
+    scan = analytic._min_over_ellipse
+
+    def counted(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(analytic, "_min_over_ellipse", counted)
+    assert abs(mnp_threshold_numeric(werner(WernerParams(d=3, p=0.2))) - mnp_alpha_max(0.2, 3)) < 1e-6
+    assert len(scans) <= 10  # bisection takes 25
 
 
 def test_mnp_inner_scan_sign():

@@ -7,22 +7,19 @@ from kextdistill import solver
 from kextdistill.solver import TOL_EIG, KExtProblem, fidelity_threshold, lambda_min_alpha
 
 
-def block_threshold(gamma, n, tol=1e-8):
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if s3_block_lambda_min(gamma, mid, n) < -1e-9:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+@pytest.fixture
+def block_threshold(reference_bisection):
+    def threshold(gamma, n, d=2):
+        return reference_bisection(lambda a: s3_block_lambda_min(gamma, a, n, d)[0] < -TOL_EIG, 1e-8)
+
+    return threshold
 
 
 def test_block_minimum_vanishes_at_symmetric_boundary():
-    assert s3_block_lambda_min(1.0, 1.0, 1) == pytest.approx(0.0, abs=1e-12)
+    assert s3_block_lambda_min(1.0, 1.0, 1, 2)[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_single_copy_thresholds_match_closed_form():
+def test_single_copy_thresholds_match_closed_form(block_threshold):
     for gamma in np.linspace(-1.0, 1.0, 21):
         got = block_threshold(float(gamma), 1)
         assert abs(got - alpha_max_k1(float(gamma))) < 1e-6
@@ -33,7 +30,7 @@ def test_block_sign_matches_dense_probe():
     for _ in range(25):
         gamma = float(rng.uniform(-0.95, 0.95))
         alpha = float(rng.uniform(0.0, 1.0))
-        block = s3_block_lambda_min(gamma, alpha, 1)
+        block = s3_block_lambda_min(gamma, alpha, 1, 2)[0]
         if abs(block) < 1e-8:
             continue  # at a crossing both solvers sit at numerical zero
         dense = lambda_min_alpha(KExtProblem.for_werner(d=2, gamma=gamma), alpha)
@@ -47,16 +44,24 @@ def test_block_lambda_is_the_dense_lambda_times_the_trace_scale(d, n):
         dense_solve = solver._lambda_min_solver(KExtProblem.for_werner(d, gamma=gamma, n=n, backend="dense"))
         for alpha in (0.3, 0.6, 0.95):
             dense = dense_solve(alpha)[0]
-            block = s3_block_lambda_min(gamma, alpha, n) / (d * d + gamma * d) ** n
-            assert (block < -TOL_EIG) == (dense < -TOL_EIG)
-            if d > 2:
-                assert abs(block - dense) < 1e-10
-            else:
-                # qubit triples have no antisymmetric part, but its blocks still enter the minimum
-                assert block < dense + 1e-10
+            block = s3_block_lambda_min(gamma, alpha, n, d)[0] / (d * d + gamma * d) ** n
+            assert abs(block - dense) < 1e-10
 
 
-def test_two_copy_threshold_exceeds_single_copy():
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 3), (2, 8), (3, 1), (3, 3), (3, 8)])
+def test_block_slope_is_a_supergradient(d, n, assert_supergradient):
+    for gamma in (-1.0, -0.4, 0.3, 1.0):
+        assert_supergradient(lambda alpha: s3_block_lambda_min(gamma, alpha, n, d), np.linspace(0.0, 1.0, 4))
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_block_threshold_takes_tangent_steps(n):
+    for gamma in (-0.9, -0.4, 0.0, 0.5, 0.9):
+        problem = KExtProblem.for_werner(d=3, gamma=gamma, n=n, backend="s3_blocks")
+        assert len(fidelity_threshold(problem, tol_alpha=1e-6).samples) <= 10  # bisection takes 21
+
+
+def test_two_copy_threshold_exceeds_single_copy(block_threshold):
     one = block_threshold(-0.5, 1)
     two = block_threshold(-0.5, 2)
     assert two > one + 1e-3
@@ -66,15 +71,15 @@ def test_two_copy_threshold_exceeds_single_copy():
 
 def test_block_lambda_is_monotone_in_alpha():
     for gamma in (-0.7, 0.0, 0.4):
-        values = [s3_block_lambda_min(gamma, a, 3) for a in np.linspace(0.0, 1.0, 9)]
+        values = [s3_block_lambda_min(gamma, a, 3, 2)[0] for a in np.linspace(0.0, 1.0, 9)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_block_backend_through_problem_api():
+def test_block_backend_through_problem_api(block_threshold):
     problem = KExtProblem.for_werner(d=3, gamma=-0.25, n=4, k=1, backend="s3_blocks")
     result = fidelity_threshold(problem)
     assert result.backend == "s3_blocks"
-    assert result.alpha_star > block_threshold(-0.25, 3)
+    assert result.alpha_star > block_threshold(-0.25, 3, d=3)
     assert result.certificate is None
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kextdistill.linalg import (
+    TOL_EIG,
     HermitianOperator,
     LinearMapHandle,
     SolverConvergenceError,
@@ -339,11 +340,10 @@ def test_eig_min_iterative_warm_start_orthogonal_to_the_lowest_eigenvector():
 # ---------------------------------------------------------------------------
 # threshold_sup on minima of affine functions, where the root and kinks are exact
 
-TOL_EIG = 1e-9
 TOL_ALPHA = 1e-8
 
 
-def min_of_affine(pieces, samples, slopes=True, window=0.0):
+def min_of_affine(pieces, samples, window=0.0):
     """f(alpha) = min_j (a_j + b_j alpha), recording every sample.
 
     The slope is the largest among the pieces within `window` of the minimum.
@@ -358,7 +358,7 @@ def min_of_affine(pieces, samples, slopes=True, window=0.0):
         low = min(values)
         samples.append(alpha)
         slope = max(b for (a, b), v in zip(pieces, values) if v <= low + window)
-        return low, (slope if slopes else None)
+        return low, slope
 
     return f
 
@@ -382,7 +382,7 @@ def test_threshold_sup_root_at_a_kink(root, left, right):
     steep = (through(root, left)[0] - 2.0 * left * 0.5 * root, 3.0 * left)
     pieces = [through(root, left), through(root, right), steep]
     samples = []
-    alpha_star = threshold_sup(min_of_affine(pieces, samples), TOL_ALPHA, TOL_EIG)
+    alpha_star = threshold_sup(min_of_affine(pieces, samples), TOL_ALPHA)
     assert root - TOL_ALPHA <= alpha_star < root
     assert alpha_star in samples
     assert_certified_and_tight(pieces, alpha_star)
@@ -397,7 +397,7 @@ def test_threshold_sup_slope_stuck_past_a_kink(kink, left, right):
     at_kink = flat[0] + right * kink * root
     pieces = [(at_kink - left * kink * root, left), flat]
     samples = []
-    alpha_star = threshold_sup(min_of_affine(pieces, samples, window=10.0), TOL_ALPHA, TOL_EIG)
+    alpha_star = threshold_sup(min_of_affine(pieces, samples, window=10.0), TOL_ALPHA)
     assert root - TOL_ALPHA <= alpha_star < root
     assert_certified_and_tight(pieces, alpha_star)
     assert len(samples) <= 28
@@ -414,7 +414,7 @@ def test_threshold_sup_high_order_root_costs_no_more_than_bisection(order, root)
         samples.append(alpha)
         return -((root - alpha) ** order), order * (root - alpha) ** (order - 1)
 
-    alpha_star = threshold_sup(f, TOL_ALPHA, TOL_EIG)
+    alpha_star = threshold_sup(f, TOL_ALPHA)
     assert len(samples) <= 28
     assert f(alpha_star)[0] < -TOL_EIG
     above = alpha_star + TOL_ALPHA
@@ -427,7 +427,7 @@ def test_threshold_sup_takes_tangent_steps(reference_bisection):
         (0.05 - 0.3 * (1 - t) ** 2 - 0.6 * (1 - t) * t, 0.6 * (1 - t)) for t in np.linspace(0, 1, 200)
     ]
     samples = []
-    alpha_star = threshold_sup(min_of_affine(pieces, samples), TOL_ALPHA, TOL_EIG)
+    alpha_star = threshold_sup(min_of_affine(pieces, samples), TOL_ALPHA)
     bisection = reference_bisection(lambda a: min_of_affine(pieces, [])(a)[0] < -TOL_EIG, TOL_ALPHA)
     assert abs(alpha_star - bisection) <= TOL_ALPHA
     assert_certified_and_tight(pieces, alpha_star)
@@ -437,7 +437,7 @@ def test_threshold_sup_takes_tangent_steps(reference_bisection):
 def test_threshold_sup_negative_everywhere_stays_below_one():
     pieces = [(-0.5, 0.1), (-0.2, 0.0)]
     samples = []
-    alpha_star = threshold_sup(min_of_affine(pieces, samples), TOL_ALPHA, TOL_EIG)
+    alpha_star = threshold_sup(min_of_affine(pieces, samples), TOL_ALPHA)
     assert 1.0 - TOL_ALPHA <= alpha_star < 1.0
     assert 1.0 not in samples
 
@@ -445,19 +445,5 @@ def test_threshold_sup_negative_everywhere_stays_below_one():
 def test_threshold_sup_nonnegative_at_zero_returns_zero():
     for value in (0.0, -TOL_EIG, 0.3):
         samples = []
-        assert threshold_sup(min_of_affine([(value, 1.0)], samples), TOL_ALPHA, TOL_EIG) == 0.0
+        assert threshold_sup(min_of_affine([(value, 1.0)], samples), TOL_ALPHA) == 0.0
         assert samples == [0.0]
-
-
-@pytest.mark.parametrize("root", [1.0 / 3.0, 0.75, 0.999, 1e-6])
-def test_threshold_sup_without_slopes_is_the_old_bisection(root, reference_bisection):
-    pieces = [through(root, 0.7), through(root, 0.05)]
-    samples, expected = [], []
-    alpha_star = threshold_sup(min_of_affine(pieces, samples, slopes=False), TOL_ALPHA, TOL_EIG)
-
-    def holds(alpha):
-        expected.append(alpha)
-        return min_of_affine(pieces, [])(alpha)[0] < -TOL_EIG
-
-    assert alpha_star == reference_bisection(holds, TOL_ALPHA)
-    assert samples == expected

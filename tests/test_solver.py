@@ -359,6 +359,12 @@ def test_lambda_monotone_in_alpha():
         assert all(b >= a - 1e-12 for a, b in zip(lams, lams[1:]))
 
 
+def test_dense_probe_slope_is_a_supergradient(assert_supergradient):
+    problem = KExtProblem(state=random_state(np.random.default_rng(7), 2, 2), k=1, backend="dense")
+    solve = solver._lambda_min_solver(problem)
+    assert_supergradient(lambda alpha: solve(alpha)[:2], np.linspace(0.0, 1.0, 11))
+
+
 def test_threshold_nonincreasing_in_k():
     values = [
         fidelity_threshold(KExtProblem.for_werner(d=2, gamma=-0.5, k=k), tol_alpha=1e-7).alpha_star
