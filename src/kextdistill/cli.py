@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -315,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kext",
         description="EPR-pair fidelity under k-extendible maps: thresholds, sweeps, validation",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="log solver fallbacks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_thr = sub.add_parser("threshold", help="compute one fidelity threshold")
@@ -348,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     return args.func(args)
 
 

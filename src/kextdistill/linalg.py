@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 TOL_HERM = 1e-12      # max entrywise |H - H^dag| accepted as Hermitian
 REAL_IMAG_TOL = 1e-14  # max imaginary part for the real fast path
-ITER_EIG_TOL = 1e-8
+ITER_EIG_TOL = 1e-11  # absolute residual |Hv - theta v| at which an iterative solve stops
 TOL_EIG = 1e-9          # threshold predicate of every search: lambda_min < -TOL_EIG
 DENSE_DIM_LIMIT = 4096  # dense eigensolves below this dimension, iterative at/above
 EIG_SEED = 20260810     # start vector for iterative solves; fixed for reproducible curves
@@ -125,15 +125,16 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class LinearMapHandle:
-    """Matrix-free self-adjoint operator: apply() returns H @ v without materializing H."""
+    """Matrix-free self-adjoint operator: apply() returns H @ v without materializing H.
+
+    norm_bound is a positive upper bound on the spectral norm of H;
+    eig_min_iterative shifts H by it.
+    """
 
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
+    norm_bound: float
     is_real: bool = True
-
-    def as_linear_operator(self) -> spla.LinearOperator:
-        dtype = np.float64 if self.is_real else np.complex128
-        return spla.LinearOperator((self.dim, self.dim), matvec=self.apply, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +331,21 @@ def eig_min_iterative(
 ):
     """Smallest eigenvalue of a self-adjoint matrix-free operator (ARPACK Lanczos).
 
+    ARPACK stops once the residual of its Ritz value theta is at most
+    tol * |theta|, which near a threshold, where theta -> 0, asks for a
+    residual at machine precision.  So the solve runs on H - sigma I with
+    sigma = handle.norm_bound, at ARPACK tol = tol / sigma, and adds sigma
+    back.  The shifted Ritz value has modulus at most 2 sigma, and about sigma
+    near lambda_min = 0, so tol is an absolute residual, met to within a
+    factor 2.  Lanczos is shift-invariant, so only the stopping test changes.
+    The returned Ritz value is a Rayleigh quotient, an upper bound on
+    lambda_min up to rounding of about eps * sigma.
+
     The start vector is drawn from EIG_SEED, with v0 (a warm start, such as
     the eigenvector of a nearby operator) added to it when given.  The seeded
     part keeps every eigenvector in the Krylov space: from a warm start alone,
     ARPACK converged to a higher eigenvalue once the lowest branch had
-    changed.  ARPACK's restart vectors are not seeded, so repeated solves are
-    not bit-identical: Werner d = 2, gamma = 0, k = 3 at alpha = 0.624999999
-    gave -9.9999984e-10 to -1.0000001e-09 in one process.  Raises
+    changed.  Repeated solves are bit-identical.  Raises
     SolverConvergenceError instead of silently returning a stale iterate.
     """
     n = handle.dim
@@ -345,17 +354,23 @@ def eig_min_iterative(
         if return_vector:
             return eig_min_dense_vec(mat)
         return eig_min_dense(mat)
-    op = handle.as_linear_operator()
+    sigma = handle.norm_bound
+    op = spla.LinearOperator(
+        (n, n),
+        matvec=lambda v: handle.apply(v) - sigma * v,
+        dtype=np.float64 if handle.is_real else np.complex128,
+    )
     start = start_vector(n, handle.is_real)
     if v0 is not None:
         start = v0 / np.linalg.norm(v0) + WARM_START_SEED_WEIGHT * start
     last_exc: Exception | None = None
     for ncv in (None, min(n - 1, 48)):
         try:
-            vals, vecs = spla.eigsh(op, k=1, which="SA", tol=tol, maxiter=max_iter, v0=start, ncv=ncv)
-            if return_vector:
-                return float(vals[0]), vecs[:, 0]
-            return float(vals[0])
+            vals, vecs = spla.eigsh(
+                op, k=1, which="SA", tol=tol / sigma, maxiter=max_iter, v0=start, ncv=ncv
+            )
+            lam = float(vals[0]) + sigma
+            return (lam, vecs[:, 0]) if return_vector else lam
         except spla.ArpackNoConvergence as exc:
             last_exc = exc
     raise SolverConvergenceError(

@@ -14,8 +14,6 @@ by a k-extendible map.
 
 from __future__ import annotations
 
-import logging
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,7 +28,6 @@ from .linalg import (
     DENSE_DIM_LIMIT,
     HermitianOperator,
     LinearMapHandle,
-    SolverConvergenceError,
     SystemLayout,
     eig_min_dense,
     eig_min_dense_vec,
@@ -50,8 +47,6 @@ from .states import (
     werner,
     werner_params_of,
 )
-
-log = logging.getLogger("kextdistill")
 
 DEFAULT_TOL_ALPHA = 1e-8
 MIN_TOL_ALPHA = 1e-10   # tighter than the eigensolver tolerances can resolve
@@ -228,6 +223,8 @@ class ProbeAssembly:
             self.pairs = [((f"A{i}", "B"), (f"a{i}", "b")) for i in range(k + 1)]
         self.layout = SystemLayout(tuple(subs))
         self.is_real = not np.iscomplexobj(self.rho_fused)
+        # |alpha I - Bell| <= 1 on [0, 1] and |(rho^{x n})^T| = lambda_max(rho)^n, per pair
+        self.norm_bound = (k + 1) * float(np.linalg.eigvalsh(problem.state.matrix)[-1]) ** n
         self._rho_r = self.rho_fused.reshape(big_a, big_b, big_a, big_b)
         self._bell_r = self.bell.reshape(2, 2, 2, 2)
         self._axes = [
@@ -277,7 +274,9 @@ class ProbeAssembly:
                 acc = acc + alpha * rv - brv
             return acc.reshape(-1)
 
-        return LinearMapHandle(dim=self.layout.total_dim, apply=apply, is_real=self.is_real)
+        return LinearMapHandle(
+            dim=self.layout.total_dim, apply=apply, norm_bound=self.norm_bound, is_real=self.is_real
+        )
 
 
 def build_probe(problem: KExtProblem, alpha: float) -> HermitianOperator | LinearMapHandle:
@@ -293,66 +292,6 @@ def build_probe(problem: KExtProblem, alpha: float) -> HermitianOperator | Linea
     return assembly.handle(alpha)
 
 
-def _read_int(path: str) -> int | None:
-    try:
-        with open(path) as fh:
-            return int(fh.read())
-    except (OSError, ValueError):  # missing file, or "max" for no limit
-        return None
-
-
-def _cgroup_headroom() -> int | None:
-    """Memory limit minus usage, the tightest over this process's cgroup and its ancestors.
-
-    Reads cgroup v2 (memory.max, memory.current) and v1 (memory.limit_in_bytes,
-    memory.usage_in_bytes).  None when no limit can be read.
-    """
-    try:
-        with open("/proc/self/cgroup") as fh:
-            entries = [line.rstrip("\n").split(":", 2) for line in fh]
-    except OSError:
-        return None
-    headroom = None
-    for _, controllers, path in entries:
-        if controllers == "":
-            root, limit_file, usage_file = "/sys/fs/cgroup", "memory.max", "memory.current"
-        elif "memory" in controllers.split(","):
-            root = "/sys/fs/cgroup/memory"
-            limit_file, usage_file = "memory.limit_in_bytes", "memory.usage_in_bytes"
-        else:
-            continue
-        parts = [part for part in path.split("/") if part]
-        # the mount root stands for this cgroup when the namespace hides its path
-        for depth in range(len(parts), -1, -1):
-            directory = os.path.join(root, *parts[:depth])
-            limit = _read_int(os.path.join(directory, limit_file))
-            usage = _read_int(os.path.join(directory, usage_file))
-            if limit is not None and usage is not None:
-                headroom = limit - usage if headroom is None else min(headroom, limit - usage)
-    return headroom
-
-
-def _available_bytes() -> int:
-    """Memory a new allocation can take without swapping or hitting a cgroup limit.
-
-    MemAvailable from /proc/meminfo, which counts reclaimable page cache,
-    bounded by the cgroup headroom; the free physical pages when neither can
-    be read.
-    """
-    available = None
-    try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    available = int(line.split()[1]) * 1024
-    except (OSError, ValueError):
-        pass
-    figures = [b for b in (available, _cgroup_headroom()) if b is not None]
-    if not figures:
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    return max(0, min(figures))
-
-
 def _lambda_min_solver(
     problem: KExtProblem,
 ) -> Callable[[float], tuple[float, float, np.ndarray | None]]:
@@ -363,8 +302,8 @@ def _lambda_min_solver(
     through the term kernel.  Each iterative solve starts from the previous
     eigenvector, the first from EIG_SEED.  The block backend reads gamma and
     d from the Werner state, takes the slope of its lowest block and returns
-    no probe eigenvector.  A non-converging iterative solve falls back to the
-    dense branch when the dimension and the available memory allow it.
+    no probe eigenvector.  A non-converging iterative solve raises
+    SolverConvergenceError.
     """
     backend = problem.resolved_backend()
     if backend == "s3_blocks":
@@ -372,7 +311,6 @@ def _lambda_min_solver(
         return lambda alpha: (*blocks.s3_block_lambda_min(params.gamma, alpha, problem.n, params.d), None)
     assembly = ProbeAssembly(problem)
     dims = assembly.layout.dims
-    dim = assembly.layout.total_dim
     previous: np.ndarray | None = None
 
     def with_slope(lam: float, vec: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -384,27 +322,7 @@ def _lambda_min_solver(
         nonlocal previous
         if backend == "dense":
             return with_slope(*eig_min_dense_vec(assembly.dense(alpha)))
-        try:
-            lam, vec = eig_min_iterative(assembly.handle(alpha), return_vector=True, v0=previous)
-        except SolverConvergenceError as exc:
-            if dim > 2 * DENSE_DIM_LIMIT:
-                raise
-            # the probe, plus both dense pieces unless an earlier fallback cached them
-            matrices = 1 if assembly._dense_pieces is not None else 3
-            need = matrices * dim * dim * (8 if assembly.is_real else 16)
-            free = _available_bytes()
-            if need > free:
-                raise SolverConvergenceError(
-                    f"ARPACK did not converge at alpha={alpha:.6g} on dim {dim}, and the dense "
-                    f"fallback needs {need / 2**20:.1f} MiB with {free / 2**20:.1f} MiB available"
-                ) from exc
-            log.warning(
-                "iterative eigensolver did not converge at alpha=%.6g on dim %d; "
-                "falling back to a dense solve",
-                alpha,
-                dim,
-            )
-            return with_slope(*eig_min_dense_vec(assembly.dense(alpha)))
+        lam, vec = eig_min_iterative(assembly.handle(alpha), return_vector=True, v0=previous)
         previous = vec
         return with_slope(lam, vec)
 

@@ -264,7 +264,7 @@ def _diag_handle(values):
     def apply(v):
         return values * v
 
-    return LinearMapHandle(dim=len(values), apply=apply, is_real=True)
+    return LinearMapHandle(dim=len(values), apply=apply, norm_bound=np.abs(values).max(), is_real=True)
 
 
 def test_eig_min_iterative_diagonal():
@@ -280,7 +280,7 @@ def test_eig_min_iterative_matches_dense():
     def apply(v):
         return h.entries @ v
 
-    handle = LinearMapHandle(dim=h.dim, apply=apply, is_real=False)
+    handle = LinearMapHandle(dim=h.dim, apply=apply, norm_bound=np.linalg.norm(h.entries, 2), is_real=False)
     dense = eig_min_dense(h)
     iterative = eig_min_iterative(handle, tol=1e-10)
     assert abs(dense - iterative) < 1e-8
@@ -294,7 +294,7 @@ def test_eig_min_iterative_is_deterministic():
     def apply(v):
         return h.entries @ v
 
-    handle = LinearMapHandle(dim=h.dim, apply=apply, is_real=True)
+    handle = LinearMapHandle(dim=h.dim, apply=apply, norm_bound=np.linalg.norm(h.entries, 2), is_real=True)
     first = eig_min_iterative(handle)
     second = eig_min_iterative(handle)
     assert first == second
@@ -317,7 +317,7 @@ def test_handle_self_adjointness_on_random_pairs():
     def apply(v):
         return h.entries @ v
 
-    handle = LinearMapHandle(dim=h.dim, apply=apply, is_real=False)
+    handle = LinearMapHandle(dim=h.dim, apply=apply, norm_bound=np.linalg.norm(h.entries, 2), is_real=False)
     for _ in range(100):
         u = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
         v = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
