@@ -18,7 +18,7 @@ import numpy as np
 
 from . import validate as validate_mod
 from .linalg import SolverConvergenceError
-from .solver import BACKENDS, BELLS, DEFAULT_TOL_ALPHA, MIN_TOL_ALPHA, SIDES, KExtProblem, fidelity_threshold
+from .solver import BACKENDS, BELLS, DEFAULT_TOL_ALPHA, SIDES, KExtProblem, check_tol_alpha, fidelity_threshold
 from .states import StateValidationError, load_state
 from .analytic import MnPTradeoff
 
@@ -73,8 +73,12 @@ class SweepConfig:
                 raise ConfigError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
         if self.points < 2:
             raise ConfigError("points must be >= 2")
-        if not self.tol_alpha >= MIN_TOL_ALPHA:
-            raise ConfigError(f"tol_alpha must be at least {MIN_TOL_ALPHA:g}, got {self.tol_alpha!r}")
+        if not self.output:
+            raise ConfigError("output must not be empty")
+        try:
+            check_tol_alpha(self.tol_alpha)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if any(n < 1 for n in self.n_values) or any(k < 1 for k in self.k_values):
             raise ConfigError("n and k must be >= 1")
         multi = len(self.n_values) > 1 or len(self.k_values) > 1
@@ -86,10 +90,10 @@ class SweepConfig:
 
 
 def _tol_alpha(text: str) -> float:
-    value = float(text)
-    if not value >= MIN_TOL_ALPHA:
-        raise argparse.ArgumentTypeError(f"must be at least {MIN_TOL_ALPHA:g}, got {text}")
-    return value
+    try:
+        return check_tol_alpha(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _ints(value: str) -> tuple[int, ...]:
@@ -277,11 +281,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             print("error: provide --config PATH or --recipe NAME", file=sys.stderr)
             return EXIT_USAGE
-        if args.output:
+        if args.output is not None:
             cfg.output = args.output
-        if args.points:
+        if args.points is not None:
             cfg.points = args.points
-            cfg.validate()
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -299,83 +299,55 @@ def _matrix_of(h: HermitianOperator | np.ndarray) -> np.ndarray:
 
 def eig_min_dense(h: HermitianOperator | np.ndarray) -> float:
     """Smallest eigenvalue by a dense solve (accurate to ~1e-10 of the spectral norm)."""
-    mat = _matrix_of(h)
-    if mat.shape[0] == 1:
-        return float(mat[0, 0].real)
-    vals = scipy.linalg.eigh(mat, eigvals_only=True, subset_by_index=(0, 0))
+    vals = scipy.linalg.eigh(_matrix_of(h), eigvals_only=True, subset_by_index=(0, 0))
     return float(vals[0])
 
 
 def eig_min_dense_vec(h: HermitianOperator | np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and a corresponding eigenvector."""
-    mat = _matrix_of(h)
-    vals, vecs = scipy.linalg.eigh(mat, subset_by_index=(0, 0))
+    vals, vecs = scipy.linalg.eigh(_matrix_of(h), subset_by_index=(0, 0))
     return float(vals[0]), vecs[:, 0]
 
 
-def start_vector(dim: int, is_real: bool) -> np.ndarray:
-    rng = np.random.default_rng(EIG_SEED)
-    if is_real:
-        v = rng.standard_normal(dim)
-    else:
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
-def eig_min_iterative(
-    handle: LinearMapHandle,
-    tol: float = ITER_EIG_TOL,
-    max_iter: int | None = None,
-    return_vector: bool = False,
-    v0: np.ndarray | None = None,
-):
-    """Smallest eigenvalue of a self-adjoint matrix-free operator (ARPACK Lanczos).
+def eig_min_iterative(handle: LinearMapHandle, v0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """(lambda_min, eigenvector) of a self-adjoint matrix-free operator, by ARPACK Lanczos.
 
     ARPACK stops once the residual of its Ritz value theta is at most
     tol * |theta|, which near a threshold, where theta -> 0, asks for a
     residual at machine precision.  So the solve runs on H - sigma I with
-    sigma = handle.norm_bound, at ARPACK tol = tol / sigma, and adds sigma
-    back.  The shifted Ritz value has modulus at most 2 sigma, and about sigma
-    near lambda_min = 0, so tol is an absolute residual, met to within a
-    factor 2.  Lanczos is shift-invariant, so only the stopping test changes.
-    The returned Ritz value is a Rayleigh quotient, an upper bound on
-    lambda_min up to rounding of about eps * sigma.
+    sigma = handle.norm_bound, at ARPACK tol = ITER_EIG_TOL / sigma, and adds
+    sigma back.  The shifted Ritz value has modulus at most 2 sigma, and about
+    sigma near lambda_min = 0, so ITER_EIG_TOL is an absolute residual, met to
+    within a factor 2.  Lanczos is shift-invariant, so only the stopping test
+    changes.  The returned Ritz value is a Rayleigh quotient, an upper bound
+    on lambda_min up to rounding of about eps * sigma.
 
     The start vector is drawn from EIG_SEED, with v0 (a warm start, such as
     the eigenvector of a nearby operator) added to it when given.  The seeded
     part keeps every eigenvector in the Krylov space: from a warm start alone,
     ARPACK converged to a higher eigenvalue once the lowest branch had
-    changed.  Repeated solves are bit-identical.  Raises
-    SolverConvergenceError instead of silently returning a stale iterate.
+    changed.  Repeated solves are bit-identical.  There is one ARPACK attempt
+    at ARPACK's default Krylov size and iteration budget; if it does not
+    converge, SolverConvergenceError is raised instead of returning a stale
+    iterate.
     """
     n = handle.dim
-    if n < 4:
-        mat = np.column_stack([handle.apply(col) for col in np.eye(n)])
-        if return_vector:
-            return eig_min_dense_vec(mat)
-        return eig_min_dense(mat)
     sigma = handle.norm_bound
     op = spla.LinearOperator(
         (n, n),
         matvec=lambda v: handle.apply(v) - sigma * v,
         dtype=np.float64 if handle.is_real else np.complex128,
     )
-    start = start_vector(n, handle.is_real)
+    rng = np.random.default_rng(EIG_SEED)
+    start = rng.standard_normal(n) if handle.is_real else rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    start /= np.linalg.norm(start)
     if v0 is not None:
         start = v0 / np.linalg.norm(v0) + WARM_START_SEED_WEIGHT * start
-    last_exc: Exception | None = None
-    for ncv in (None, min(n - 1, 48)):
-        try:
-            vals, vecs = spla.eigsh(
-                op, k=1, which="SA", tol=tol / sigma, maxiter=max_iter, v0=start, ncv=ncv
-            )
-            lam = float(vals[0]) + sigma
-            return (lam, vecs[:, 0]) if return_vector else lam
-        except spla.ArpackNoConvergence as exc:
-            last_exc = exc
-    raise SolverConvergenceError(
-        f"ARPACK did not converge on dimension {n} (tol={tol}, maxiter={max_iter})"
-    ) from last_exc
+    try:
+        vals, vecs = spla.eigsh(op, k=1, which="SA", tol=ITER_EIG_TOL / sigma, v0=start)
+    except spla.ArpackNoConvergence as exc:
+        raise SolverConvergenceError(f"ARPACK did not converge on dimension {n}") from exc
+    return float(vals[0]) + sigma, vecs[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -322,7 +322,7 @@ def _lambda_min_solver(
         nonlocal previous
         if backend == "dense":
             return with_slope(*eig_min_dense_vec(assembly.dense(alpha)))
-        lam, vec = eig_min_iterative(assembly.handle(alpha), return_vector=True, v0=previous)
+        lam, vec = eig_min_iterative(assembly.handle(alpha), v0=previous)
         previous = vec
         return with_slope(lam, vec)
 
@@ -334,6 +334,13 @@ def lambda_min_alpha(problem: KExtProblem, alpha: float) -> float:
     return _lambda_min_solver(problem)(alpha)[0]
 
 
+def check_tol_alpha(tol_alpha: float) -> float:
+    """tol_alpha if MIN_TOL_ALPHA <= tol_alpha < 1, else ValueError: at 1, inf or NaN the search never starts."""
+    if not MIN_TOL_ALPHA <= tol_alpha < 1.0:
+        raise ValueError(f"tol_alpha must be at least {MIN_TOL_ALPHA:g} and below 1, got {tol_alpha!r}")
+    return tol_alpha
+
+
 def fidelity_threshold(problem: KExtProblem, tol_alpha: float = DEFAULT_TOL_ALPHA) -> ThresholdResult:
     """sup{alpha : lambda_min(alpha) < -TOL_EIG} over [0, 1], found by linalg.threshold_sup.
 
@@ -341,8 +348,7 @@ def fidelity_threshold(problem: KExtProblem, tol_alpha: float = DEFAULT_TOL_ALPH
     lambda_min is a minimum of nondecreasing affine functions of alpha:
     nondecreasing and concave, with the backend's slope as a tangent.
     """
-    if tol_alpha < MIN_TOL_ALPHA:
-        raise ValueError(f"tol_alpha below {MIN_TOL_ALPHA:g} is tighter than the eigensolver tolerances")
+    check_tol_alpha(tol_alpha)
     backend = problem.resolved_backend()
     solve = _lambda_min_solver(problem)
     samples: list[tuple[float, float]] = []

@@ -6,7 +6,7 @@ not just flags.  The suite is what `kext validate` runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -152,6 +152,20 @@ def check_s3_vs_dense() -> CheckResult:
     return CheckResult("s3_vs_dense", passed, worst, 1e-6, {"lambda_gap": worst_lambda, "lambda_tol": 1e-10})
 
 
+def check_iterative_vs_dense() -> CheckResult:
+    rng = np.random.default_rng(11)
+    worst, worst_lambda = 0.0, 0.0
+    # Werner at dim 256, where lambda_min crosses 0 at alpha* = 0.75, and a complex state at dim 64
+    for prob in (KExtProblem.for_werner(d=2, gamma=-0.5, k=2), KExtProblem(state=_random_state(rng, 2, 2), k=1)):
+        iterative, dense = replace(prob, backend="iterative"), replace(prob, backend="dense")
+        for a in (0.25, 0.5, 0.75, 1.0):
+            gap = solver.lambda_min_alpha(iterative, a) - solver.lambda_min_alpha(dense, a)
+            worst_lambda = max(worst_lambda, abs(gap))
+        worst = max(worst, abs(fidelity_threshold(iterative).alpha_star - fidelity_threshold(dense).alpha_star))
+    passed = worst <= 1e-6 and worst_lambda <= 1e-9
+    return CheckResult("iterative_vs_dense", passed, worst, 1e-6, {"lambda_gap": worst_lambda, "lambda_tol": 1e-9})
+
+
 def check_many_copy_growth() -> CheckResult:
     worst_increment = np.inf
     for g in (-0.25, 0.25):
@@ -282,6 +296,7 @@ ALL_CHECKS = (
     check_d_independence_k1,
     check_k_monotonicity,
     check_s3_vs_dense,
+    check_iterative_vs_dense,
     check_many_copy_growth,
     check_lambda_monotone_alpha,
     check_symmetrizer_psd,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kextdistill.analytic
-from kextdistill import cli, validate
+from kextdistill import cli, solver, validate
 from kextdistill.analytic import alpha_max_k1, maxmixed_bound
 from kextdistill.cli import ConfigError, load_recipe, parse_config_text, run_sweep
 from kextdistill.linalg import SolverConvergenceError, layout
@@ -96,9 +96,12 @@ def test_threshold_rejects_a_family_the_other_options_contradict(tmp_path, capsy
     assert captured.out == "" and "error:" in captured.err
 
 
-def test_threshold_rejects_tol_alpha_below_the_floor(capsys):
+@pytest.mark.parametrize("tol_alpha", ["1e-12", "inf", "nan", "1.0"])
+def test_threshold_rejects_tol_alpha_outside_its_range(capsys, tol_alpha):
+    # below 1e-10 the eigensolvers cannot resolve the bracket; at 1, inf or NaN
+    # hi - lo > tol_alpha was false at once, and alpha_star came out 0
     with pytest.raises(SystemExit) as exc:
-        run_cli(["threshold", "--d", "2", "--gamma", "0", "--tol-alpha", "1e-12"])
+        run_cli(["threshold", "--d", "2", "--gamma", "-0.5", "--tol-alpha", tol_alpha])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "--tol-alpha" in captured.err and "solver failure" not in captured.err
@@ -153,6 +156,10 @@ def test_config_parsing_and_validation():
         "points = 5.5",
         "tol_alpha = tight",
         "tol_alpha = 1e-12",  # below the floor the eigensolvers can resolve
+        "tol_alpha = inf",
+        "tol_alpha = nan",
+        "tol_alpha = 1.0",
+        "output =",
         "n = 1,two",
         "side = charlie",
         "bell = phi_minus",
@@ -325,6 +332,15 @@ def test_sweep_command_via_recipe_override(tmp_path, capsys):
     assert "wrote" in captured
 
 
+@pytest.mark.parametrize("override", [["--points", "0"], ["--output", ""]], ids=["points-0", "empty-output"])
+def test_sweep_command_rejects_empty_overrides(tmp_path, monkeypatch, capsys, override):
+    # both used to be dropped as falsy, and the recipe ran at its own values
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["sweep", "--recipe", "fig2"] + override) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_command_requires_source(capsys):
     assert run_cli(["sweep"]) == 2
     capsys.readouterr()
@@ -345,6 +361,17 @@ def test_validate_reports_margins():
     details = results["k_monotonicity"].details
     assert "margins" in details and len(details["margins"]) == 2
     assert all(m > -1e-6 for m in details["margins"])
+
+
+def test_validate_compares_the_iterative_solve_with_dense(monkeypatch):
+    eig_min_iterative = solver.eig_min_iterative
+
+    def shifted(handle, v0=None):
+        value, vector = eig_min_iterative(handle, v0)
+        return value + 1e-6, vector
+
+    monkeypatch.setattr(solver, "eig_min_iterative", shifted)
+    assert not validate.check_iterative_vs_dense().passed
 
 
 def test_validate_detects_constant_mutation(monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kextdistill import linalg
 from kextdistill.linalg import (
     TOL_EIG,
     HermitianOperator,
@@ -8,6 +9,7 @@ from kextdistill.linalg import (
     SolverConvergenceError,
     SystemLayout,
     eig_min_dense,
+    eig_min_dense_vec,
     eig_min_iterative,
     embed,
     kron,
@@ -219,6 +221,12 @@ def test_eig_min_dense_diagonal():
     assert eig_min_dense(h) == pytest.approx(-1.0, abs=1e-12)
 
 
+def test_eig_min_dense_one_by_one():
+    assert eig_min_dense(np.array([[-0.25]])) == -0.25
+    value, vector = eig_min_dense_vec(np.array([[2.0 + 0.0j]]))
+    assert value == 2.0 and abs(vector[0]) == 1.0
+
+
 def test_eig_min_dense_rejects_non_hermitian():
     with pytest.raises(ValueError):
         eig_min_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -269,7 +277,7 @@ def _diag_handle(values):
 
 def test_eig_min_iterative_diagonal():
     handle = _diag_handle(np.arange(1, 1001))
-    assert eig_min_iterative(handle, tol=1e-10) == pytest.approx(1.0, abs=1e-8)
+    assert eig_min_iterative(handle)[0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_eig_min_iterative_matches_dense():
@@ -282,7 +290,7 @@ def test_eig_min_iterative_matches_dense():
 
     handle = LinearMapHandle(dim=h.dim, apply=apply, norm_bound=np.linalg.norm(h.entries, 2), is_real=False)
     dense = eig_min_dense(h)
-    iterative = eig_min_iterative(handle, tol=1e-10)
+    iterative = eig_min_iterative(handle)[0]
     assert abs(dense - iterative) < 1e-8
 
 
@@ -295,18 +303,28 @@ def test_eig_min_iterative_is_deterministic():
         return h.entries @ v
 
     handle = LinearMapHandle(dim=h.dim, apply=apply, norm_bound=np.linalg.norm(h.entries, 2), is_real=True)
-    first = eig_min_iterative(handle)
-    second = eig_min_iterative(handle)
-    assert first == second
+    first_value, first_vector = eig_min_iterative(handle)
+    second_value, second_vector = eig_min_iterative(handle)
+    assert first_value == second_value
+    assert np.array_equal(first_vector, second_vector)
 
 
-def test_eig_min_iterative_reports_non_convergence():
+def test_eig_min_iterative_reports_non_convergence(monkeypatch):
     # eigenvalues clustered at zero with a vanishing edge gap stall the
-    # restarted Lanczos iteration when the budget is tiny
-    values = 1.0 / np.arange(1, 4001)
-    handle = _diag_handle(values)
+    # restarted Lanczos iteration when the budget is tiny; the first failed
+    # attempt raises, with no second attempt
+    eigsh = linalg.spla.eigsh
+    calls = []
+
+    def stalling_eigsh(*args, **kwargs):
+        calls.append(kwargs)
+        return eigsh(*args, **{**kwargs, "maxiter": 2, "tol": 0.0})
+
+    monkeypatch.setattr(linalg.spla, "eigsh", stalling_eigsh)
+    handle = _diag_handle(1.0 / np.arange(1, 4001))
     with pytest.raises(SolverConvergenceError):
-        eig_min_iterative(handle, tol=0.0, max_iter=2)
+        eig_min_iterative(handle)
+    assert len(calls) == 1
 
 
 def test_handle_self_adjointness_on_random_pairs():
@@ -332,7 +350,7 @@ def test_eig_min_iterative_warm_start_orthogonal_to_the_lowest_eigenvector():
     values = np.arange(1.0, 1001.0)
     v0 = np.ones(len(values))
     v0[0] = 0.0
-    lam, vec = eig_min_iterative(_diag_handle(values), return_vector=True, v0=v0)
+    lam, vec = eig_min_iterative(_diag_handle(values), v0=v0)
     assert lam == pytest.approx(1.0, abs=1e-8)
     assert abs(vec[0]) == pytest.approx(1.0, abs=1e-6)
 

@@ -342,9 +342,40 @@ def test_threshold_matches_bisection_and_is_certified(problem, reference_bisecti
     assert above == alpha_star or exact(above)[0] >= -TOL_EIG
 
 
+@st.composite
+def dense_two_qubit_problems(draw):
+    # a random state of any rank, mixed with I/4 by a drawn weight: at weight 0
+    # the threshold is the maximally mixed bound itself
+    rank = draw(st.integers(1, 4))
+    weight = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    rho = weight * g @ g.conj().T / np.linalg.norm(g) ** 2 + (1.0 - weight) * np.eye(4) / 4.0
+    state = from_matrix(rho, layout(("A", 2), ("B", 2)))
+    return KExtProblem(state=state, k=draw(st.sampled_from([1, 2])), backend="dense")
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(problem=dense_two_qubit_problems())
+def test_lambda_min_is_nondecreasing_and_concave_in_alpha(problem):
+    solve = solver._lambda_min_solver(problem)
+    lams = [solve(alpha)[0] for alpha in np.linspace(0.0, 1.0, 9)]
+    assert all(b >= a - 1e-12 for a, b in zip(lams, lams[1:]))
+    assert all(b >= 0.5 * (a + c) - 1e-12 for a, b, c in zip(lams, lams[1:], lams[2:]))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(problem=dense_two_qubit_problems())
+def test_threshold_is_at_least_the_maximally_mixed_bound(problem):
+    tol_alpha = 1e-6
+    alpha_star = fidelity_threshold(problem, tol_alpha=tol_alpha).alpha_star
+    assert alpha_star >= maxmixed_bound(problem.k) - tol_alpha
+
+
 def test_threshold_tolerance_validation():
-    with pytest.raises(ValueError):
-        fidelity_threshold(KExtProblem.for_werner(d=2, gamma=0.0), tol_alpha=1e-12)
+    for tol_alpha in (1e-12, 0.0, 1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            fidelity_threshold(KExtProblem.for_werner(d=2, gamma=-0.5), tol_alpha=tol_alpha)
 
 
 def test_lambda_monotone_in_alpha():
