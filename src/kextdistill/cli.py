@@ -162,22 +162,20 @@ def _problem(cfg: SweepConfig, param: float, n: int, k: int) -> KExtProblem:
     return KExtProblem(state=state, n=n, k=k, side=cfg.side, bell=cfg.bell, backend=cfg.backend)
 
 
-def _write_csv(path: str, rows) -> None:
-    lines = [CSV_HEADER, "param,alpha_star,backend,lambda_residual"]
-    for param, alpha_star, backend, residual in rows:
-        lines.append(f"{param!r},{alpha_star!r},{backend},{residual!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write(path: str, header: str, columns: str, rows) -> None:
+    """Write header, columns and one line per row: str fields as they are, others by repr.
 
-
-def _write_ellipse(path: str, points: int) -> None:
-    lines = [ELLIPSE_HEADER, "theta,y_plus,y_minus,F1,F2"]
-    for theta in np.linspace(0.0, 2.0 * math.pi, points, endpoint=False):
-        theta = float(theta)
-        pt = MnPTradeoff.from_angle(theta)
-        lines.append(f"{theta!r},{pt.y_plus!r},{pt.y_minus!r},{pt.f1!r},{pt.f2!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    The rows are formatted before the file is opened, and a file this call
+    opened but failed to finish is removed.
+    """
+    lines = [header, columns] + [",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows]
+    fh = open(path, "w")
+    try:
+        with fh:
+            fh.write("\n".join(lines) + "\n")
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def run_sweep(cfg: SweepConfig) -> list[str]:
@@ -185,20 +183,18 @@ def run_sweep(cfg: SweepConfig) -> list[str]:
 
     Every problem is built before the first threshold runs, so a problem the
     configuration cannot describe is a ConfigError and writes nothing.  Rows
-    are emitted in parameter order, and a partially written output is removed
-    on failure.
+    are emitted in parameter order.  A file is opened only once all its rows
+    are computed, so a failed or interrupted sweep removes at most the file
+    it was writing and leaves earlier outputs alone.
     """
     cfg.validate()
-    written: list[str] = []
     if cfg.family == "ellipse":
-        path = cfg.output
-        try:
-            _write_ellipse(path, cfg.points)
-        except BaseException:
-            if os.path.exists(path):
-                os.remove(path)
-            raise
-        return [path]
+        rows = []
+        for theta in np.linspace(0.0, 2.0 * math.pi, cfg.points, endpoint=False).tolist():
+            pt = MnPTradeoff.from_angle(theta)
+            rows.append((theta, pt.y_plus, pt.y_minus, pt.f1, pt.f2))
+        _write(cfg.output, ELLIPSE_HEADER, "theta,y_plus,y_minus,F1,F2", rows)
+        return [cfg.output]
 
     grid = []
     for n in cfg.n_values:
@@ -213,17 +209,13 @@ def run_sweep(cfg: SweepConfig) -> list[str]:
             except ValueError as exc:
                 raise ConfigError(f"n = {n}, k = {k}: {exc}") from exc
             grid.append((path, problems))
+    written: list[str] = []
     for path, problems in grid:
-        try:
-            rows = []
-            for param, problem in problems:
-                result = fidelity_threshold(problem, tol_alpha=cfg.tol_alpha)
-                rows.append((param, result.alpha_star, result.backend, result.lambda_residual))
-            _write_csv(path, rows)
-        except BaseException:
-            if os.path.exists(path):
-                os.remove(path)
-            raise
+        rows = []
+        for param, problem in problems:
+            result = fidelity_threshold(problem, tol_alpha=cfg.tol_alpha)
+            rows.append((param, result.alpha_star, result.backend, result.lambda_residual))
+        _write(path, CSV_HEADER, "param,alpha_star,backend,lambda_residual", rows)
         written.append(path)
     return written
 
@@ -247,9 +239,6 @@ def cmd_threshold(args: argparse.Namespace) -> int:
                 backend=args.backend,
             )
         else:
-            if args.gamma is None and args.p is None:
-                print("error: provide --gamma or --p for the werner family", file=sys.stderr)
-                return EXIT_USAGE
             problem = KExtProblem.for_werner(
                 d=3 if args.d is None else args.d, gamma=args.gamma, p=args.p, n=args.n, k=args.k,
                 side=args.side, bell=args.bell, backend=args.backend,

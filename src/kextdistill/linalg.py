@@ -152,34 +152,33 @@ def relabel(h: HermitianOperator, mapping: Mapping[str, str]) -> HermitianOperat
     return HermitianOperator(SystemLayout(subs), h.entries)
 
 
-def _permutation_axes(lay: SystemLayout, perm: Mapping[str, str]) -> list[int]:
-    """axes[p] = position that the content of subsystem p moves to under perm."""
+def _permutation_order(lay: SystemLayout, perm: Mapping[str, str]) -> list[int]:
+    """order[q] = position of the subsystem whose content moves to position q under perm."""
     full = {lab: perm.get(lab, lab) for lab in lay.labels}
     if set(full.values()) != set(lay.labels):
         raise ValueError("perm must be a permutation of the layout labels")
     for src, dst in full.items():
         if lay.dim_of(src) != lay.dim_of(dst):
             raise ValueError(f"dimension mismatch: {src} ({lay.dim_of(src)}) -> {dst} ({lay.dim_of(dst)})")
-    return [lay.index(full[lab]) for lab in lay.labels]
+    source = {dst: src for src, dst in full.items()}
+    return [lay.index(source[lab]) for lab in lay.labels]
+
+
+def _transposed(h: HermitianOperator, order: list[int], lay: SystemLayout) -> HermitianOperator:
+    """h on lay, its entries as a (row subsystems, column subsystems) tensor with axes moved to order."""
+    out = h.entries.reshape(h.layout.dims * 2).transpose(order).reshape(h.dim, h.dim)
+    return HermitianOperator(lay, out)
 
 
 def permutation_matrix(lay: SystemLayout, perm: Mapping[str, str]) -> np.ndarray:
     """Matrix of the permutation moving the content of subsystem l to perm[l].
 
-    Not Hermitian in general (cycles of length > 2 are not); returned as a
-    plain array.
+    The identity with its row subsystems permuted.  Not Hermitian in general
+    (cycles of length > 2 are not); returned as a plain array.
     """
-    axes = _permutation_axes(lay, perm)
-    dims = lay.dims
-    d = lay.total_dim
-    digits = np.unravel_index(np.arange(d), dims)
-    target = [None] * len(dims)
-    for src, dst in enumerate(axes):
-        target[dst] = digits[src]
-    dest = np.ravel_multi_index(tuple(target), dims)
-    mat = np.zeros((d, d))
-    mat[dest, np.arange(d)] = 1.0
-    return mat
+    order = _permutation_order(lay, perm)
+    n, d = len(order), lay.total_dim
+    return np.eye(d).reshape(lay.dims * 2).transpose(order + list(range(n, 2 * n))).reshape(d, d)
 
 
 def swap_op(lay: SystemLayout, i: str, j: str) -> HermitianOperator:
@@ -190,25 +189,17 @@ def swap_op(lay: SystemLayout, i: str, j: str) -> HermitianOperator:
 
 
 def permute_subsystems(h: HermitianOperator, perm: Mapping[str, str]) -> HermitianOperator:
-    """Conjugate h by the permutation moving the content of subsystem l to perm[l]."""
-    lay = h.layout
-    n = len(lay.dims)
-    # out[J] = H[sigma(J)] with sigma(J)_l = J_{pos(perm[l])}
-    axes = _permutation_axes(lay, perm)
-    order = axes + [a + n for a in axes]
-    out = h.entries.reshape(lay.dims * 2).transpose(order).reshape(h.dim, h.dim)
-    return HermitianOperator(lay, out)
+    """P h P^T for P = permutation_matrix(h.layout, perm): the content of subsystem l moves to perm[l]."""
+    order = _permutation_order(h.layout, perm)
+    return _transposed(h, order + [q + len(order) for q in order], h.layout)
 
 
 def reorder_to(h: HermitianOperator, target: SystemLayout) -> HermitianOperator:
     """Re-express h on a layout listing the same subsystems in a different order."""
     if set(target.labels) != set(h.layout.labels):
         raise ValueError("target layout must carry the same labels")
-    n = len(target.dims)
-    axes = [h.layout.index(lab) for lab in target.labels]
-    order = axes + [a + n for a in axes]
-    out = h.entries.reshape(h.layout.dims * 2).transpose(order).reshape(h.dim, h.dim)
-    return HermitianOperator(target, out)
+    order = [h.layout.index(lab) for lab in target.labels]
+    return _transposed(h, order + [q + len(order) for q in order], target)
 
 
 def partial_trace(h: HermitianOperator, keep: Iterable[str]) -> HermitianOperator:
@@ -244,8 +235,7 @@ def partial_transpose(h: HermitianOperator, labels: Iterable[str]) -> HermitianO
     for p, lab in enumerate(lay.labels):
         if lab in targets:
             order[p], order[n + p] = order[n + p], order[p]
-    out = h.entries.reshape(lay.dims * 2).transpose(order).reshape(h.dim, h.dim)
-    return HermitianOperator(lay, out)
+    return _transposed(h, order, lay)
 
 
 def embed(lay: SystemLayout, ops: Mapping[tuple[str, ...] | str, np.ndarray]) -> HermitianOperator:

@@ -43,7 +43,7 @@ from .states import (
     DensityOperator,
     WernerParams,
     bell_state,
-    from_matrix,
+    from_matrix,  # no caller here; bound for perfbench/spans.py only
     werner,
     werner_params_of,
 )
@@ -524,14 +524,30 @@ def _projector(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def _bell_from_slot0(m0: np.ndarray, m1: np.ndarray, k: int, dims: tuple[int, int], side: str):
-    """(cj, side) of the map preparing the Bell pair from slot 0 and I/4 from each of k slots.
+def _extension_marginals(state: DensityOperator, k: int, extension: DensityOperator):
+    """(sigma_A, m1) of a symmetric extension of a kernel state on (A, E_1, ..., E_k).
 
-    m0 is the (S, X_0) marginal of sigma_in; slots 1..k share the marginal m1,
-    so they enter as one term of weight k.  dims are (d_S, d_X).
+    m1 is the (A, E_i) marginal, the same for every i and annihilated by the
+    state, and sigma_A the marginal of the spectator A.
     """
-    pairs = [(m0, bell_state("phi_plus", 2).matrix), (k * m1, np.eye(4) / 4.0)]
-    return _mnp_choi(pairs, dims + (2, 2), side), side
+    (_, d_a), (_, d_b) = state.layout.subsystems
+    subs = extension.layout.subsystems
+    if len(subs) != k + 1:
+        raise ValueError(f"kernel extension must live on (A, E_1, ..., E_{k})")
+    if subs[0][1] != d_a or any(dim != d_b for _, dim in subs[1:]):
+        raise ValueError("kernel extension dims do not match the state")
+    labels = extension.layout.labels
+    m1 = partial_trace(extension.op, (labels[0], labels[1])).entries
+    for lab in labels[2:]:
+        marg = partial_trace(extension.op, (labels[0], lab)).entries
+        if np.abs(marg - m1).max() > 1e-9:
+            raise ValueError("kernel extension marginals are not symmetric")
+    overlap_kernel = float(np.trace(state.matrix @ m1).real)
+    if overlap_kernel > 1e-9:
+        raise ValueError(
+            f"extension marginal is not in the kernel: overlap {overlap_kernel:.3e}"
+        )
+    return partial_trace(extension.op, (labels[0],)).entries, m1
 
 
 def construct_f1_strategy(
@@ -541,13 +557,13 @@ def construct_f1_strategy(
 ):
     """Measure-and-prepare strategy with unit fidelity on a rank-deficient state.
 
-    Covers three routes: a product vector in the kernel (either extension
-    side, any k), any kernel vector (k = 1), or a caller-supplied symmetric
-    extension of a kernel state on (A, E_1, ..., E_k).  Returns (cj, side),
-    or None when the state is full rank or no qualifying structure is found.
-    The Choi state is M0^T x Bell + k M1^T x I/4, built from the two-slot
-    marginals M0 (slot 0) and M1 (each other slot) of the measured state,
-    which is never formed on all k + 1 slots; its cost does not depend on k.
+    The measured kernel state is a caller-supplied symmetric extension on
+    (A, E_1, ..., E_k), else a product vector in the kernel (any k), else any
+    kernel vector (k = 1).  Each source gives the two-slot marginal m1 and
+    its spectator state sigma_A; one test then picks the extension side.
+    Returns (cj, side), or None when the state is full rank or no kernel
+    state is found.  The Choi state is M0^T x Bell + k m1^T x I/4 over the
+    slot-0 and slot-i marginals, so its cost does not depend on k.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -557,59 +573,25 @@ def construct_f1_strategy(
     rho = state.matrix
 
     if kernel_extension is not None:
-        return _strategy_from_extension(state, k, kernel_extension)
-
-    found = _find_product_kernel_vector(state)
-    if found is not None:
+        sigma_a, m1 = _extension_marginals(state, k, kernel_extension)
+    elif (found := _find_product_kernel_vector(state)) is not None:
         phi, psi = found
-        # tr(rho (P_phi x I)): zero iff phi x anything sits in the kernel
-        overlap = float(
-            np.real(np.einsum("a,abcb,c->", phi.conj(), rho.reshape(d_a, d_b, d_a, d_b), phi))
-        )
-        if overlap > TOL_PSD:
-            # measure the product kernel state on the extension slots
-            m0 = np.kron(_projector(phi), np.eye(d_b) / d_b)
-            m1 = np.kron(_projector(phi), _projector(psi))
-            return _bell_from_slot0(m0, m1, k, (d_a, d_b), "bob")
-        # phi x anything is annihilated: extend on the other side
+        sigma_a, m1 = _projector(phi), np.kron(_projector(phi), _projector(psi))
+    elif k == 1:
+        m1 = _projector(np.linalg.eigh(rho)[1][:, 0])
+        sigma_a = np.einsum("abcb->ac", m1.reshape(d_a, d_b, d_a, d_b))
+    else:
+        return None
+
+    # tr(rho (sigma_A x I)) vanishes iff supp(sigma_A) x anything sits in the kernel
+    if np.trace(rho @ np.kron(sigma_a, np.eye(d_b))).real > TOL_PSD:
+        # slot 0 holds I/d_B next to the spectator, slots 1..k the kernel marginal
+        m0, dims, side = np.kron(sigma_a, np.eye(d_b) / d_b), (d_a, d_b), "bob"
+    else:
+        # phi x anything is annihilated: measure phi on Alice's extension slots
+        phi = np.linalg.eigh(sigma_a)[1][:, -1]
         rho_a = partial_trace(state.op, (state.layout.labels[0],)).entries
         m0 = np.kron(np.eye(d_b) / d_b, rho_a / np.trace(rho_a).real)
-        m1 = np.kron(np.eye(d_b) / d_b, _projector(phi))
-        return _bell_from_slot0(m0, m1, k, (d_b, d_a), "alice")
-
-    if k == 1:
-        _, vecs = np.linalg.eigh(rho)
-        kernel_vec = vecs[:, 0]
-        ext_layout = layout(("A", d_a), ("E1", d_b))
-        extension = from_matrix(_projector(kernel_vec), ext_layout)
-        return _strategy_from_extension(state, 1, extension)
-    return None
-
-
-def _strategy_from_extension(state: DensityOperator, k: int, extension: DensityOperator):
-    """Build the Bob-side strategy from a symmetric extension of a kernel state."""
-    (_, d_a), (_, d_b) = state.layout.subsystems
-    subs = extension.layout.subsystems
-    if len(subs) != k + 1:
-        raise ValueError(f"kernel extension must live on (A, E_1, ..., E_{k})")
-    if subs[0][1] != d_a or any(dim != d_b for _, dim in subs[1:]):
-        raise ValueError("kernel extension dims do not match the state")
-    labels = extension.layout.labels
-    marg0 = partial_trace(extension.op, (labels[0], labels[1])).entries
-    for lab in labels[2:]:
-        marg = partial_trace(extension.op, (labels[0], lab)).entries
-        if np.abs(marg - marg0).max() > 1e-9:
-            raise ValueError("kernel extension marginals are not symmetric")
-    overlap_kernel = float(np.trace(state.matrix @ marg0).real)
-    if overlap_kernel > 1e-9:
-        raise ValueError(
-            f"extension marginal is not in the kernel: overlap {overlap_kernel:.3e}"
-        )
-    sigma_a = partial_trace(extension.op, (labels[0],)).entries
-    weight = float(np.real(np.trace(state.matrix @ np.kron(sigma_a, np.eye(d_b))))) / d_b
-    if weight <= TOL_PSD:
-        # every product of supp(sigma_a) with anything is annihilated; the
-        # product-vector routes cover that case
-        return construct_f1_strategy(state, k)
-    # slot 0 holds I/d_B next to the spectator, slots 1..k the extension's E_i
-    return _bell_from_slot0(np.kron(sigma_a, np.eye(d_b) / d_b), marg0, k, (d_a, d_b), "bob")
+        m1, dims, side = np.kron(np.eye(d_b) / d_b, _projector(phi)), (d_b, d_a), "alice"
+    pairs = [(m0, bell_state("phi_plus", 2).matrix), (k * m1, np.eye(4) / 4.0)]
+    return _mnp_choi(pairs, dims + (2, 2), side), side

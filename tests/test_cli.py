@@ -73,8 +73,12 @@ def test_threshold_block_backend_from_werner_state_file(tmp_path, capsys):
 
 def test_threshold_invalid_arguments(capsys):
     assert run_cli(["threshold", "--family", "werner", "--d", "2", "--gamma", "1.5"]) == 2
-    assert run_cli(["threshold", "--family", "werner", "--d", "2"]) == 2
     capsys.readouterr()
+    # WernerParams' own rule rejects a missing or doubled gamma/p
+    for args in ([], ["--gamma", "0", "--p", "0.5"]):
+        assert run_cli(["threshold", "--family", "werner", "--d", "2"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exactly one of gamma or p" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -206,15 +210,44 @@ def test_sweep_is_byte_deterministic(tmp_path):
 def test_sweep_partial_output_removed(tmp_path, monkeypatch):
     out = tmp_path / "partial.csv"
 
-    def broken_write(path, rows):
-        with open(path, "w") as fh:
-            fh.write("half a header")
-        raise OSError("disk full")
+    class BrokenFile:
+        def __init__(self, path, mode):
+            self.fh = open(path, mode)
 
-    monkeypatch.setattr(cli, "_write_csv", broken_write)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write("half a header")
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "open", BrokenFile, raising=False)
     with pytest.raises(OSError):
         run_sweep(parse_config_text(BASE_CFG.format(out=out)))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [SolverConvergenceError, KeyboardInterrupt])
+def test_failed_sweep_keeps_an_earlier_output(tmp_path, monkeypatch, error):
+    # a sweep that fails before it writes leaves the previous run's curve alone
+    out = tmp_path / "curve_n1_k1.csv"
+    out.write_bytes(b"# kext-csv v1\nearlier run\n")
+    config = tmp_path / "sweep.cfg"
+    config.write_text(BASE_CFG.format(out=tmp_path / "curve_n{n}_k{k}.csv"))
+
+    def interrupted(problem, tol_alpha):
+        raise error("stopped")
+
+    monkeypatch.setattr(cli, "fidelity_threshold", interrupted)
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["sweep", "--config", str(config)])
+    else:
+        assert run_cli(["sweep", "--config", str(config)]) == 3
+    assert out.read_bytes() == b"# kext-csv v1\nearlier run\n"
 
 
 @pytest.mark.parametrize(

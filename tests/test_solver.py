@@ -755,6 +755,20 @@ def test_f1_strategy_supplied_extension():
     assert evaluate_map_fidelity(cj, state) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_f1_strategy_supplied_extension_falls_back_to_alice(k):
+    # the state annihilates |0> x anything on (A, B), so a supplied extension
+    # whose spectator is |0> cannot serve Bob's side
+    state = from_matrix(np.kron(np.diag([0.0, 1.0]), np.eye(2) / 2.0), layout(("A", 2), ("B", 2)))
+    zeros = np.zeros(2 ** (k + 1))
+    zeros[0] = 1.0
+    extension = from_matrix(np.outer(zeros, zeros), layout(("A", 2), *((f"E{i}", 2) for i in range(1, k + 1))))
+    cj, side = construct_f1_strategy(state, k, kernel_extension=extension)
+    assert side == "alice"
+    assert evaluate_map_fidelity(cj, state) == pytest.approx(1.0, abs=1e-10)
+    assert np.array_equal(cj.matrix, construct_f1_strategy(state, k)[0].matrix)
+
+
 def test_symmetric_projector_still_distills_at_k3():
     # d = 3 symmetric projector: the probe stays negative all the way up at
     # three extensions, so the threshold sits at 1 despite the kernel being
