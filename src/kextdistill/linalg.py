@@ -20,7 +20,7 @@ TOL_HERM = 1e-12      # max entrywise |H - H^dag| accepted as Hermitian
 REAL_IMAG_TOL = 1e-14  # max imaginary part for the real fast path
 ITER_EIG_TOL = 1e-11  # absolute residual |Hv - theta v| at which an iterative solve stops
 TOL_EIG = 1e-9          # threshold predicate of every search: lambda_min < -TOL_EIG
-DENSE_DIM_LIMIT = 4096  # dense eigensolves below this dimension, iterative at/above
+DENSE_DIM_LIMIT = 4096  # largest probe dimension the dense backend accepts; auto goes iterative from here
 EIG_SEED = 20260810     # start vector for iterative solves; fixed for reproducible curves
 WARM_START_SEED_WEIGHT = 0.01  # share of the seeded start vector kept in a warm start
 

@@ -53,6 +53,11 @@ MIN_TOL_ALPHA = 1e-10   # tighter than the eigensolver tolerances can resolve
 SIDES = ("bob", "alice")
 BELLS = ("phi_plus", "psi_minus")
 BACKENDS = ("auto", "dense", "iterative", "s3_blocks")
+# auto: dense below this probe dimension; at 384, ARPACK lost to dense on 3 of 5 full-rank states (2 cores)
+AUTO_ITERATIVE_MIN_DIM = 512
+# auto, below DENSE_DIM_LIMIT: iterative only if (lambda_min(rho) / lambda_max(rho))^n is at
+# least this; below it the probe has a cluster of eigenvalues near 0 where Lanczos stalls
+AUTO_ITERATIVE_MIN_CONDITION = 3e-3
 
 
 class SingularOutputError(RuntimeError):
@@ -172,9 +177,16 @@ class KExtProblem:
         return d_a ** (self.n * (self.k + 1)) * d_b**self.n * 2 ** (self.k + 2)
 
     def resolved_backend(self) -> str:
+        """The backend a solve uses: `auto` decides from the probe dimension and the state's spectrum."""
         if self.backend != "auto":
             return self.backend
-        return "dense" if self.total_dim < DENSE_DIM_LIMIT else "iterative"
+        if self.total_dim >= DENSE_DIM_LIMIT:
+            return "iterative"
+        if self.total_dim < AUTO_ITERATIVE_MIN_DIM:
+            return "dense"
+        spectrum = np.linalg.eigvalsh(self.state.matrix)
+        condition = max(float(spectrum[0] / spectrum[-1]), 0.0) ** self.n
+        return "iterative" if condition >= AUTO_ITERATIVE_MIN_CONDITION else "dense"
 
 
 def _fuse_copies(mat: np.ndarray, d_a: int, d_b: int, n: int) -> np.ndarray:

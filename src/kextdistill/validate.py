@@ -140,7 +140,7 @@ def check_k_monotonicity() -> CheckResult:
 def check_s3_vs_dense() -> CheckResult:
     worst, worst_lambda = 0.0, 0.0
     for n in (1, 2):
-        dense = fidelity_threshold(KExtProblem.for_werner(d=2, gamma=-0.25, n=n, k=1))
+        dense = fidelity_threshold(KExtProblem.for_werner(d=2, gamma=-0.25, n=n, k=1, backend="dense"))
         fast = fidelity_threshold(KExtProblem.for_werner(d=2, gamma=-0.25, n=n, k=1, backend="s3_blocks"))
         worst = max(worst, abs(dense.alpha_star - fast.alpha_star))
         # the blocks take I + gamma V unnormalized, whose trace is 4 + 2 gamma per copy
@@ -155,11 +155,19 @@ def check_s3_vs_dense() -> CheckResult:
 def check_iterative_vs_dense() -> CheckResult:
     rng = np.random.default_rng(11)
     worst, worst_lambda = 0.0, 0.0
-    # Werner at dim 256, where lambda_min crosses 0 at alpha* = 0.75, and a complex state at dim 64
-    for prob in (KExtProblem.for_werner(d=2, gamma=-0.5, k=2), KExtProblem(state=_random_state(rng, 2, 2), k=1)):
+    # Werner at dim 256, where lambda_min crosses 0 at alpha* = 0.75, a complex state at dim 64,
+    # and two copies of a full-rank Werner state at dim 512, which auto sends to ARPACK
+    problems = (
+        KExtProblem.for_werner(d=2, gamma=-0.5, k=2),
+        KExtProblem(state=_random_state(rng, 2, 2), k=1),
+        KExtProblem.for_werner(d=2, gamma=0.5, n=2, k=1),
+    )
+    for prob in problems:
         iterative, dense = replace(prob, backend="iterative"), replace(prob, backend="dense")
+        # one solver per backend, so the dense probe is assembled once for the whole grid
+        solve_iterative, solve_dense = solver._lambda_min_solver(iterative), solver._lambda_min_solver(dense)
         for a in (0.25, 0.5, 0.75, 1.0):
-            gap = solver.lambda_min_alpha(iterative, a) - solver.lambda_min_alpha(dense, a)
+            gap = solve_iterative(a)[0] - solve_dense(a)[0]
             worst_lambda = max(worst_lambda, abs(gap))
         worst = max(worst, abs(fidelity_threshold(iterative).alpha_star - fidelity_threshold(dense).alpha_star))
     passed = worst <= 1e-6 and worst_lambda <= 1e-9

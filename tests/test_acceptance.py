@@ -147,7 +147,7 @@ def test_criterion_5_many_copy_distillability():
     strictly_increasing = all(b > a for a, b in zip(ordered, ordered[1:]))
     dense_err = 0.0
     for n in (1, 2):
-        dense = fidelity_threshold(KExtProblem.for_werner(d=2, gamma=gamma, n=n, k=1))
+        dense = fidelity_threshold(KExtProblem.for_werner(d=2, gamma=gamma, n=n, k=1, backend="dense"))
         dense_err = max(dense_err, abs(dense.alpha_star - thresholds[n]))
     passed = strictly_increasing and thresholds[8] > 0.95 and dense_err < 1e-6
     report(

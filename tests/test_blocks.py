@@ -65,7 +65,7 @@ def test_two_copy_threshold_exceeds_single_copy(block_threshold):
     one = block_threshold(-0.5, 1)
     two = block_threshold(-0.5, 2)
     assert two > one + 1e-3
-    dense_two = fidelity_threshold(KExtProblem.for_werner(d=2, gamma=-0.5, n=2, k=1)).alpha_star
+    dense_two = fidelity_threshold(KExtProblem.for_werner(d=2, gamma=-0.5, n=2, k=1, backend="dense")).alpha_star
     assert abs(two - dense_two) < 1e-6
 
 

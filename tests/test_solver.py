@@ -88,9 +88,34 @@ def test_problem_validation():
         KExtProblem.for_werner(d=3, gamma=0.0, n=2, k=2, backend="dense")  # 104976 dims
 
 
+def mixed_2x3(rank, eps=0.0):
+    """A random complex 2x3 state of the given rank, mixed with eps * I/6."""
+    rng = np.random.default_rng(rank)
+    g = rng.standard_normal((6, rank)) + 1j * rng.standard_normal((6, rank))
+    rho = g @ g.conj().T
+    return from_matrix((1 - eps) * rho / np.trace(rho).real + eps * np.eye(6) / 6, layout(("A", 2), ("B", 3)))
+
+
 def test_backend_resolution():
-    assert KExtProblem.for_werner(d=2, gamma=0.0).resolved_backend() == "dense"
-    assert KExtProblem.for_werner(d=3, gamma=0.0, n=2).resolved_backend() == "iterative"
+    cases = [
+        (KExtProblem.for_werner(d=2, gamma=0.0), "dense"),  # dim 64
+        # each side of the small-dimension crossover, on well-conditioned states
+        (KExtProblem(state=maximally_mixed(2, 3), k=2, side="alice"), "dense"),  # dim 384
+        (KExtProblem(state=maximally_mixed(2, 2), n=2, k=1), "iterative"),  # dim 512
+        (KExtProblem.for_werner(d=3, gamma=-0.5, k=2), "iterative"),  # dim 1296, kappa 1/3
+        # below the condition cut the probe has a cluster near 0 that stalls ARPACK
+        (KExtProblem(state=mixed_2x3(5), k=2), "dense"),  # dim 864, kappa 0
+        (KExtProblem(state=mixed_2x3(3, eps=1e-4), k=2), "dense"),  # dim 864, kappa ~3e-5
+        (KExtProblem(state=mixed_2x3(3, eps=3e-2), k=2), "iterative"),  # dim 864, kappa 8e-3
+        # the cut is on kappa^n: two copies of the same state fall below it
+        (KExtProblem(state=mixed_2x3(3, eps=3e-2), n=2, k=1), "dense"),  # dim 2592, kappa^2 7e-5
+        # from the dense cap up every state goes to ARPACK
+        (KExtProblem.for_werner(d=2, gamma=-1.0, k=4), "iterative"),  # dim 4096, kappa 0
+        (KExtProblem(state=mixed_2x3(5), k=3), "iterative"),  # dim 5184, kappa 0
+        (KExtProblem.for_werner(d=3, gamma=0.0, n=2), "iterative"),
+    ]
+    for problem, expected in cases:
+        assert problem.resolved_backend() == expected, (problem.total_dim, expected)
 
 
 # ---------------------------------------------------------------------------
