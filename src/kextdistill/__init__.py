@@ -30,7 +30,6 @@ from .solver import (
     KExtProblem,
     SingularOutputError,
     ThresholdResult,
-    build_probe,
     cj_of_mnp,
     construct_f1_strategy,
     evaluate_map_fidelity,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import validate as validate_mod
 from .linalg import SolverConvergenceError
-from .solver import BACKENDS, BELLS, DEFAULT_TOL_ALPHA, SIDES, KExtProblem, check_tol_alpha, fidelity_threshold
+from .solver import BACKENDS, DEFAULT_TOL_ALPHA, SIDES, KExtProblem, check_tol_alpha, fidelity_threshold
 from .states import StateValidationError, load_state
 from .analytic import MnPTradeoff
 
@@ -46,7 +46,6 @@ class SweepConfig:
     n_values: tuple[int, ...] = (1,)
     k_values: tuple[int, ...] = (1,)
     side: str = "bob"
-    bell: str = "phi_plus"
     backend: str = "auto"
     tol_alpha: float = 1e-6
     output: str = "sweep_n{n}_k{k}.csv"
@@ -66,7 +65,6 @@ class SweepConfig:
                 )
         for key, value, allowed in (
             ("side", self.side, SIDES),
-            ("bell", self.bell, BELLS),
             ("backend", self.backend, BACKENDS),
         ):
             if value not in allowed:
@@ -112,7 +110,6 @@ CONFIG_KEYS = {
     "n": ("n_values", _ints),
     "k": ("k_values", _ints),
     "side": ("side", str),
-    "bell": ("bell", str),
     "backend": ("backend", str),
     "tol_alpha": ("tol_alpha", float),
     "output": ("output", str),
@@ -156,10 +153,10 @@ def _problem(cfg: SweepConfig, param: float, n: int, k: int) -> KExtProblem:
     if cfg.family == "werner":
         kwargs = {"gamma": param} if cfg.parametrization == "gamma" else {"p": param}
         return KExtProblem.for_werner(
-            d=cfg.d, n=n, k=k, side=cfg.side, bell=cfg.bell, backend=cfg.backend, **kwargs
+            d=cfg.d, n=n, k=k, side=cfg.side, backend=cfg.backend, **kwargs
         )
     state = load_state(cfg.file)
-    return KExtProblem(state=state, n=n, k=k, side=cfg.side, bell=cfg.bell, backend=cfg.backend)
+    return KExtProblem(state=state, n=n, k=k, side=cfg.side, backend=cfg.backend)
 
 
 def _write(path: str, header: str, columns: str, rows) -> None:
@@ -226,22 +223,17 @@ def run_sweep(cfg: SweepConfig) -> list[str]:
 
 def cmd_threshold(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    family = args.family or ("file" if args.file else "werner")
-    werner_options = (args.d, args.gamma, args.p) != (None, None, None)
-    if (family == "file") != bool(args.file) or (args.file and werner_options):
-        print("error: give --file exactly for family file, and not with --d, --gamma or --p", file=sys.stderr)
+    if args.file is not None and (args.d, args.gamma, args.p) != (None, None, None):
+        print("error: --file does not combine with --d, --gamma or --p", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.file:
+        if args.file is not None:
             state = load_state(args.file)
-            problem = KExtProblem(
-                state=state, n=args.n, k=args.k, side=args.side, bell=args.bell,
-                backend=args.backend,
-            )
+            problem = KExtProblem(state=state, n=args.n, k=args.k, side=args.side, backend=args.backend)
         else:
             problem = KExtProblem.for_werner(
                 d=3 if args.d is None else args.d, gamma=args.gamma, p=args.p, n=args.n, k=args.k,
-                side=args.side, bell=args.bell, backend=args.backend,
+                side=args.side, backend=args.backend,
             )
     except (ValueError, StateValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -309,15 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_thr = sub.add_parser("threshold", help="compute one fidelity threshold")
-    p_thr.add_argument("--family", choices=("werner", "file"), help="werner unless --file is given")
-    p_thr.add_argument("--file", help="kext-state file (implies family=file)")
+    p_thr.add_argument("--file", help="kext-state file; without it the state is a Werner state")
     p_thr.add_argument("--d", type=int, help="local dimension of the Werner state (default 3)")
     p_thr.add_argument("--gamma", type=float, help="Werner parameter in [-1, 1]")
     p_thr.add_argument("--p", type=float, help="symmetric weight in [0, 1]")
     p_thr.add_argument("--n", type=int, default=1, help="number of state copies")
     p_thr.add_argument("--k", type=int, default=1, help="number of extensions")
     p_thr.add_argument("--side", choices=SIDES, default="bob")
-    p_thr.add_argument("--bell", choices=BELLS, default="phi_plus")
     p_thr.add_argument("--backend", choices=BACKENDS, default="auto")
     p_thr.add_argument("--tol-alpha", type=_tol_alpha, default=DEFAULT_TOL_ALPHA, dest="tol_alpha")
     p_thr.set_defaults(func=cmd_threshold)

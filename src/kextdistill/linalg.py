@@ -82,6 +82,19 @@ def layout(*pairs: tuple[str, int]) -> SystemLayout:
     return SystemLayout(tuple(pairs))
 
 
+def _check_hermitian(mat: np.ndarray) -> None:
+    """ValueError unless mat is Hermitian within TOL_HERM.
+
+    A NaN or inf entry fails too: it makes the asymmetry NaN or inf.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf
+        asymmetry = np.abs(mat - mat.conj().T).max(initial=0.0)
+    if not asymmetry <= TOL_HERM:
+        if np.isfinite(mat).all():
+            raise ValueError("matrix is not Hermitian within tol_herm=1e-12")
+        raise ValueError("matrix has a NaN or infinite entry")
+
+
 def _as_real_if_possible(mat: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(mat):
         if np.abs(mat.imag).max(initial=0.0) <= REAL_IMAG_TOL:
@@ -107,8 +120,7 @@ class HermitianOperator:
         d = self.layout.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match layout dimension {d}")
-        if np.abs(mat - mat.conj().T).max(initial=0.0) > TOL_HERM:
-            raise ValueError("matrix is not Hermitian within tol_herm=1e-12")
+        _check_hermitian(mat)
         object.__setattr__(self, "entries", _as_real_if_possible(mat))
 
     @property
@@ -282,8 +294,7 @@ def _matrix_of(h: HermitianOperator | np.ndarray) -> np.ndarray:
     mat = np.asarray(h)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.abs(mat - mat.conj().T).max(initial=0.0) > TOL_HERM:
-        raise ValueError("matrix is not Hermitian within tol_herm=1e-12")
+    _check_hermitian(mat)
     return mat
 
 

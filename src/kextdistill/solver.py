@@ -7,7 +7,7 @@ The probe for a state rho on A x B with n copies and k extensions is
 
 where the n copies are fused into composite A and B subsystems before the
 extensions attach, V_i swaps the distinguished (B, b) pair with the i-th
-extension pair, and M^alpha = alpha*I - Bell on the two output qubits.  Its
+extension pair, and M^alpha = alpha*I - phi_plus on the two output qubits.  Its
 smallest eigenvalue is negative exactly when fidelity above alpha is reachable
 by a k-extendible map.
 """
@@ -51,7 +51,6 @@ from .states import (
 DEFAULT_TOL_ALPHA = 1e-8
 MIN_TOL_ALPHA = 1e-10   # tighter than the eigensolver tolerances can resolve
 SIDES = ("bob", "alice")
-BELLS = ("phi_plus", "psi_minus")
 BACKENDS = ("auto", "dense", "iterative", "s3_blocks")
 # auto: dense below this probe dimension; at 384, ARPACK lost to dense on 3 of 5 full-rank states (2 cores)
 AUTO_ITERATIVE_MIN_DIM = 512
@@ -113,24 +112,28 @@ class ThresholdResult:
 
 @dataclass(frozen=True)
 class KExtProblem:
-    """An instance: state, copies n, extensions k, extension side, Bell target, backend."""
+    """An instance: state, copies n, extensions k, extension side, backend.
+
+    The target is phi_plus.  Any other Bell target poses the same problem: a
+    local unitary on the output qubits maps it to phi_plus and leaves the
+    probe spectrum unchanged.
+    """
 
     state: DensityOperator
     n: int = 1
     k: int = 1
     side: str = "bob"
-    bell: str = "phi_plus"
     backend: str = "auto"
 
     def __post_init__(self) -> None:
         if len(self.state.layout.subsystems) != 2:
             raise ValueError("the input state must be bipartite")
+        if not all(isinstance(v, (int, np.integer)) for v in (self.n, self.k)):
+            raise ValueError(f"n and k must be integers, got n = {self.n!r}, k = {self.k!r}")
         if self.n < 1 or self.k < 1:
             raise ValueError("need n >= 1 copies and k >= 1 extensions")
         if self.side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}")
-        if self.bell not in BELLS:
-            raise ValueError(f"bell must be one of {BELLS}")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
         if self.backend == "dense" and self.total_dim > DENSE_DIM_LIMIT:
@@ -152,7 +155,6 @@ class KExtProblem:
         n: int = 1,
         k: int = 1,
         side: str = "bob",
-        bell: str = "phi_plus",
         backend: str = "auto",
     ) -> "KExtProblem":
         return cls(
@@ -160,7 +162,6 @@ class KExtProblem:
             n=n,
             k=k,
             side=side,
-            bell=bell,
             backend=backend,
         )
 
@@ -184,7 +185,7 @@ class KExtProblem:
             return "iterative"
         if self.total_dim < AUTO_ITERATIVE_MIN_DIM:
             return "dense"
-        spectrum = np.linalg.eigvalsh(self.state.matrix)
+        spectrum = self.state.spectrum
         condition = max(float(spectrum[0] / spectrum[-1]), 0.0) ** self.n
         return "iterative" if condition >= AUTO_ITERATIVE_MIN_CONDITION else "dense"
 
@@ -223,7 +224,7 @@ class ProbeAssembly:
         n, k = problem.n, problem.k
         rho_t = problem.state.matrix.T
         self.rho_fused = _fuse_copies(rho_t, d_a, d_b, n)
-        self.bell = bell_state(problem.bell, 2).matrix
+        self.bell = bell_state("phi_plus", 2).matrix
         big_a, big_b = d_a**n, d_b**n
         if problem.side == "bob":
             subs = [("A", big_a)] + [(f"B{i}", big_b) for i in range(k + 1)]
@@ -236,7 +237,7 @@ class ProbeAssembly:
         self.layout = SystemLayout(tuple(subs))
         self.is_real = not np.iscomplexobj(self.rho_fused)
         # |alpha I - Bell| <= 1 on [0, 1] and |(rho^{x n})^T| = lambda_max(rho)^n, per pair
-        self.norm_bound = (k + 1) * float(np.linalg.eigvalsh(problem.state.matrix)[-1]) ** n
+        self.norm_bound = (k + 1) * float(problem.state.spectrum[-1]) ** n
         self._rho_r = self.rho_fused.reshape(big_a, big_b, big_a, big_b)
         self._bell_r = self.bell.reshape(2, 2, 2, 2)
         self._axes = [
@@ -291,19 +292,6 @@ class ProbeAssembly:
         )
 
 
-def build_probe(problem: KExtProblem, alpha: float) -> HermitianOperator | LinearMapHandle:
-    """Assemble the symmetrized probe at a given alpha (dense matrix or matrix-free handle)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    backend = problem.resolved_backend()
-    if backend == "s3_blocks":
-        raise ValueError("the block backend has no explicit probe; use lambda_min_alpha")
-    assembly = ProbeAssembly(problem)
-    if backend == "dense":
-        return assembly.dense(alpha)
-    return assembly.handle(alpha)
-
-
 def _lambda_min_solver(
     problem: KExtProblem,
 ) -> Callable[[float], tuple[float, float, np.ndarray | None]]:
@@ -314,7 +302,8 @@ def _lambda_min_solver(
     through the term kernel.  Each iterative solve starts from the previous
     eigenvector, the first from EIG_SEED.  The block backend reads gamma and
     d from the Werner state, takes the slope of its lowest block and returns
-    no probe eigenvector.  A non-converging iterative solve raises
+    no probe eigenvector.  Every backend raises ValueError for alpha outside
+    [0, 1] or NaN.  A non-converging iterative solve raises
     SolverConvergenceError.
     """
     backend = problem.resolved_backend()
@@ -332,6 +321,8 @@ def _lambda_min_solver(
 
     def solve(alpha: float) -> tuple[float, float, np.ndarray]:
         nonlocal previous
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
         if backend == "dense":
             return with_slope(*eig_min_dense_vec(assembly.dense(alpha)))
         lam, vec = eig_min_iterative(assembly.handle(alpha), v0=previous)

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
     HermitianOperator,
     SystemLayout,
-    eig_min_dense,
     layout,
     swap_op,
 )
@@ -27,10 +26,16 @@ class StateValidationError(ValueError):
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """A Hermitian PSD matrix with a subsystem layout, stored normalized by default."""
+    """A Hermitian PSD matrix with a subsystem layout, stored normalized by default.
+
+    spectrum holds its eigenvalues in ascending order, computed once here;
+    the PSD and rank tests, auto's condition ratio and the probe's norm
+    bound all read it.
+    """
 
     op: HermitianOperator
     normalized: bool = True
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.normalized:
@@ -41,7 +46,8 @@ class DensityOperator:
                 object.__setattr__(
                     self, "op", HermitianOperator(self.op.layout, self.op.entries / tr)
                 )
-        lam = eig_min_dense(self.op)
+        object.__setattr__(self, "spectrum", np.linalg.eigvalsh(self.op.entries))
+        lam = self.spectrum[0]
         if lam < -TOL_PSD:
             raise StateValidationError(f"matrix is not PSD: smallest eigenvalue {lam:.3e}")
 
@@ -57,11 +63,8 @@ class DensityOperator:
     def dim(self) -> int:
         return self.op.dim
 
-    def eig_min(self) -> float:
-        return eig_min_dense(self.op)
-
     def is_full_rank(self) -> bool:
-        return self.eig_min() > TOL_PSD
+        return bool(self.spectrum[0] > TOL_PSD)
 
 
 def from_matrix(mat: np.ndarray, lay: SystemLayout, normalized: bool = True) -> DensityOperator:

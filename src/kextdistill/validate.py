@@ -103,15 +103,6 @@ def check_mnp_numeric_vs_closed() -> CheckResult:
     return _result("mnp_numeric_vs_closed", worst, 1e-6)
 
 
-def check_bell_equivalence() -> CheckResult:
-    worst = 0.0
-    for d, g in ((2, -0.5), (3, 0.5)):
-        r_phi = fidelity_threshold(KExtProblem.for_werner(d=d, gamma=g, bell="phi_plus"))
-        r_psi = fidelity_threshold(KExtProblem.for_werner(d=d, gamma=g, bell="psi_minus"))
-        worst = max(worst, abs(r_phi.alpha_star - r_psi.alpha_star))
-    return _result("bell_equivalence", worst, 1e-8)
-
-
 def check_d_independence_k1() -> CheckResult:
     worst = 0.0
     for g in (-0.5, 0.3):
@@ -300,7 +291,6 @@ ALL_CHECKS = (
     check_dense_vs_alpha1,
     check_maxmixed_bounds,
     check_mnp_numeric_vs_closed,
-    check_bell_equivalence,
     check_d_independence_k1,
     check_k_monotonicity,
     check_s3_vs_dense,

@@ -84,13 +84,13 @@ def test_block_backend_through_problem_api(block_threshold):
 
 
 def test_block_backend_has_no_explicit_probe():
-    from kextdistill.solver import build_probe
-
     problem = KExtProblem.for_werner(d=2, gamma=0.2, backend="s3_blocks")
+    solve = solver._lambda_min_solver(problem)
+    value, _, vector = solve(0.5)
+    assert vector is None
+    assert value == lambda_min_alpha(problem, 0.5)
     with pytest.raises(ValueError):
-        build_probe(problem, 0.5)
-    with pytest.raises(ValueError):
-        build_probe(KExtProblem.for_werner(d=2, gamma=0.2), 1.5)
+        solve(1.5)
 
 
 def test_block_backend_requires_werner_and_k1():

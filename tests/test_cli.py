@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -30,7 +31,7 @@ def parse_output(captured):
 
 
 def test_threshold_antisymmetric_werner(capsys):
-    code = run_cli(["threshold", "--family", "werner", "--d", "3", "--gamma", "-1",
+    code = run_cli(["threshold", "--d", "3", "--gamma", "-1",
                     "--n", "1", "--k", "1"])
     out = parse_output(capsys.readouterr().out)
     assert code == 0
@@ -41,8 +42,7 @@ def test_threshold_antisymmetric_werner(capsys):
 
 
 def test_threshold_two_extensions(capsys):
-    code = run_cli(["threshold", "--family", "werner", "--d", "2", "--gamma", "0",
-                    "--n", "1", "--k", "2"])
+    code = run_cli(["threshold", "--d", "2", "--gamma", "0", "--n", "1", "--k", "2"])
     out = parse_output(capsys.readouterr().out)
     assert code == 0
     assert abs(float(out["alpha_star"]) - 2.0 / 3.0) < 1e-6
@@ -72,11 +72,11 @@ def test_threshold_block_backend_from_werner_state_file(tmp_path, capsys):
 
 
 def test_threshold_invalid_arguments(capsys):
-    assert run_cli(["threshold", "--family", "werner", "--d", "2", "--gamma", "1.5"]) == 2
+    assert run_cli(["threshold", "--d", "2", "--gamma", "1.5"]) == 2
     capsys.readouterr()
     # WernerParams' own rule rejects a missing or doubled gamma/p
     for args in ([], ["--gamma", "0", "--p", "0.5"]):
-        assert run_cli(["threshold", "--family", "werner", "--d", "2"] + args) == 2
+        assert run_cli(["threshold", "--d", "2"] + args) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "exactly one of gamma or p" in captured.err
 
@@ -84,13 +84,13 @@ def test_threshold_invalid_arguments(capsys):
 @pytest.mark.parametrize(
     "args",
     [
-        ["--family", "werner", "--file", "{path}", "--gamma", "-0.9", "--d", "3"],
-        ["--family", "file", "--d", "2", "--gamma", "0.4"],
+        ["--file", "{path}", "--gamma", "-0.9", "--d", "3"],
         ["--file", "{path}", "--gamma", "0.4"],
         ["--file", "{path}", "--p", "0.4"],
         ["--file", "{path}", "--d", "5"],
+        ["--file", "", "--gamma", "0.4"],  # an empty path ran a Werner threshold
     ],
-    ids=["werner_with_file", "file_without_file", "file_with_gamma", "file_with_p", "file_with_d"],
+    ids=["werner_with_file", "file_with_gamma", "file_with_p", "file_with_d", "empty_file_with_gamma"],
 )
 def test_threshold_rejects_a_family_the_other_options_contradict(tmp_path, capsys, args):
     path = tmp_path / "w.state"
@@ -98,6 +98,28 @@ def test_threshold_rejects_a_family_the_other_options_contradict(tmp_path, capsy
     assert run_cli(["threshold"] + [a.format(path=path) for a in args]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--bell", "phi_plus"], ["--bell", "psi_minus"], ["--family", "werner"], ["--family", "file"]],
+)
+def test_threshold_rejects_removed_options(capsys, args):
+    # the target is always phi_plus, and the state is a file exactly when --file is given
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["threshold", "--d", "2", "--gamma", "-0.5"] + args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan 0.0", "inf 0.0", "0.5 nan"])
+def test_threshold_rejects_a_state_file_with_a_non_finite_entry(tmp_path, capsys, bad):
+    path = tmp_path / "bad.state"
+    entries = ["0.5 0.0", "0.0 0.0", "0.0 0.0", bad]
+    path.write_text("\n".join(["kext-state v1", "layout A:1 B:2", "dim 2"] + entries) + "\n")
+    assert run_cli(["threshold", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "NaN or infinite" in captured.err
 
 
 @pytest.mark.parametrize("tol_alpha", ["1e-12", "inf", "nan", "1.0"])
@@ -117,7 +139,7 @@ def test_threshold_solver_failure_exit_code(capsys, monkeypatch):
         raise SolverConvergenceError("stalled")
 
     monkeypatch.setattr(cli, "fidelity_threshold", boom)
-    assert run_cli(["threshold", "--family", "werner", "--d", "2", "--gamma", "0"]) == 3
+    assert run_cli(["threshold", "--d", "2", "--gamma", "0"]) == 3
     assert "solver failure" in capsys.readouterr().err
 
 
@@ -167,6 +189,7 @@ def test_config_parsing_and_validation():
         "n = 1,two",
         "side = charlie",
         "bell = phi_minus",
+        "bell = phi_plus",  # the target is fixed: a bell key is unknown, whatever its value
         "backend = lanczos",
         "threads = 2",  # sweeps run serially; a threads key is not silently ignored
     ],
@@ -180,6 +203,12 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, line):
     assert run_cli(["sweep", "--config", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_keys_target_exactly_the_sweep_config_fields():
+    # a knob removed from SweepConfig but left in CONFIG_KEYS, or the reverse, fails here
+    targets = [name for name, _ in cli.CONFIG_KEYS.values()]
+    assert sorted(targets) == sorted(f.name for f in dataclasses.fields(cli.SweepConfig))
 
 
 def test_sweep_rows_match_closed_form(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import time
 
@@ -20,14 +21,12 @@ from kextdistill.linalg import (
     reorder_to,
 )
 from kextdistill.solver import (
-    BELLS,
     SIDES,
     TOL_EIG,
     CJOperator,
     KExtProblem,
     ProbeAssembly,
     SingularOutputError,
-    build_probe,
     cj_of_mnp,
     construct_f1_strategy,
     evaluate_map_fidelity,
@@ -83,9 +82,15 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         KExtProblem(state=state, side="carol")
     with pytest.raises(ValueError):
-        KExtProblem(state=state, bell="phi_minus")
-    with pytest.raises(ValueError):
         KExtProblem.for_werner(d=3, gamma=0.0, n=2, k=2, backend="dense")  # 104976 dims
+
+
+@pytest.mark.parametrize("n,k", [(1, 2.0), (1.5, 1), (np.float64(2.0), 1), (1, "2")])
+def test_problem_rejects_non_integer_copies_and_extensions(n, k):
+    # k = 2.0 gave total_dim 256.0 and n = 1.5 gave 181.02, then a TypeError inside the solve
+    with pytest.raises(ValueError, match="integers"):
+        KExtProblem(state=maximally_mixed(2, 2), n=n, k=k)
+    assert KExtProblem(state=maximally_mixed(2, 2), n=np.int64(1), k=2).total_dim == 256
 
 
 def mixed_2x3(rank, eps=0.0):
@@ -124,7 +129,7 @@ def test_backend_resolution():
 
 def test_probe_of_maximally_mixed_factorizes():
     prob = KExtProblem(state=maximally_mixed(2, 2), n=1, k=1)
-    probe = build_probe(prob, 0.6)
+    probe = ProbeAssembly(prob).dense(0.6)
     m = probe_operator(0.6).entries
     lay = probe.layout
     expected = (
@@ -142,30 +147,30 @@ def test_probe_is_psd_at_alpha_one():
     ]
     for state in states:
         prob = KExtProblem(state=state, n=1, k=1)
-        probe = build_probe(prob, 1.0)
+        probe = ProbeAssembly(prob).dense(1.0)
         assert eig_min_dense(probe) > -1e-11
 
 
 def test_probe_negative_below_threshold_for_singlet():
     prob = KExtProblem.for_werner(d=2, gamma=-1.0)
-    probe = build_probe(prob, 0.9)
+    probe = ProbeAssembly(prob).dense(0.9)
     assert eig_min_dense(probe) < -1e-6
 
 
 def test_probe_real_fast_path():
-    probe = build_probe(KExtProblem.for_werner(d=2, gamma=0.5), 0.5)
+    probe = ProbeAssembly(KExtProblem.for_werner(d=2, gamma=0.5)).dense(0.5)
     assert probe.is_real
 
 
-def embed_reference_pieces(assembly):
-    """The probe pieces built term by term from full Kronecker products."""
+def embed_reference_pieces(assembly, bell):
+    """The probe pieces toward the given Bell target, built term by term from full Kronecker products."""
     dim = assembly.layout.total_dim
     dtype = np.float64 if assembly.is_real else np.complex128
     const = np.zeros((dim, dim), dtype=dtype)
     linear = np.zeros((dim, dim), dtype=dtype)
     for big, small in assembly.pairs:
         linear += embed(assembly.layout, {big: assembly.rho_fused}).entries
-        const -= embed(assembly.layout, {big: assembly.rho_fused, small: assembly.bell}).entries
+        const -= embed(assembly.layout, {big: assembly.rho_fused, small: bell}).entries
     return const, linear
 
 
@@ -174,13 +179,22 @@ def embed_reference_pieces(assembly):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("side", ["bob", "alice"])
 def test_dense_pieces_match_embed_reference(side, n, kind, bell):
+    # the assembly targets phi_plus; toward psi_minus the probe is the same
+    # one with each b qubit rotated by iY, since (I x iY) phi_plus (I x iY)^dag
+    # is psi_minus, so every Bell target has the phi_plus spectrum
     if kind == "werner":
         state = werner(WernerParams(d=2, gamma=-0.3))
     else:
         state = random_state(np.random.default_rng(7), 2, 2)
-    assembly = ProbeAssembly(KExtProblem(state=state, n=n, k=1, side=side, bell=bell))
+    assembly = ProbeAssembly(KExtProblem(state=state, n=n, k=1, side=side))
     const, linear = assembly.dense_pieces()
-    ref_const, ref_linear = embed_reference_pieces(assembly)
+    if bell == "psi_minus":
+        iy = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        rotation = functools.reduce(
+            np.kron, [iy if lab.startswith("b") else np.eye(dim) for lab, dim in assembly.layout.subsystems]
+        )
+        const, linear = rotation @ const @ rotation.T, rotation @ linear @ rotation.T
+    ref_const, ref_linear = embed_reference_pieces(assembly, bell_state(bell, 2).matrix)
     assert assembly.is_real == (kind == "werner")
     assert const.dtype == ref_const.dtype
     assert np.array_equal(const, ref_const)
@@ -191,10 +205,9 @@ def test_dense_pieces_match_embed_reference(side, n, kind, bell):
 def test_dense_and_handle_agree(side, n):
     rng = np.random.default_rng(1)
     state = random_state(rng, 2, 2)
-    prob_dense = KExtProblem(state=state, n=n, k=1, side=side, backend="dense")
-    prob_iter = KExtProblem(state=state, n=n, k=1, side=side, backend="iterative")
-    probe = build_probe(prob_dense, 0.7)
-    handle = build_probe(prob_iter, 0.7)
+    assembly = ProbeAssembly(KExtProblem(state=state, n=n, k=1, side=side))
+    probe = assembly.dense(0.7)
+    handle = assembly.handle(0.7)
     assert isinstance(handle, LinearMapHandle)
     v = rng.standard_normal(probe.dim) + 1j * rng.standard_normal(probe.dim)
     assert np.abs(probe.entries @ v - handle.apply(v)).max() < 1e-10
@@ -262,8 +275,7 @@ def test_threshold_result_invariants():
 def test_threshold_certificate_is_a_negative_eigenvector(problem):
     result = fidelity_threshold(problem)
     v = result.certificate
-    probe = build_probe(problem, result.alpha_star)
-    pv = probe.entries @ v if isinstance(probe, HermitianOperator) else probe.apply(v)
+    pv = ProbeAssembly(problem).handle(result.alpha_star).apply(v)
     lam = result.lambda_residual
     assert (result.alpha_star, lam) in result.samples
     assert np.vdot(v, pv).real / np.vdot(v, v).real < -TOL_EIG
@@ -344,7 +356,6 @@ def threshold_problems(draw):
         state=state,
         k=k,
         side=side,
-        bell=draw(st.sampled_from(BELLS)),
         backend=draw(st.sampled_from(["dense", "iterative"])),
     )
 
@@ -397,6 +408,14 @@ def test_threshold_is_at_least_the_maximally_mixed_bound(problem):
     assert alpha_star >= maxmixed_bound(problem.k) - tol_alpha
 
 
+@pytest.mark.parametrize("alpha", [1.5, -0.5, np.nan])
+@pytest.mark.parametrize("backend", ["dense", "iterative", "s3_blocks"])
+def test_lambda_min_rejects_alpha_outside_the_unit_interval(backend, alpha):
+    # dense returned 0.303 at alpha = 1.5, and ARPACK raised a raw ArpackError at NaN
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        lambda_min_alpha(KExtProblem.for_werner(d=2, gamma=0.2, backend=backend), alpha)
+
+
 def test_threshold_tolerance_validation():
     for tol_alpha in (1e-12, 0.0, 1.0, np.inf, np.nan):
         with pytest.raises(ValueError):
@@ -437,12 +456,6 @@ def test_universal_floor_over_states():
         for k in (1, 2):
             result = fidelity_threshold(KExtProblem(state=state, k=k), tol_alpha=1e-7)
             assert result.alpha_star >= maxmixed_bound(k) - 1e-6
-
-
-def test_bell_choice_equivalence():
-    r_phi = fidelity_threshold(KExtProblem.for_werner(d=2, gamma=-0.5, bell="phi_plus"))
-    r_psi = fidelity_threshold(KExtProblem.for_werner(d=2, gamma=-0.5, bell="psi_minus"))
-    assert abs(r_phi.alpha_star - r_psi.alpha_star) < 1e-8
 
 
 def test_threshold_dimension_independence():

@@ -30,6 +30,17 @@ def test_density_operator_rejects_non_psd():
         from_matrix(np.diag([1.0, -0.01]), layout(("A", 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_from_matrix_rejects_non_finite_entries(bad):
+    # a NaN passed the Hermiticity test, since comparisons with NaN are false,
+    # and np.linalg.eigvalsh(diag(1, 1, 1, nan)) returns [0, -0, 1, 1] without an error
+    for where in ((3, 3), (0, 1)):
+        mat = np.eye(4, dtype=complex)
+        mat[where] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            from_matrix(mat, layout(("A", 2), ("B", 2)))
+
+
 def test_density_operator_normalizes():
     rho = from_matrix(np.eye(4) * 3.0, layout(("A", 2), ("B", 2)))
     assert rho.op.trace() == pytest.approx(1.0, abs=1e-14)
