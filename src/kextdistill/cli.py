@@ -77,6 +77,8 @@ class SweepConfig:
             check_tol_alpha(self.tol_alpha)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if not self.n_values or not self.k_values:
+            raise ConfigError("n and k each need at least one value")
         if any(n < 1 for n in self.n_values) or any(k < 1 for k in self.k_values):
             raise ConfigError("n and k must be >= 1")
         multi = len(self.n_values) > 1 or len(self.k_values) > 1
@@ -159,6 +161,13 @@ def _problem(cfg: SweepConfig, param: float, n: int, k: int) -> KExtProblem:
     return KExtProblem(state=state, n=n, k=k, side=cfg.side, backend=cfg.backend)
 
 
+def _check_output(path: str) -> None:
+    """ConfigError unless path names a file in an existing, writable directory."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise ConfigError(f"cannot write {path}: not a file in an existing, writable directory")
+
+
 def _write(path: str, header: str, columns: str, rows) -> None:
     """Write header, columns and one line per row: str fields as they are, others by repr.
 
@@ -178,14 +187,16 @@ def _write(path: str, header: str, columns: str, rows) -> None:
 def run_sweep(cfg: SweepConfig) -> list[str]:
     """Execute the sweep; returns the list of files written.
 
-    Every problem is built before the first threshold runs, so a problem the
-    configuration cannot describe is a ConfigError and writes nothing.  Rows
+    Every problem is built and every output path checked before the first
+    threshold runs, so a problem the configuration cannot describe, or an
+    output that cannot be written, is a ConfigError and computes nothing.  Rows
     are emitted in parameter order.  A file is opened only once all its rows
     are computed, so a failed or interrupted sweep removes at most the file
     it was writing and leaves earlier outputs alone.
     """
     cfg.validate()
     if cfg.family == "ellipse":
+        _check_output(cfg.output)
         rows = []
         for theta in np.linspace(0.0, 2.0 * math.pi, cfg.points, endpoint=False).tolist():
             pt = MnPTradeoff.from_angle(theta)
@@ -197,6 +208,7 @@ def run_sweep(cfg: SweepConfig) -> list[str]:
     for n in cfg.n_values:
         for k in cfg.k_values:
             path = cfg.output.replace("{n}", str(n)).replace("{k}", str(k))
+            _check_output(path)
             if cfg.family == "werner":
                 params = [float(v) for v in np.linspace(cfg.start, cfg.stop, cfg.points)]
             else:
@@ -283,6 +295,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if args.output:
+        try:
+            _check_output(args.output)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     results = validate_mod.run_checks(fast=args.fast)
     doc = validate_mod.report(results)
     text = json.dumps(doc, indent=2)

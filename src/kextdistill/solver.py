@@ -9,11 +9,13 @@ where the n copies are fused into composite A and B subsystems before the
 extensions attach, V_i swaps the distinguished (B, b) pair with the i-th
 extension pair, and M^alpha = alpha*I - phi_plus on the two output qubits.  Its
 smallest eigenvalue is negative exactly when fidelity above alpha is reachable
-by a k-extendible map.
+by a k-extendible map.  phi_plus is symmetric in its qubits, so the alice side
+of rho_AB is solved as the bob side of rho_BA.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -51,6 +53,8 @@ from .states import (
 DEFAULT_TOL_ALPHA = 1e-8
 MIN_TOL_ALPHA = 1e-10   # tighter than the eigensolver tolerances can resolve
 SIDES = ("bob", "alice")
+# per side, the spectator S and the extended party X as indices into the state's (A, B)
+PARTY_ORDER = {"bob": (0, 1), "alice": (1, 0)}
 BACKENDS = ("auto", "dense", "iterative", "s3_blocks")
 # auto: dense below this probe dimension; at 384, ARPACK lost to dense on 3 of 5 full-rank states (2 cores)
 AUTO_ITERATIVE_MIN_DIM = 512
@@ -96,7 +100,8 @@ class ThresholdResult:
     for full-rank states and a certified lower bound otherwise.  samples holds
     every (alpha, lambda_min) the search evaluated, sorted by alpha.
     certificate is the probe eigenvector of lambda_residual at alpha_star:
-    None for s3_blocks, or when no alpha was certified negative.
+    None for s3_blocks, or when no alpha was certified negative.  It is
+    ordered like ProbeAssembly(problem).layout, spectator first, on either side.
     For s3_blocks, lambda_residual is (d^2 + gamma d)^n times the probe
     eigenvalue (see blocks.s3_block_lambda_min), left unscaled: TOL_EIG is
     absolute, and at n = 8, d = 3 the probe-scale value is -4.4e-14 to -1.6e-10.
@@ -167,15 +172,14 @@ class KExtProblem:
 
     @property
     def input_dims(self) -> tuple[int, int]:
-        (_, d_a), (_, d_b) = self.state.layout.subsystems
-        return d_a, d_b
+        """(d_S, d_X): the spectator's dimension, then the extended party's."""
+        dims = self.state.layout.dims
+        return tuple(dims[p] for p in PARTY_ORDER[self.side])
 
     @property
     def total_dim(self) -> int:
-        d_a, d_b = self.input_dims
-        if self.side == "bob":
-            return d_a**self.n * d_b ** (self.n * (self.k + 1)) * 2 ** (self.k + 2)
-        return d_a ** (self.n * (self.k + 1)) * d_b**self.n * 2 ** (self.k + 2)
+        d_s, d_x = self.input_dims
+        return d_s**self.n * d_x ** (self.n * (self.k + 1)) * 2 ** (self.k + 2)
 
     def resolved_backend(self) -> str:
         """The backend a solve uses: `auto` decides from the probe dimension and the state's spectrum."""
@@ -190,18 +194,13 @@ class KExtProblem:
         return "iterative" if condition >= AUTO_ITERATIVE_MIN_CONDITION else "dense"
 
 
-def _fuse_copies(mat: np.ndarray, d_a: int, d_b: int, n: int) -> np.ndarray:
-    """(A1 B1 A2 B2 ...) ordered n-fold product, regrouped as (A1..An, B1..Bn)."""
-    if n == 1:
-        return mat
-    acc = mat
-    for _ in range(n - 1):
-        acc = np.kron(acc, mat)
-    dims = (d_a, d_b) * n
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+def _fuse_copies(mat: np.ndarray, dims: tuple[int, int], n: int, parties: tuple[int, int]) -> np.ndarray:
+    """(A1 B1 A2 B2 ...) ordered n-fold product, regrouped as (S1..Sn, X1..Xn) for parties (S, X)."""
+    acc = functools.reduce(np.kron, [mat] * n)
+    order = [2 * c + p for p in parties for c in range(n)]
     order = order + [p + 2 * n for p in order]
-    big = d_a**n * d_b**n
-    return acc.reshape(dims * 2).transpose(order).reshape(big, big)
+    big = (dims[0] * dims[1]) ** n
+    return acc.reshape(dims * 2 * n).transpose(order).reshape(big, big)
 
 
 def _apply_pair(op4: np.ndarray, tensor: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -220,25 +219,21 @@ class ProbeAssembly:
 
     def __init__(self, problem: KExtProblem):
         self.problem = problem
-        d_a, d_b = problem.input_dims
         n, k = problem.n, problem.k
-        rho_t = problem.state.matrix.T
-        self.rho_fused = _fuse_copies(rho_t, d_a, d_b, n)
+        parties = PARTY_ORDER[problem.side]
+        self.rho_fused = _fuse_copies(problem.state.matrix.T, problem.state.layout.dims, n, parties)
         self.bell = bell_state("phi_plus", 2).matrix
-        big_a, big_b = d_a**n, d_b**n
-        if problem.side == "bob":
-            subs = [("A", big_a)] + [(f"B{i}", big_b) for i in range(k + 1)]
-            subs += [("a", 2)] + [(f"b{i}", 2) for i in range(k + 1)]
-            self.pairs = [(("A", f"B{i}"), ("a", f"b{i}")) for i in range(k + 1)]
-        else:
-            subs = [(f"A{i}", big_a) for i in range(k + 1)] + [("B", big_b)]
-            subs += [(f"a{i}", 2) for i in range(k + 1)] + [("b", 2)]
-            self.pairs = [((f"A{i}", "B"), (f"a{i}", "b")) for i in range(k + 1)]
+        # (S, X0..Xk, s, x0..xk): S = A on the bob side, B on the alice side
+        big_s, big_x = (d**n for d in problem.input_dims)
+        s, x = ("AB"[p] for p in parties)
+        subs = [(s, big_s)] + [(f"{x}{i}", big_x) for i in range(k + 1)]
+        subs += [(s.lower(), 2)] + [(f"{x.lower()}{i}", 2) for i in range(k + 1)]
+        self.pairs = [((s, f"{x}{i}"), (s.lower(), f"{x.lower()}{i}")) for i in range(k + 1)]
         self.layout = SystemLayout(tuple(subs))
         self.is_real = not np.iscomplexobj(self.rho_fused)
         # |alpha I - Bell| <= 1 on [0, 1] and |(rho^{x n})^T| = lambda_max(rho)^n, per pair
         self.norm_bound = (k + 1) * float(problem.state.spectrum[-1]) ** n
-        self._rho_r = self.rho_fused.reshape(big_a, big_b, big_a, big_b)
+        self._rho_r = self.rho_fused.reshape(big_s, big_x, big_s, big_x)
         self._bell_r = self.bell.reshape(2, 2, 2, 2)
         self._axes = [
             (
@@ -431,7 +426,8 @@ def _mnp_choi(pairs: Sequence[tuple[np.ndarray, np.ndarray]], dims: tuple[int, .
 
     dims are (d_S, d_X, d_s, d_x); (S, X, s, x) is (A, B, a, b) for bob, (B, A, b, a) for alice.
     """
-    labels = ("A", "B", "a", "b") if side == "bob" else ("B", "A", "b", "a")
+    s, x = ("AB"[p] for p in PARTY_ORDER[side])
+    labels = (s, x, s.lower(), x.lower())
     mat = sum(np.kron(m_in.T, m_out) for m_in, m_out in pairs)
     core = HermitianOperator(SystemLayout(tuple(zip(labels, dims))), mat)
     d_a, d_b = core.layout.dim_of("A"), core.layout.dim_of("B")

@@ -204,45 +204,30 @@ def save_state(path, op: HermitianOperator | DensityOperator) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_state(
-    path,
-    lay: SystemLayout | None = None,
-    require_normalized: bool = True,
-) -> DensityOperator:
+def load_state(path, require_normalized: bool = True) -> DensityOperator:
     """Read a kext-state file and validate it (Hermitian, PSD, optionally normalized)."""
     with open(path) as fh:
         raw = [line.strip() for line in fh if line.strip()]
     if not raw or raw[0] != STATE_FILE_HEADER:
         raise StateValidationError(f"{path}: missing '{STATE_FILE_HEADER}' header")
-    pos = 1
-    file_layout: SystemLayout | None = None
-    if pos < len(raw) and raw[pos].startswith("layout "):
-        subs = []
-        for token in raw[pos].split()[1:]:
-            lab, _, dim = token.partition(":")
-            if not dim.isdigit():
-                raise StateValidationError(f"{path}: malformed layout token {token!r}")
-            subs.append((lab, int(dim)))
-        file_layout = SystemLayout(tuple(subs))
-        pos += 1
-    if pos >= len(raw) or not raw[pos].startswith("dim "):
+    if len(raw) < 2 or not raw[1].startswith("layout "):
+        raise StateValidationError(f"{path}: missing 'layout' line")
+    subs = []
+    for token in raw[1].split()[1:]:
+        lab, _, dim = token.partition(":")
+        if not dim.isdigit():
+            raise StateValidationError(f"{path}: malformed layout token {token!r}")
+        subs.append((lab, int(dim)))
+    lay = SystemLayout(tuple(subs))
+    if len(raw) < 3 or not raw[2].startswith("dim "):
         raise StateValidationError(f"{path}: missing 'dim' line")
     try:
-        dim = int(raw[pos].split()[1])
+        dim = int(raw[2].split()[1])
     except (IndexError, ValueError) as exc:
-        raise StateValidationError(f"{path}: malformed dim line {raw[pos]!r}") from exc
-    pos += 1
-    if lay is None:
-        lay = file_layout
-    if lay is None:
-        raise StateValidationError(f"{path}: no layout line in file and none supplied")
-    if file_layout is not None and file_layout.dims != lay.dims:
-        raise StateValidationError(
-            f"{path}: file layout dims {file_layout.dims} do not match requested {lay.dims}"
-        )
+        raise StateValidationError(f"{path}: malformed dim line {raw[2]!r}") from exc
     if lay.total_dim != dim:
         raise StateValidationError(f"{path}: dim {dim} does not match layout dimension {lay.total_dim}")
-    rows = raw[pos:]
+    rows = raw[3:]
     if len(rows) != dim * dim:
         raise StateValidationError(f"{path}: expected {dim * dim} entry lines, found {len(rows)}")
     try:

@@ -187,6 +187,8 @@ def test_config_parsing_and_validation():
         "tol_alpha = 1.0",
         "output =",
         "n = 1,two",
+        "n =",  # an empty list ran no curve and exited 0
+        "k =",
         "side = charlie",
         "bell = phi_minus",
         "bell = phi_plus",  # the target is fixed: a bell key is unknown, whatever its value
@@ -293,6 +295,23 @@ def test_sweep_rejects_unbuildable_problems_before_any_work(tmp_path, capsys, li
     assert run_cli(["sweep", "--config", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("family", ["werner", "ellipse"])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_sweep_rejects_an_unwritable_output_before_any_work(tmp_path, monkeypatch, capsys, family, where):
+    # the write used to find a missing directory after every row was computed, and exit 3
+    out = tmp_path / "missing" / "x_n{n}_k{k}.csv" if where == "missing-directory" else tmp_path
+    path = tmp_path / "sweep.cfg"
+    path.write_text(BASE_CFG.format(out=out) + f"family = {family}\n")
+
+    def computed(*args, **kwargs):
+        raise AssertionError("a row was computed before the output was checked")
+
+    monkeypatch.setattr(cli, "fidelity_threshold", computed)
+    monkeypatch.setattr(cli.MnPTradeoff, "from_angle", computed)
+    assert run_cli(["sweep", "--config", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_sweep_block_backend_on_a_werner_state_file(tmp_path):
@@ -458,6 +477,16 @@ def test_validate_command_json(tmp_path, capsys):
     assert json.loads(out.read_text()) == doc
     names = {c["name"] for c in doc["checks"]}
     assert "alpha1_symmetry" in names
+
+
+def test_validate_rejects_an_unwritable_output_before_any_check(tmp_path, monkeypatch, capsys):
+    # the report used to fail to open after every check had run, with a traceback and exit 1
+    def checks(fast=False):
+        raise AssertionError("a check ran before the output was checked")
+
+    monkeypatch.setattr(cli.validate_mod, "run_checks", checks)
+    assert run_cli(["validate", "--fast", "--output", str(tmp_path / "missing" / "report.json")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_validate_command_nonzero_exit_on_failure(monkeypatch, capsys):

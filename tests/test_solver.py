@@ -16,7 +16,6 @@ from kextdistill.linalg import (
     embed,
     layout,
     partial_trace,
-    permute_subsystems,
     relabel,
     reorder_to,
 )
@@ -214,14 +213,23 @@ def test_dense_and_handle_agree(side, n):
 
 
 def test_alice_side_probe_matches_swapped_state():
+    # the alice side of rho_AB is the bob side of rho_BA, bit for bit;
+    # d_A != d_B pins which party the probe puts first
     rng = np.random.default_rng(2)
-    state = random_state(rng, 2, 2)
+    state = random_state(rng, 2, 3)
     swapped = from_matrix(
-        permute_subsystems(state.op, {"A": "B", "B": "A"}).entries, state.layout
+        reorder_to(state.op, layout(("B", 3), ("A", 2))).entries, layout(("A", 3), ("B", 2))
     )
-    a_side = lambda_min_alpha(KExtProblem(state=state, side="alice"), 0.7)
-    b_side = lambda_min_alpha(KExtProblem(state=swapped, side="bob"), 0.7)
-    assert abs(a_side - b_side) < 1e-10
+    for n, k in itertools.product((1, 2), (1, 2)):
+        alice = ProbeAssembly(KExtProblem(state=state, n=n, k=k, side="alice"))
+        bob = ProbeAssembly(KExtProblem(state=swapped, n=n, k=k, side="bob"))
+        for assembly in (alice, bob):
+            assert assembly.problem.total_dim == assembly.layout.total_dim
+        v = rng.standard_normal(alice.layout.total_dim) + 1j * rng.standard_normal(alice.layout.total_dim)
+        assert np.array_equal(alice.handle(0.7).apply(v), bob.handle(0.7).apply(v))
+        if (n, k) != (2, 2):  # n = k = 2 has 9216 rows: its dense pieces take 1.4 GB each
+            for a_piece, b_piece in zip(alice.dense_pieces(), bob.dense_pieces()):
+                assert np.array_equal(a_piece, b_piece)
 
 
 # ---------------------------------------------------------------------------
