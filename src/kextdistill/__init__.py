@@ -6,10 +6,11 @@ negative eigenvalue; this package assembles those probes (dense or
 matrix-free), finds the fidelity threshold, evaluates maps through their
 Choi states, builds the measure-and-prepare strategies that reach unit
 fidelity on rank-deficient states, and carries the closed-form Werner-state
-results plus a symmetric-group block fast path for multi-copy curves.
+results plus symmetric-group block backends for Werner states: one
+extension at any copy count, and Schur-Weyl blocks at any n and k.
 """
 
-from .blocks import s3_block_lambda_min
+from .blocks import WernerBlocks, s3_block_lambda_min
 from .linalg import (
     HermitianOperator,
     LinearMapHandle,

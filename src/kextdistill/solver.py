@@ -55,7 +55,7 @@ MIN_TOL_ALPHA = 1e-10   # tighter than the eigensolver tolerances can resolve
 SIDES = ("bob", "alice")
 # per side, the spectator S and the extended party X as indices into the state's (A, B)
 PARTY_ORDER = {"bob": (0, 1), "alice": (1, 0)}
-BACKENDS = ("auto", "dense", "iterative", "s3_blocks")
+BACKENDS = ("auto", "dense", "iterative", "s3_blocks", "schur_weyl")
 # auto: dense below this probe dimension; at 384, ARPACK lost to dense on 3 of 5 full-rank states (2 cores)
 AUTO_ITERATIVE_MIN_DIM = 512
 # auto, below DENSE_DIM_LIMIT: iterative only if (lambda_min(rho) / lambda_max(rho))^n is at
@@ -100,8 +100,9 @@ class ThresholdResult:
     for full-rank states and a certified lower bound otherwise.  samples holds
     every (alpha, lambda_min) the search evaluated, sorted by alpha.
     certificate is the probe eigenvector of lambda_residual at alpha_star:
-    None for s3_blocks, or when no alpha was certified negative.  It is
-    ordered like ProbeAssembly(problem).layout, spectator first, on either side.
+    None on both block backends (s3_blocks and schur_weyl), or when no alpha
+    was certified negative.  It is ordered like ProbeAssembly(problem).layout,
+    spectator first, on either side.
     For s3_blocks, lambda_residual is (d^2 + gamma d)^n times the probe
     eigenvalue (see blocks.s3_block_lambda_min), left unscaled: TOL_EIG is
     absolute, and at n = 8, d = 3 the probe-scale value is -4.4e-14 to -1.6e-10.
@@ -150,6 +151,8 @@ class KExtProblem:
             if self.k != 1:
                 raise ValueError("the block backend covers k = 1 only")
             werner_params_of(self.state)
+        if self.backend == "schur_weyl" and (rows := self.largest_werner_block()) > DENSE_DIM_LIMIT:
+            raise ValueError(f"schur_weyl limited to blocks of {DENSE_DIM_LIMIT} rows, this problem's largest has {rows}")
 
     @classmethod
     def for_werner(
@@ -181,10 +184,24 @@ class KExtProblem:
         d_s, d_x = self.input_dims
         return d_s**self.n * d_x ** (self.n * (self.k + 1)) * 2 ** (self.k + 2)
 
+    def largest_werner_block(self) -> int:
+        """Rows of the largest Schur-Weyl block of this problem; ValueError unless the state is a Werner state."""
+        return blocks.largest_block(werner_params_of(self.state).d, self.n, self.k)
+
     def resolved_backend(self) -> str:
-        """The backend a solve uses: `auto` decides from the probe dimension and the state's spectrum."""
+        """The backend a solve uses.
+
+        `auto` takes schur_weyl for a Werner state whose largest block fits
+        DENSE_DIM_LIMIT, and otherwise decides from the probe dimension and
+        the state's spectrum.
+        """
         if self.backend != "auto":
             return self.backend
+        try:
+            if self.largest_werner_block() <= DENSE_DIM_LIMIT:
+                return "schur_weyl"
+        except ValueError:  # not a Werner state
+            pass
         if self.total_dim >= DENSE_DIM_LIMIT:
             return "iterative"
         if self.total_dim < AUTO_ITERATIVE_MIN_DIM:
@@ -251,8 +268,11 @@ class ProbeAssembly:
         return rv, _apply_pair(self._bell_r, rv, qa, qb)
 
     def dense_pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """(const, linear) as dim x dim arrays; ValueError above DENSE_DIM_LIMIT, before any allocation."""
         if self._dense_pieces is None:
             dim = self.layout.total_dim
+            if dim > DENSE_DIM_LIMIT:
+                raise ValueError(f"dense probe pieces limited to dimension {DENSE_DIM_LIMIT}, this probe has {dim}")
             shape = self.layout.dims + (dim,)
             dtype = np.float64 if self.is_real else np.complex128
             const = np.zeros(shape, dtype=dtype)
@@ -287,6 +307,12 @@ class ProbeAssembly:
         )
 
 
+def _check_alpha(alpha: float) -> float:
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    return alpha
+
+
 def _lambda_min_solver(
     problem: KExtProblem,
 ) -> Callable[[float], tuple[float, float, np.ndarray | None]]:
@@ -295,16 +321,22 @@ def _lambda_min_solver(
     The slope is v^dag L v for the returned eigenvector v and the linear part
     L: a supergradient of the concave lambda_min (Hellmann-Feynman), computed
     through the term kernel.  Each iterative solve starts from the previous
-    eigenvector, the first from EIG_SEED.  The block backend reads gamma and
-    d from the Werner state, takes the slope of its lowest block and returns
-    no probe eigenvector.  Every backend raises ValueError for alpha outside
-    [0, 1] or NaN.  A non-converging iterative solve raises
-    SolverConvergenceError.
+    eigenvector, the first from EIG_SEED.  The block backends read the
+    Werner state, take the slope of their lowest block and return no probe
+    eigenvector; schur_weyl builds its blocks in its first solve.  Every
+    backend raises ValueError for alpha outside [0, 1] or NaN.  A
+    non-converging iterative solve raises SolverConvergenceError.
     """
     backend = problem.resolved_backend()
     if backend == "s3_blocks":
         params = werner_params_of(problem.state)
         return lambda alpha: (*blocks.s3_block_lambda_min(params.gamma, alpha, problem.n, params.d), None)
+    if backend == "schur_weyl":
+        # rho = c0 I + c1 V with c0 = rho[01,01] and c1 = rho[01,10]; rho_BA = rho_AB, so either side
+        d = problem.state.layout.dims[0]
+        rho = problem.state.matrix
+        werner_probe = blocks.WernerBlocks(float(rho[1, 1].real), float(rho[1, d].real), d, problem.n, problem.k)
+        return lambda alpha: (*werner_probe.lambda_min(_check_alpha(alpha)), None)
     assembly = ProbeAssembly(problem)
     dims = assembly.layout.dims
     previous: np.ndarray | None = None
@@ -316,8 +348,7 @@ def _lambda_min_solver(
 
     def solve(alpha: float) -> tuple[float, float, np.ndarray]:
         nonlocal previous
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+        _check_alpha(alpha)
         if backend == "dense":
             return with_slope(*eig_min_dense_vec(assembly.dense(alpha)))
         lam, vec = eig_min_iterative(assembly.handle(alpha), v0=previous)

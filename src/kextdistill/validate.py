@@ -79,7 +79,7 @@ def check_dense_vs_alpha1() -> CheckResult:
     points = [(2, g) for g in (-0.8, -0.4, 0.0, 0.4, 0.8)] + [(3, g) for g in (-0.6, 0.3)]
     worst = 0.0
     for d, g in points:
-        r = fidelity_threshold(KExtProblem.for_werner(d=d, gamma=g), tol_alpha=1e-8)
+        r = fidelity_threshold(KExtProblem.for_werner(d=d, gamma=g, backend="dense"), tol_alpha=1e-8)
         worst = max(worst, abs(r.alpha_star - wa.alpha_max_k1(g)))
     return _result("dense_vs_alpha1", worst, 1e-6)
 
@@ -163,6 +163,32 @@ def check_iterative_vs_dense() -> CheckResult:
         worst = max(worst, abs(fidelity_threshold(iterative).alpha_star - fidelity_threshold(dense).alpha_star))
     passed = worst <= 1e-6 and worst_lambda <= 1e-9
     return CheckResult("iterative_vs_dense", passed, worst, 1e-6, {"lambda_gap": worst_lambda, "lambda_tol": 1e-9})
+
+
+def check_schur_weyl_vs_probe() -> CheckResult:
+    """The Schur-Weyl blocks against the full probe: lambda_min on an alpha grid, and alpha*."""
+    worst, worst_lambda = 0.0, 0.0
+    # (d, gamma, n, k, side, reference backend, alphas): dense up to dimension 1296, ARPACK at 7776
+    cases = [
+        (2, -0.6, 1, 1, "bob", "dense", (0.2, 0.5, 0.8, 1.0)),
+        (2, 0.4, 1, 2, "alice", "dense", (0.2, 0.5, 0.8, 1.0)),
+        (2, -0.25, 2, 1, "bob", "dense", (0.2, 0.5, 0.8, 1.0)),
+        (2, 0.7, 2, 1, "alice", "dense", (0.5, 0.9)),
+        (3, 0.3, 1, 1, "alice", "dense", (0.2, 0.5, 0.8, 1.0)),
+        (3, -0.5, 1, 2, "alice", "dense", (0.5, 0.75)),
+        (3, -0.5, 1, 3, "bob", "iterative", (0.7,)),
+    ]
+    for d, gamma, n, k, side, backend, alphas in cases:
+        blocks = KExtProblem.for_werner(d=d, gamma=gamma, n=n, k=k, side=side, backend="schur_weyl")
+        probe = replace(blocks, backend=backend)
+        solve_blocks, solve_probe = solver._lambda_min_solver(blocks), solver._lambda_min_solver(probe)
+        for a in alphas:
+            worst_lambda = max(worst_lambda, abs(solve_blocks(a)[0] - solve_probe(a)[0]))
+        if backend == "dense" and probe.total_dim <= 512:
+            gap = fidelity_threshold(blocks).alpha_star - fidelity_threshold(probe).alpha_star
+            worst = max(worst, abs(gap))
+    passed = worst <= 1e-6 and worst_lambda <= 1e-10
+    return CheckResult("schur_weyl_vs_probe", passed, worst, 1e-6, {"lambda_gap": worst_lambda, "lambda_tol": 1e-10})
 
 
 def check_many_copy_growth() -> CheckResult:
@@ -295,6 +321,7 @@ ALL_CHECKS = (
     check_k_monotonicity,
     check_s3_vs_dense,
     check_iterative_vs_dense,
+    check_schur_weyl_vs_probe,
     check_many_copy_growth,
     check_lambda_monotone_alpha,
     check_symmetrizer_psd,

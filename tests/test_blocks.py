@@ -1,8 +1,22 @@
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from kextdistill import blocks as blocks_mod
 from kextdistill.analytic import alpha_max_k1
-from kextdistill.blocks import s3_block_lambda_min
+from kextdistill.blocks import (
+    largest_block,
+    partitions,
+    s3_block_lambda_min,
+    specht_dim,
+    unitary_dim,
+    werner_blocks,
+    young_orthogonal_form,
+    young_transpositions,
+)
 from kextdistill import solver
 from kextdistill.solver import TOL_EIG, KExtProblem, fidelity_threshold, lambda_min_alpha
 
@@ -117,3 +131,112 @@ def test_block_backend_reads_gamma_from_the_state():
     derived = fidelity_threshold(problem)
     declared = fidelity_threshold(KExtProblem.for_werner(d=3, p=0.3, backend="s3_blocks"))
     assert derived.alpha_star == declared.alpha_star
+
+
+# ---------------------------------------------------------------------------
+# Schur-Weyl blocks at any n and k
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_young_orthogonal_form_is_a_representation(m):
+    for shape in partitions(m, m):
+        adjacent = young_orthogonal_form(shape)
+        eye = np.eye(specht_dim(shape))
+        for y in adjacent + young_transpositions(shape):
+            # symmetric orthogonal involutions
+            assert np.abs(y - y.T).max() < 1e-14
+            assert np.abs(y @ y - eye).max() < 1e-14
+        for i, a in enumerate(adjacent):
+            for j, b in enumerate(adjacent):
+                if j == i + 1:
+                    assert np.abs(a @ b @ a - b @ a @ b).max() < 1e-14, (shape, i)
+                elif j > i + 1:
+                    assert np.abs(a @ b - b @ a).max() < 1e-14, (shape, i, j)
+        # the one-row shape is the trivial representation, the one-column shape the sign
+        if len(shape) == 1:
+            assert all(y[0, 0] == 1.0 for y in adjacent)
+        if shape[0] == 1:
+            assert all(y[0, 0] == -1.0 for y in adjacent)
+
+
+def block_multiplicity(mus, nu, d, n):
+    """Orderings of the copy labels times the U(d) and U(2) irrep dimensions."""
+    orderings = math.factorial(n) // math.prod(math.factorial(c) for c in Counter(mus).values())
+    return orderings * math.prod(unitary_dim(mu, d) for mu in mus) * unitary_dim(nu, 2)
+
+
+@pytest.mark.parametrize("d, n, k", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 1, 2), (4, 1, 1)])
+def test_block_spectra_are_the_probe_spectrum(d, n, k):
+    # every block, repeated by its irrep dimensions: a missing or spurious block changes the union
+    problem = KExtProblem.for_werner(d=d, gamma=-0.35, n=n, k=k)
+    c0, c1 = problem.state.matrix[1, 1], problem.state.matrix[1, d]  # rho = c0 I + c1 V
+    assembly = solver.ProbeAssembly(problem)
+    for alpha in (0.25, 0.8):
+        probe = np.linalg.eigvalsh(assembly.dense(alpha).entries)
+        union = []
+        for mus, nu, const, linear in werner_blocks(c0, c1, d, n, k):
+            union.extend(np.repeat(np.linalg.eigvalsh(const + alpha * linear), block_multiplicity(mus, nu, d, n)))
+        assert len(union) == len(probe)
+        assert np.abs(np.sort(union) - probe).max() < 1e-13
+
+
+@pytest.mark.parametrize("d, n, k", [(2, 3, 3), (3, 2, 3), (3, 3, 2), (4, 2, 2), (3, 1, 7)])
+def test_block_dimensions_add_up_to_the_probe(d, n, k):
+    m = k + 2
+    sizes = {mu: specht_dim(mu) for mu in partitions(m, m)}
+    total = 0
+    for mus in itertools.combinations_with_replacement(partitions(m, d), n):
+        for nu in partitions(m, 2):
+            total += block_multiplicity(mus, nu, d, n) * math.prod(sizes[mu] for mu in mus) * sizes[nu]
+    assert total == KExtProblem.for_werner(d=d, gamma=0.1, n=n, k=k).total_dim
+    assert largest_block(d, n, k) == max(sizes[mu] for mu in partitions(m, d)) ** n * max(
+        sizes[nu] for nu in partitions(m, 2)
+    )
+
+
+@pytest.mark.parametrize("d, n, k", [(2, 1, 3), (3, 2, 2), (3, 1, 4)])
+def test_schur_weyl_slope_is_a_supergradient(d, n, k, assert_supergradient):
+    for gamma in (-1.0, -0.4, 0.5):
+        solve = solver._lambda_min_solver(KExtProblem.for_werner(d=d, gamma=gamma, n=n, k=k, backend="schur_weyl"))
+        assert_supergradient(lambda alpha: solve(alpha)[:2], np.linspace(0.0, 1.0, 6))
+
+
+@pytest.mark.parametrize("side", ["bob", "alice"])
+def test_schur_weyl_threshold_matches_the_probe(side):
+    for d, gamma, n, k in ((2, -0.5, 1, 2), (2, 0.3, 2, 1), (3, -1.0, 1, 1), (3, 0.6, 1, 1)):
+        blocks = fidelity_threshold(KExtProblem.for_werner(d=d, gamma=gamma, n=n, k=k, side=side))
+        dense = fidelity_threshold(KExtProblem.for_werner(d=d, gamma=gamma, n=n, k=k, side=side, backend="dense"))
+        assert blocks.backend == "schur_weyl" and blocks.certificate is None
+        assert abs(blocks.alpha_star - dense.alpha_star) <= 1e-8
+        assert blocks.lambda_residual < -TOL_EIG
+
+
+def test_schur_weyl_builds_its_blocks_in_the_first_solve(monkeypatch):
+    built = []
+    real = blocks_mod.werner_blocks
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(blocks_mod, "werner_blocks", counted)
+    problem = KExtProblem.for_werner(d=3, gamma=-0.5, k=3, backend="schur_weyl")
+    solve = solver._lambda_min_solver(problem)
+    assert built == []
+    values = [solve(alpha)[0] for alpha in (0.3, 0.9)]
+    assert len(built) == 1 and values[0] < values[1]
+
+
+def test_schur_weyl_requires_a_werner_state_and_the_block_cap():
+    from kextdistill.linalg import layout
+    from kextdistill.states import from_matrix, maximally_mixed
+
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for state in (from_matrix(g @ g.conj().T, layout(("A", 2), ("B", 2))), maximally_mixed(2, 3)):
+        with pytest.raises(ValueError):
+            KExtProblem(state=state, backend="schur_weyl")
+    # d = 3, k = 7 has a block of 8064 rows; auto keeps the dimension rule there
+    with pytest.raises(ValueError, match="8064"):
+        KExtProblem.for_werner(d=3, gamma=0.5, k=7, backend="schur_weyl")
+    assert KExtProblem.for_werner(d=3, gamma=0.5, k=7).resolved_backend() == "iterative"

@@ -36,7 +36,7 @@ def test_threshold_antisymmetric_werner(capsys):
     out = parse_output(capsys.readouterr().out)
     assert code == 0
     assert float(out["alpha_star"]) >= 0.999999
-    assert out["backend"] == "dense"
+    assert out["backend"] == "schur_weyl"
     assert out["full_rank"] == "False"
     assert float(out["wall_time_s"]) >= 0.0
 
@@ -69,6 +69,22 @@ def test_threshold_block_backend_from_werner_state_file(tmp_path, capsys):
     assert code == 0
     assert out["backend"] == "s3_blocks"
     assert abs(float(out["alpha_star"]) - alpha_max_k1(-0.5)) < 1e-8
+
+
+def test_threshold_schur_weyl_backend_needs_a_werner_state(tmp_path, capsys):
+    werner_path, other_path = tmp_path / "w.state", tmp_path / "mixed_2x2.state"
+    save_state(werner_path, werner(WernerParams(d=3, gamma=-0.5)))
+    rng = np.random.default_rng(2)
+    g = rng.standard_normal((4, 4))
+    save_state(other_path, from_matrix(g @ g.T, layout(("A", 2), ("B", 2))))
+    assert run_cli(["threshold", "--file", str(werner_path), "--backend", "schur_weyl", "--k", "3"]) == 0
+    out = parse_output(capsys.readouterr().out)
+    assert out["backend"] == "schur_weyl"
+    assert run_cli(["threshold", "--file", str(other_path), "--backend", "schur_weyl"]) == 2
+    assert "not a Werner state" in capsys.readouterr().err
+    # above the block cap: d = 3, k = 7 has a block of 8064 rows
+    assert run_cli(["threshold", "--d", "3", "--gamma", "0.5", "--k", "7", "--backend", "schur_weyl"]) == 2
+    assert "8064" in capsys.readouterr().err
 
 
 def test_threshold_invalid_arguments(capsys):
@@ -435,6 +451,7 @@ def test_validate_fresh_checkout_passes():
     results = validate.run_checks()
     failed = [r.name for r in results if not r.passed]
     assert failed == []
+    assert len(results) == 19 and "schur_weyl_vs_probe" in {r.name for r in results}
 
 
 def test_validate_reports_margins():
@@ -453,6 +470,17 @@ def test_validate_compares_the_iterative_solve_with_dense(monkeypatch):
 
     monkeypatch.setattr(solver, "eig_min_iterative", shifted)
     assert not validate.check_iterative_vs_dense().passed
+
+
+def test_validate_compares_the_schur_weyl_blocks_with_the_probe(monkeypatch):
+    lambda_min = kextdistill.blocks.WernerBlocks.lambda_min
+
+    def shifted(self, alpha):
+        value, slope = lambda_min(self, alpha)
+        return value + 1e-9, slope
+
+    monkeypatch.setattr(kextdistill.blocks.WernerBlocks, "lambda_min", shifted)
+    assert not validate.check_schur_weyl_vs_probe().passed
 
 
 def test_validate_detects_constant_mutation(monkeypatch):

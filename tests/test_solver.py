@@ -100,13 +100,30 @@ def mixed_2x3(rank, eps=0.0):
     return from_matrix((1 - eps) * rho / np.trace(rho).real + eps * np.eye(6) / 6, layout(("A", 2), ("B", 3)))
 
 
+def framed_werner(d, gamma, seed=0):
+    """A Werner state seen in a random local frame U_A x V_B: same probe spectrum, no longer of Werner form."""
+    rng = np.random.default_rng(seed)
+    u_a, u_b = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0] for _ in "AB")
+    u = np.kron(u_a, u_b)
+    return from_matrix(u @ werner(WernerParams(d=d, gamma=gamma)).matrix @ u.conj().T, layout(("A", d), ("B", d)))
+
+
 def test_backend_resolution():
     cases = [
-        (KExtProblem.for_werner(d=2, gamma=0.0), "dense"),  # dim 64
+        # every Werner state whose largest Schur-Weyl block fits the dense cap goes to blocks
+        (KExtProblem.for_werner(d=2, gamma=0.0), "schur_weyl"),  # dim 64
+        (KExtProblem(state=maximally_mixed(2, 2), n=2, k=1), "schur_weyl"),  # the gamma = 0 Werner state
+        (KExtProblem.for_werner(d=3, gamma=-0.5, k=2, side="alice"), "schur_weyl"),
+        (KExtProblem.for_werner(d=3, gamma=0.0, n=2), "schur_weyl"),  # dim 5832
+        (KExtProblem.for_werner(d=3, gamma=0.5, k=6), "schur_weyl"),  # largest block 1960 rows
+        # beyond the cap auto keeps the dimension rule: d = 3, k = 7 has a block of 8064 rows
+        (KExtProblem.for_werner(d=3, gamma=0.5, k=7), "iterative"),
+        # the same Werner states in a U_A x V_B frame are not of Werner form: the dimension and kappa rules
+        (KExtProblem(state=framed_werner(2, 0.5), k=1), "dense"),  # dim 64
         # each side of the small-dimension crossover, on well-conditioned states
         (KExtProblem(state=maximally_mixed(2, 3), k=2, side="alice"), "dense"),  # dim 384
-        (KExtProblem(state=maximally_mixed(2, 2), n=2, k=1), "iterative"),  # dim 512
-        (KExtProblem.for_werner(d=3, gamma=-0.5, k=2), "iterative"),  # dim 1296, kappa 1/3
+        (KExtProblem(state=framed_werner(2, 0.5), n=2, k=1), "iterative"),  # dim 512, kappa^2 1/9
+        (KExtProblem(state=framed_werner(3, -0.5), k=2), "iterative"),  # dim 1296, kappa 1/3
         # below the condition cut the probe has a cluster near 0 that stalls ARPACK
         (KExtProblem(state=mixed_2x3(5), k=2), "dense"),  # dim 864, kappa 0
         (KExtProblem(state=mixed_2x3(3, eps=1e-4), k=2), "dense"),  # dim 864, kappa ~3e-5
@@ -114,9 +131,9 @@ def test_backend_resolution():
         # the cut is on kappa^n: two copies of the same state fall below it
         (KExtProblem(state=mixed_2x3(3, eps=3e-2), n=2, k=1), "dense"),  # dim 2592, kappa^2 7e-5
         # from the dense cap up every state goes to ARPACK
-        (KExtProblem.for_werner(d=2, gamma=-1.0, k=4), "iterative"),  # dim 4096, kappa 0
+        (KExtProblem(state=framed_werner(2, -1.0), k=4), "iterative"),  # dim 4096, kappa 0
         (KExtProblem(state=mixed_2x3(5), k=3), "iterative"),  # dim 5184, kappa 0
-        (KExtProblem.for_werner(d=3, gamma=0.0, n=2), "iterative"),
+        (KExtProblem(state=framed_werner(3, 0.3), n=2), "iterative"),  # dim 5832
     ]
     for problem, expected in cases:
         assert problem.resolved_backend() == expected, (problem.total_dim, expected)
@@ -232,6 +249,19 @@ def test_alice_side_probe_matches_swapped_state():
                 assert np.array_equal(a_piece, b_piece)
 
 
+def test_dense_pieces_refuse_a_probe_above_the_dense_cap(monkeypatch):
+    # the complex 2x3 state at n = k = 2, alice has 9216 rows: its pieces would take 1.4 GB each
+    assembly = ProbeAssembly(KExtProblem(state=random_state(np.random.default_rng(2), 2, 3), n=2, k=2, side="alice"))
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    monkeypatch.setattr(np, "eye", no_allocation)
+    with pytest.raises(ValueError, match="9216"):
+        assembly.dense(0.5)
+
+
 # ---------------------------------------------------------------------------
 # lambda_min and thresholds
 
@@ -262,7 +292,7 @@ def test_threshold_werner_both_signs():
 
 
 def test_threshold_result_invariants():
-    result = fidelity_threshold(KExtProblem.for_werner(d=2, gamma=-0.3))
+    result = fidelity_threshold(KExtProblem.for_werner(d=2, gamma=-0.3, backend="dense"))
     alphas = [a for a, _ in result.samples]
     lams = [v for _, v in result.samples]
     assert alphas == sorted(alphas)
@@ -417,7 +447,7 @@ def test_threshold_is_at_least_the_maximally_mixed_bound(problem):
 
 
 @pytest.mark.parametrize("alpha", [1.5, -0.5, np.nan])
-@pytest.mark.parametrize("backend", ["dense", "iterative", "s3_blocks"])
+@pytest.mark.parametrize("backend", ["dense", "iterative", "s3_blocks", "schur_weyl"])
 def test_lambda_min_rejects_alpha_outside_the_unit_interval(backend, alpha):
     # dense returned 0.303 at alpha = 1.5, and ARPACK raised a raw ArpackError at NaN
     with pytest.raises(ValueError, match="alpha must lie in"):
