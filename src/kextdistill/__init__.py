@@ -6,8 +6,10 @@ negative eigenvalue; this package assembles those probes (dense or
 matrix-free), finds the fidelity threshold, evaluates maps through their
 Choi states, builds the measure-and-prepare strategies that reach unit
 fidelity on rank-deficient states, and carries the closed-form Werner-state
-results plus symmetric-group block backends for Werner states: one
-extension at any copy count, and Schur-Weyl blocks at any n and k.
+results plus one symmetric-group block backend for Werner states: Schur-Weyl
+blocks at any n and k, on the scale of I + gamma V, which is (d^2 + gamma d)^n
+times the probe.  `s3_block_lambda_min` is the k = 1 reference the blocks are
+checked against.
 """
 
 from .blocks import WernerBlocks, s3_block_lambda_min

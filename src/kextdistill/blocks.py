@@ -1,18 +1,12 @@
 """Symmetric-group block decompositions of Werner-state probes.
 
-`s3_block_lambda_min` covers one extension: each of the n state triples and
-the single target triple decomposes into a totally symmetric scalar, a
-totally antisymmetric scalar and a qubit factor.  The full operator
-restricted to a label tuple is a sum of two tensor products of the
-per-triple components, so its smallest eigenvalue factorizes into a scalar
-prefactor times a small dense block.
+`WernerBlocks` solves the probe of any Werner state at any number of copies
+n and extensions k.  Each probe term rho_{S,X_i} x (alpha I - Phi+)_{s,x_i}
+of a Werner state rho proportional to I + gamma V, with every x qubit
+rotated by iY (which turns Phi+ into psi- and keeps the spectrum), is the
+group-algebra element
 
-`WernerBlocks` covers any number of copies n and extensions k.  Each probe
-term rho_{S,X_i} x (alpha I - Phi+)_{s,x_i} of a Werner state rho =
-c0 I + c1 V, with every x qubit rotated by iY (which turns Phi+ into psi-
-and keeps the spectrum), is the group-algebra element
-
-    (x)_c (c0 + c1 tau_i) (x) ((alpha - 1/2) + tau_i / 2)
+    (x)_c (1 + gamma tau_i) (x) ((alpha - 1/2) + tau_i / 2)
 
 of S_m^{n+1}, m = k + 2, where tau_i is the transposition of the spectator
 and the i-th extension slot.  By Schur-Weyl duality the probe is the direct
@@ -20,12 +14,22 @@ sum, over multisets (mu_1, ..., mu_n) of partitions of m with at most d rows
 and over nu |- m with at most 2 rows, of the blocks
 
     B(alpha) = alpha sum_i R_i (x) I - sum_i R_i (x) (I - Y_nu(tau_i)) / 2,
-    R_i = (x)_c (c0 I + c1 Y_mu_c(tau_i)),
+    R_i = (x)_c (I + gamma Y_mu_c(tau_i)),
 
 each repeated by the orderings of its copy labels times the dimensions of
-its U(d) and U(2) irreps.  Y_mu is
-Young's orthogonal form, so every block is real symmetric and d enters only
-through which mu are allowed (Bacon-Chuang-Harrow, quant-ph/0407082).
+its U(d) and U(2) irreps.  Y_mu is Young's orthogonal form, so every block
+is real symmetric and d enters only through which mu are allowed
+(Bacon-Chuang-Harrow, quant-ph/0407082).  A one-dimensional copy label, (m)
+or (1^m) when d >= m, sends every tau_i to +1 or -1, so it multiplies the
+whole block by 1 + gamma or 1 - gamma, both >= 0: only the multisets of
+multi-row labels need blocks, each with its smallest and largest prefactor.
+The blocks are on the scale of I + gamma V, so their eigenvalues are
+(d^2 + gamma d)^n times the probe's.
+
+`s3_block_lambda_min` is the k = 1 case written from the paper's
+coefficient table (`analytic.st_coefficients`), on the same scale.  No
+backend calls it; it is the independent reference `WernerBlocks` is checked
+against where no probe fits, such as n = 8.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 
 from .analytic import st_coefficients
 from .linalg import eig_min_dense_vec
@@ -187,59 +192,112 @@ def young_transpositions(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
-def werner_blocks(c0: float, c1: float, d: int, n: int, k: int):
-    """Yield (mus, nu, const, linear) for every block const + alpha * linear of the Werner probe.
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, without its overhead for general shapes."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
-    mus is a multiset of copy labels (a sorted tuple of partitions of k + 2
-    with at most d rows), nu a partition of k + 2 with at most 2 rows.  The
-    probe's spectrum is the union of the block spectra, each block repeated
-    by the number of orderings of mus times prod_c unitary_dim(mu_c, d) times
-    unitary_dim(nu, 2).
+
+def werner_blocks(gamma: float, d: int, n: int, k: int):
+    """Yield (mus, nu, const, linear) for every block const + alpha * linear of the Werner probe, on the I + gamma V scale.
+
+    mus is a multiset of multi-row copy labels (a sorted tuple of at most n
+    partitions of k + 2 with at most d rows, neither one row nor one column),
+    nu a partition of k + 2 with at most 2 rows.  The other n - len(mus)
+    copies carry one-dimensional labels, each multiplying the block by
+    1 + gamma for (k + 2) or 1 - gamma for (1^(k+2)) when d >= k + 2.
     """
     m = k + 2
-    shapes = partitions(m, d)
-    pair = {mu: [c0 * np.eye(len(y)) + c1 * y for y in young_transpositions(mu)] for mu in shapes}
-    for mus in itertools.combinations_with_replacement(shapes, n):
-        terms = [functools.reduce(np.kron, [pair[mu][i] for mu in mus]) for i in range(k + 1)]
+    shapes = [mu for mu in partitions(m, d) if 1 < len(mu) < m]
+    pair = {mu: [np.eye(len(y)) + gamma * y for y in young_transpositions(mu)] for mu in shapes}
+    for mus in itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(shapes, j) for j in range(n + 1)
+    ):
+        terms = [functools.reduce(_kron, [pair[mu][i] for mu in mus], np.ones((1, 1))) for i in range(k + 1)]
         term_sum = sum(terms)
         for nu in partitions(m, 2):
             ys = young_transpositions(nu)
             eye = np.eye(len(ys[0]))
-            const = -sum(np.kron(r, 0.5 * (eye - y)) for r, y in zip(terms, ys))
-            yield mus, nu, const, np.kron(term_sum, eye)
+            const = np.zeros((len(term_sum) * len(eye),) * 2)
+            for r, y in zip(terms, ys):
+                const -= _kron(r, 0.5 * (eye - y))
+            yield mus, nu, const, _kron(term_sum, eye)
+
+
+# blocks from this many rows get one scipy lowest-eigenpair solve each; smaller ones share one
+# batched numpy solve per size.  numpy and scipy load separate OpenBLAS libraries, each with
+# its own thread pool; on 2 cores, mixing them cost time once numpy's batches reached 32 rows:
+# the 21-point d = 3, n = 3, k = 2 curve took 0.45-0.70 s at 32 against 1.3-1.6 s at 64, and
+# one n = 8, k = 1 threshold 0.15 s at 32 or 64 against 0.40 s at 256.  Below 32, scipy's
+# per-call cost loses.
+SOLO_MIN_ROWS = 32
+
+
+def _lowest_pair(h: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenvalue and eigenvector of a real symmetric block, overwriting it."""
+    # h.T is h, and Fortran-ordered, so LAPACK works on it in place
+    vals, vecs = scipy.linalg.eigh(h.T, subset_by_index=(0, 0), overwrite_a=True, check_finite=False)
+    return float(vals[0]), vecs[:, 0]
 
 
 class WernerBlocks:
-    """lambda_min(alpha) and its slope for the n-copy, k-extension probe of the Werner state c0 I + c1 V.
+    """lambda_min(alpha) and its slope for the n-copy, k-extension probe of the Werner state I + gamma V.
 
-    The blocks are built on the first call and stacked by size, so each
-    alpha costs one batched `np.linalg.eigvalsh` per block size and one
-    `np.linalg.eigh` of the lowest block.  The slope is v^T L v for the
-    lowest eigenvector v of that block and its linear part L: a
-    supergradient of the concave minimum.
+    The value is (d^2 + gamma d)^n times the probe's lambda_min.  The blocks
+    are built on the first call.  Each alpha costs one batched
+    `np.linalg.eigvalsh` per block size below SOLO_MIN_ROWS rows, one
+    lowest-eigenpair solve per larger block, and one for the lowest small
+    block.  The slope is p v^T L v for the lowest eigenvector v of the lowest
+    block, its linear part L and its prefactor p: a supergradient of the
+    concave minimum.
     """
 
-    def __init__(self, c0: float, c1: float, d: int, n: int, k: int):
-        self.params = (c0, c1, d, n, k)
+    def __init__(self, gamma: float, d: int, n: int, k: int):
+        self.params = (gamma, d, n, k)
 
     @functools.cached_property
-    def stacks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(const, linear) arrays shaped (blocks, size, size), one per block size, smallest first."""
-        by_size: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-        for _, _, const, linear in werner_blocks(*self.params):
-            by_size.setdefault(len(const), []).append((const, linear))
-        stacks = []
-        for size in sorted(by_size):
-            group = by_size.pop(size)  # freed as it is stacked
-            stacks.append((np.stack([c for c, _ in group]), np.stack([l for _, l in group])))
-        return stacks
+    def blocks(self) -> tuple[list, list]:
+        """(stacks, solos) of (const, linear, low, high).
+
+        A stack holds every block of one size below SOLO_MIN_ROWS, with const
+        and linear shaped (blocks, size, size); a solo is one larger block.
+        low and high are a block's smallest and largest prefactor over the
+        one-dimensional labels of its other copies.
+        """
+        gamma, d, n, k = self.params
+        one_dim = (1.0 + gamma, 1.0 - gamma) if d >= k + 2 else (1.0 + gamma,)
+        by_size: dict[int, list] = {}
+        solos = []
+        for mus, _, const, linear in werner_blocks(*self.params):
+            rest = n - len(mus)
+            block = (const, linear, min(one_dim) ** rest, max(one_dim) ** rest)
+            if len(const) < SOLO_MIN_ROWS:
+                by_size.setdefault(len(const), []).append(block)
+            else:
+                solos.append(block)
+        stacks = [tuple(map(np.array, zip(*by_size[size]))) for size in sorted(by_size)]
+        return stacks, solos
 
     def lambda_min(self, alpha: float) -> tuple[float, float]:
-        # eigenvalues only for every block, then the vector of the lowest block alone
-        lowest = [np.linalg.eigvalsh(const + alpha * linear)[:, 0] for const, linear in self.stacks]
-        s = min(range(len(lowest)), key=lambda i: lowest[i].min())
-        b = int(np.argmin(lowest[s]))
-        const, linear = self.stacks[s]
-        vals, vecs = np.linalg.eigh(const[b] + alpha * linear[b])
-        v = vecs[:, 0]
-        return float(vals[0]), float(v @ linear[b] @ v)
+        stacks, solos = self.blocks
+        # (scaled lowest eigenvalue, block, its eigenpair if already solved)
+        best = (np.inf, None, None)
+        for const, linear, low, high in stacks:
+            lowest = np.linalg.eigvalsh(const + alpha * linear)[:, 0]
+            scaled = np.where(lowest < 0.0, high, low) * lowest
+            b = int(np.argmin(scaled))
+            if scaled[b] < best[0]:
+                best = (scaled[b], (const[b], linear[b], low[b], high[b]), None)
+        for block in solos:
+            const, linear, low, high = block
+            h = alpha * linear
+            h += const
+            lam, v = _lowest_pair(h)
+            if (high if lam < 0.0 else low) * lam < best[0]:
+                best = ((high if lam < 0.0 else low) * lam, block, (lam, v))
+        _, (const, linear, low, high), pair = best
+        if pair is None:
+            vals, vecs = np.linalg.eigh(const + alpha * linear)
+            pair = vals[0], vecs[:, 0]
+        lam, v = pair
+        pref = high if lam < 0.0 else low
+        return float(pref * lam), float(pref * (v @ linear @ v))

@@ -55,7 +55,7 @@ MIN_TOL_ALPHA = 1e-10   # tighter than the eigensolver tolerances can resolve
 SIDES = ("bob", "alice")
 # per side, the spectator S and the extended party X as indices into the state's (A, B)
 PARTY_ORDER = {"bob": (0, 1), "alice": (1, 0)}
-BACKENDS = ("auto", "dense", "iterative", "s3_blocks", "schur_weyl")
+BACKENDS = ("auto", "dense", "iterative", "schur_weyl")
 # auto: dense below this probe dimension; at 384, ARPACK lost to dense on 3 of 5 full-rank states (2 cores)
 AUTO_ITERATIVE_MIN_DIM = 512
 # auto, below DENSE_DIM_LIMIT: iterative only if (lambda_min(rho) / lambda_max(rho))^n is at
@@ -100,12 +100,11 @@ class ThresholdResult:
     for full-rank states and a certified lower bound otherwise.  samples holds
     every (alpha, lambda_min) the search evaluated, sorted by alpha.
     certificate is the probe eigenvector of lambda_residual at alpha_star:
-    None on both block backends (s3_blocks and schur_weyl), or when no alpha
-    was certified negative.  It is ordered like ProbeAssembly(problem).layout,
-    spectator first, on either side.
-    For s3_blocks, lambda_residual is (d^2 + gamma d)^n times the probe
-    eigenvalue (see blocks.s3_block_lambda_min), left unscaled: TOL_EIG is
-    absolute, and at n = 8, d = 3 the probe-scale value is -4.4e-14 to -1.6e-10.
+    None on schur_weyl, or when no alpha was certified negative.  It is
+    ordered like ProbeAssembly(problem).layout, spectator first, on either side.
+    On schur_weyl, lambda_residual and every sample are on the blocks' scale,
+    (d^2 + gamma d)^n times the probe eigenvalue: TOL_EIG is absolute, and at
+    n = 8, d = 3 the probe-scale value is -4.4e-14 to -1.6e-10.
     """
 
     alpha_star: float
@@ -147,10 +146,6 @@ class KExtProblem:
                 f"dense backend limited to dimension {DENSE_DIM_LIMIT}, "
                 f"this problem has {self.total_dim}"
             )
-        if self.backend == "s3_blocks":
-            if self.k != 1:
-                raise ValueError("the block backend covers k = 1 only")
-            werner_params_of(self.state)
         if self.backend == "schur_weyl" and (rows := self.largest_werner_block()) > DENSE_DIM_LIMIT:
             raise ValueError(f"schur_weyl limited to blocks of {DENSE_DIM_LIMIT} rows, this problem's largest has {rows}")
 
@@ -321,21 +316,16 @@ def _lambda_min_solver(
     The slope is v^dag L v for the returned eigenvector v and the linear part
     L: a supergradient of the concave lambda_min (Hellmann-Feynman), computed
     through the term kernel.  Each iterative solve starts from the previous
-    eigenvector, the first from EIG_SEED.  The block backends read the
-    Werner state, take the slope of their lowest block and return no probe
-    eigenvector; schur_weyl builds its blocks in its first solve.  Every
+    eigenvector, the first from EIG_SEED.  schur_weyl reads gamma from the
+    Werner state, builds its blocks in its first solve, returns (d^2 + gamma
+    d)^n times the probe's value and slope, and no probe eigenvector.  Every
     backend raises ValueError for alpha outside [0, 1] or NaN.  A
     non-converging iterative solve raises SolverConvergenceError.
     """
     backend = problem.resolved_backend()
-    if backend == "s3_blocks":
-        params = werner_params_of(problem.state)
-        return lambda alpha: (*blocks.s3_block_lambda_min(params.gamma, alpha, problem.n, params.d), None)
     if backend == "schur_weyl":
-        # rho = c0 I + c1 V with c0 = rho[01,01] and c1 = rho[01,10]; rho_BA = rho_AB, so either side
-        d = problem.state.layout.dims[0]
-        rho = problem.state.matrix
-        werner_probe = blocks.WernerBlocks(float(rho[1, 1].real), float(rho[1, d].real), d, problem.n, problem.k)
+        params = werner_params_of(problem.state)  # rho_BA = rho_AB, so either side
+        werner_probe = blocks.WernerBlocks(params.gamma, params.d, problem.n, problem.k)
         return lambda alpha: (*werner_probe.lambda_min(_check_alpha(alpha)), None)
     assembly = ProbeAssembly(problem)
     dims = assembly.layout.dims
@@ -359,7 +349,7 @@ def _lambda_min_solver(
 
 
 def lambda_min_alpha(problem: KExtProblem, alpha: float) -> float:
-    """Smallest probe eigenvalue at alpha via the problem's backend."""
+    """Smallest probe eigenvalue at alpha via the problem's backend; (d^2 + gamma d)^n times it on schur_weyl."""
     return _lambda_min_solver(problem)(alpha)[0]
 
 

@@ -16,7 +16,6 @@ from kextdistill.analytic import (
     mnp_alpha_max,
     mnp_threshold_numeric,
 )
-from kextdistill.blocks import s3_block_lambda_min
 from kextdistill.linalg import eig_min_dense, layout
 from kextdistill.solver import (
     KExtProblem,
@@ -140,7 +139,7 @@ def test_criterion_5_many_copy_distillability():
     thresholds = {}
     for n in (1, 2, 3, 4, 8):
         result = fidelity_threshold(
-            KExtProblem.for_werner(d=2, gamma=gamma, n=n, k=1, backend="s3_blocks")
+            KExtProblem.for_werner(d=2, gamma=gamma, n=n, k=1, backend="schur_weyl")
         )
         thresholds[n] = result.alpha_star
     ordered = [thresholds[n] for n in (1, 2, 3, 4, 8)]

@@ -18,6 +18,7 @@ from kextdistill.blocks import (
     young_transpositions,
 )
 from kextdistill import solver
+from kextdistill.linalg import threshold_sup
 from kextdistill.solver import TOL_EIG, KExtProblem, fidelity_threshold, lambda_min_alpha
 
 
@@ -71,7 +72,7 @@ def test_block_slope_is_a_supergradient(d, n, assert_supergradient):
 @pytest.mark.parametrize("n", [1, 8])
 def test_block_threshold_takes_tangent_steps(n):
     for gamma in (-0.9, -0.4, 0.0, 0.5, 0.9):
-        problem = KExtProblem.for_werner(d=3, gamma=gamma, n=n, backend="s3_blocks")
+        problem = KExtProblem.for_werner(d=3, gamma=gamma, n=n, backend="schur_weyl")
         assert len(fidelity_threshold(problem, tol_alpha=1e-6).samples) <= 10  # bisection takes 21
 
 
@@ -90,15 +91,15 @@ def test_block_lambda_is_monotone_in_alpha():
 
 
 def test_block_backend_through_problem_api(block_threshold):
-    problem = KExtProblem.for_werner(d=3, gamma=-0.25, n=4, k=1, backend="s3_blocks")
+    problem = KExtProblem.for_werner(d=3, gamma=-0.25, n=4, k=1, backend="schur_weyl")
     result = fidelity_threshold(problem)
-    assert result.backend == "s3_blocks"
+    assert result.backend == "schur_weyl"
     assert result.alpha_star > block_threshold(-0.25, 3, d=3)
     assert result.certificate is None
 
 
 def test_block_backend_has_no_explicit_probe():
-    problem = KExtProblem.for_werner(d=2, gamma=0.2, backend="s3_blocks")
+    problem = KExtProblem.for_werner(d=2, gamma=0.2, backend="schur_weyl")
     solve = solver._lambda_min_solver(problem)
     value, _, vector = solve(0.5)
     assert vector is None
@@ -107,30 +108,26 @@ def test_block_backend_has_no_explicit_probe():
         solve(1.5)
 
 
-def test_block_backend_requires_werner_and_k1():
-    from kextdistill.linalg import layout
-    from kextdistill.states import from_matrix, maximally_mixed
-
-    with pytest.raises(ValueError):
-        KExtProblem.for_werner(d=2, gamma=0.3, k=2, backend="s3_blocks")
-    rng = np.random.default_rng(5)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    full_rank = from_matrix(g @ g.conj().T, layout(("A", 2), ("B", 2)))
-    for state in (full_rank, maximally_mixed(2, 3)):
-        with pytest.raises(ValueError):
-            KExtProblem(state=state, backend="s3_blocks")
-    # the maximally mixed two-qubit state is the gamma = 0 Werner state
-    square = fidelity_threshold(KExtProblem(state=maximally_mixed(2, 2), backend="s3_blocks"))
-    assert abs(square.alpha_star - 0.75) < 1e-7
-
-
 def test_block_backend_reads_gamma_from_the_state():
     from kextdistill.states import WernerParams, werner
 
-    problem = KExtProblem(state=werner(WernerParams(d=3, p=0.3)), backend="s3_blocks")
+    problem = KExtProblem(state=werner(WernerParams(d=3, p=0.3)), backend="schur_weyl")
     derived = fidelity_threshold(problem)
-    declared = fidelity_threshold(KExtProblem.for_werner(d=3, p=0.3, backend="s3_blocks"))
+    declared = fidelity_threshold(KExtProblem.for_werner(d=3, p=0.3, backend="schur_weyl"))
     assert derived.alpha_star == declared.alpha_star
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_auto_threshold_at_many_copies_is_exact(n):
+    # the blocks used to solve on the probe's scale, where TOL_EIG cut alpha* to 0.7284764 at n = 8
+    result = fidelity_threshold(KExtProblem.for_werner(d=3, gamma=0.0, n=n, k=1), tol_alpha=1e-6)
+    assert result.backend == "schur_weyl"
+    assert abs(result.alpha_star - 0.75) <= 1e-6
+    if n == 8:
+        for gamma in (-0.7, -0.2, 0.4, 0.9):
+            blocks = fidelity_threshold(KExtProblem.for_werner(d=3, gamma=gamma, n=8, k=1), tol_alpha=1e-6)
+            reference = threshold_sup(lambda alpha: s3_block_lambda_min(gamma, alpha, 8, 3), 1e-6)
+            assert abs(blocks.alpha_star - reference) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +162,32 @@ def block_multiplicity(mus, nu, d, n):
     return orderings * math.prod(unitary_dim(mu, d) for mu in mus) * unitary_dim(nu, 2)
 
 
+def full_labels(mus, d, n, k):
+    """(copy labels, a, b) for each multiset of one-dimensional labels that completes the multi-row mus.
+
+    a copies carry (k + 2) and b copies (1^(k+2)), which multiplies the block by (1 + gamma)^a (1 - gamma)^b.
+    """
+    m, rest = k + 2, n - len(mus)
+    for b in range(rest + 1 if d >= m else 1):
+        yield mus + ((m,),) * (rest - b) + ((1,) * m,) * b, rest - b, b
+
+
 @pytest.mark.parametrize("d, n, k", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 1, 2), (4, 1, 1)])
 def test_block_spectra_are_the_probe_spectrum(d, n, k):
-    # every block, repeated by its irrep dimensions: a missing or spurious block changes the union
-    problem = KExtProblem.for_werner(d=d, gamma=-0.35, n=n, k=k)
-    c0, c1 = problem.state.matrix[1, 1], problem.state.matrix[1, d]  # rho = c0 I + c1 V
+    # every block at every prefactor, repeated by its irrep dimensions: a missing or spurious block changes the union
+    gamma = -0.35
+    problem = KExtProblem.for_werner(d=d, gamma=gamma, n=n, k=k)
+    scale = (d * d + gamma * d) ** n
     assembly = solver.ProbeAssembly(problem)
     for alpha in (0.25, 0.8):
         probe = np.linalg.eigvalsh(assembly.dense(alpha).entries)
         union = []
-        for mus, nu, const, linear in werner_blocks(c0, c1, d, n, k):
-            union.extend(np.repeat(np.linalg.eigvalsh(const + alpha * linear), block_multiplicity(mus, nu, d, n)))
+        for mus, nu, const, linear in werner_blocks(gamma, d, n, k):
+            assert all(1 < len(mu) < k + 2 for mu in mus)
+            values = np.linalg.eigvalsh(const + alpha * linear) / scale
+            for labels, a, b in full_labels(mus, d, n, k):
+                pref = (1 + gamma) ** a * (1 - gamma) ** b
+                union.extend(np.repeat(pref * values, block_multiplicity(labels, nu, d, n)))
         assert len(union) == len(probe)
         assert np.abs(np.sort(union) - probe).max() < 1e-13
 
@@ -194,7 +206,7 @@ def test_block_dimensions_add_up_to_the_probe(d, n, k):
     )
 
 
-@pytest.mark.parametrize("d, n, k", [(2, 1, 3), (3, 2, 2), (3, 1, 4)])
+@pytest.mark.parametrize("d, n, k", [(2, 1, 3), (3, 2, 2), (3, 1, 4), (3, 8, 1)])
 def test_schur_weyl_slope_is_a_supergradient(d, n, k, assert_supergradient):
     for gamma in (-1.0, -0.4, 0.5):
         solve = solver._lambda_min_solver(KExtProblem.for_werner(d=d, gamma=gamma, n=n, k=k, backend="schur_weyl"))
@@ -240,3 +252,9 @@ def test_schur_weyl_requires_a_werner_state_and_the_block_cap():
     with pytest.raises(ValueError, match="8064"):
         KExtProblem.for_werner(d=3, gamma=0.5, k=7, backend="schur_weyl")
     assert KExtProblem.for_werner(d=3, gamma=0.5, k=7).resolved_backend() == "iterative"
+    # the maximally mixed two-qubit state is the gamma = 0 Werner state
+    square = fidelity_threshold(KExtProblem(state=maximally_mixed(2, 2), backend="schur_weyl"))
+    assert abs(square.alpha_star - 0.75) < 1e-7
+    # one Werner block backend: the k = 1 one is gone
+    with pytest.raises(ValueError, match="backend must be one of"):
+        KExtProblem.for_werner(d=2, gamma=0.3, backend="s3_blocks")

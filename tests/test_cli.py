@@ -64,11 +64,26 @@ def test_threshold_from_state_file(tmp_path, capsys):
 def test_threshold_block_backend_from_werner_state_file(tmp_path, capsys):
     path = tmp_path / "w.state"
     save_state(path, werner(WernerParams(d=3, gamma=-0.5)))
-    code = run_cli(["threshold", "--file", str(path), "--backend", "s3_blocks"])
+    code = run_cli(["threshold", "--file", str(path), "--backend", "schur_weyl"])
     out = parse_output(capsys.readouterr().out)
     assert code == 0
-    assert out["backend"] == "s3_blocks"
+    assert out["backend"] == "schur_weyl"
     assert abs(float(out["alpha_star"]) - alpha_max_k1(-0.5)) < 1e-8
+
+
+def test_s3_blocks_is_an_unknown_backend(tmp_path, capsys):
+    # schur_weyl is the one Werner block backend, k = 1 included; both errors name the valid backends
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["threshold", "--d", "3", "--gamma", "-0.5", "--backend", "s3_blocks"])
+    assert exc.value.code == 2
+    errors = [capsys.readouterr().err]
+    path = tmp_path / "s3.cfg"
+    path.write_text(BASE_CFG.format(out=tmp_path / "x.csv") + "backend = s3_blocks\n")
+    assert run_cli(["sweep", "--config", str(path)]) == 2
+    errors.append(capsys.readouterr().err)
+    for err in errors:
+        assert "'s3_blocks'" in err and all(backend in err for backend in solver.BACKENDS)
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_threshold_schur_weyl_backend_needs_a_werner_state(tmp_path, capsys):
@@ -172,7 +187,7 @@ stop = 0.8
 points = 5
 n = 1
 k = 1
-backend = s3_blocks
+backend = schur_weyl
 tol_alpha = 1e-7
 output = {out}
 """
@@ -180,7 +195,7 @@ output = {out}
 
 def test_config_parsing_and_validation():
     cfg = parse_config_text(BASE_CFG.format(out="x.csv"))
-    assert cfg.points == 5 and cfg.n_values == (1,) and cfg.backend == "s3_blocks"
+    assert cfg.points == 5 and cfg.n_values == (1,) and cfg.backend == "schur_weyl"
     with pytest.raises(ConfigError):
         parse_config_text("family = nosuch\n")
     with pytest.raises(ConfigError):
@@ -243,7 +258,7 @@ def test_sweep_rows_match_closed_form(tmp_path):
     for r in rows:
         gamma, alpha_star = float(r[0]), float(r[1])
         assert abs(alpha_star - alpha_max_k1(gamma)) < 1e-6
-        assert r[2] == "s3_blocks"
+        assert r[2] == "schur_weyl"
         assert float(r[3]) < 0.0
 
 
@@ -300,7 +315,8 @@ def test_failed_sweep_keeps_an_earlier_output(tmp_path, monkeypatch, error):
 @pytest.mark.parametrize(
     "lines",
     [
-        "backend = s3_blocks\nk = 1,2\n",  # the block backend covers k = 1 only
+        "backend = s3_blocks\nk = 1,2\n",  # no longer a backend
+        "backend = schur_weyl\nd = 3\nk = 1,7\n",  # k = 7 has a block of 8064 rows
         "backend = dense\nd = 3\nn = 1,3\n",  # n = 3 exceeds the dense dimension limit
     ],
 )
@@ -335,12 +351,12 @@ def test_sweep_block_backend_on_a_werner_state_file(tmp_path):
     save_state(state_path, werner(WernerParams(d=3, gamma=-0.5)))
     out = tmp_path / "w.csv"
     cfg = parse_config_text(
-        f"family = file\nfile = {state_path}\nbackend = s3_blocks\noutput = {out}\n"
+        f"family = file\nfile = {state_path}\nbackend = schur_weyl\noutput = {out}\n"
     )
     assert run_sweep(cfg) == [str(out)]
     row = out.read_text().splitlines()[2].split(",")
     assert abs(float(row[1]) - alpha_max_k1(-0.5)) < 1e-6
-    assert row[2] == "s3_blocks"
+    assert row[2] == "schur_weyl"
 
 
 def test_sweep_missing_state_file(tmp_path):
@@ -366,7 +382,7 @@ def test_all_recipes_load_and_parse():
 
 def test_fig1_recipe_shape():
     cfg = parse_config_text(load_recipe("fig1"))
-    assert cfg.backend == "s3_blocks"
+    assert cfg.backend == "schur_weyl"
     assert cfg.points == 81
     assert cfg.n_values == (1, 2, 3, 4, 8)
     assert cfg.k_values == (1,)
@@ -451,7 +467,7 @@ def test_validate_fresh_checkout_passes():
     results = validate.run_checks()
     failed = [r.name for r in results if not r.passed]
     assert failed == []
-    assert len(results) == 19 and "schur_weyl_vs_probe" in {r.name for r in results}
+    assert len(results) == 19 and {"schur_weyl_vs_probe", "schur_weyl_vs_s3"} <= {r.name for r in results}
 
 
 def test_validate_reports_margins():
@@ -481,6 +497,7 @@ def test_validate_compares_the_schur_weyl_blocks_with_the_probe(monkeypatch):
 
     monkeypatch.setattr(kextdistill.blocks.WernerBlocks, "lambda_min", shifted)
     assert not validate.check_schur_weyl_vs_probe().passed
+    assert not validate.check_schur_weyl_vs_s3().passed
 
 
 def test_validate_detects_constant_mutation(monkeypatch):

@@ -267,9 +267,11 @@ def test_dense_pieces_refuse_a_probe_above_the_dense_cap(monkeypatch):
 
 
 def test_lambda_min_matches_triple_for_maximally_mixed():
-    prob = KExtProblem(state=maximally_mixed(2, 2), n=1, k=1)
-    assert lambda_min_alpha(prob, 0.6) == pytest.approx(-0.3 / 4.0, abs=1e-12)
-    assert lambda_min_alpha(prob, 0.75) == pytest.approx(0.0, abs=1e-10)
+    # the probe, and auto's Schur-Weyl blocks of the gamma = 0 Werner state I on the scale d^2 = 4
+    for backend, scale in (("dense", 1.0), ("auto", 4.0)):
+        prob = KExtProblem(state=maximally_mixed(2, 2), n=1, k=1, backend=backend)
+        assert lambda_min_alpha(prob, 0.6) == pytest.approx(-0.3 / 4.0 * scale, abs=1e-12)
+        assert lambda_min_alpha(prob, 0.75) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_lambda_min_positive_above_werner_threshold():
@@ -447,7 +449,7 @@ def test_threshold_is_at_least_the_maximally_mixed_bound(problem):
 
 
 @pytest.mark.parametrize("alpha", [1.5, -0.5, np.nan])
-@pytest.mark.parametrize("backend", ["dense", "iterative", "s3_blocks", "schur_weyl"])
+@pytest.mark.parametrize("backend", ["dense", "iterative", "schur_weyl"])
 def test_lambda_min_rejects_alpha_outside_the_unit_interval(backend, alpha):
     # dense returned 0.303 at alpha = 1.5, and ARPACK raised a raw ArpackError at NaN
     with pytest.raises(ValueError, match="alpha must lie in"):
