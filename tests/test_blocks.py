@@ -239,6 +239,24 @@ def test_schur_weyl_builds_its_blocks_in_the_first_solve(monkeypatch):
     assert len(built) == 1 and values[0] < values[1]
 
 
+def test_block_backend_requires_werner_and_k1():
+    from kextdistill.linalg import layout
+    from kextdistill.states import from_matrix, maximally_mixed
+
+    # one Werner block backend: the k = 1 one is gone, schur_weyl takes every k
+    with pytest.raises(ValueError, match="backend must be one of"):
+        KExtProblem.for_werner(d=2, gamma=0.3, k=2, backend="s3_blocks")
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    full_rank = from_matrix(g @ g.conj().T, layout(("A", 2), ("B", 2)))
+    for state in (full_rank, maximally_mixed(2, 3)):
+        with pytest.raises(ValueError):
+            KExtProblem(state=state, backend="schur_weyl")
+    # the maximally mixed two-qubit state is the gamma = 0 Werner state
+    square = fidelity_threshold(KExtProblem(state=maximally_mixed(2, 2), backend="schur_weyl"))
+    assert abs(square.alpha_star - 0.75) < 1e-7
+
+
 def test_schur_weyl_requires_a_werner_state_and_the_block_cap():
     from kextdistill.linalg import layout
     from kextdistill.states import from_matrix, maximally_mixed
@@ -252,9 +270,3 @@ def test_schur_weyl_requires_a_werner_state_and_the_block_cap():
     with pytest.raises(ValueError, match="8064"):
         KExtProblem.for_werner(d=3, gamma=0.5, k=7, backend="schur_weyl")
     assert KExtProblem.for_werner(d=3, gamma=0.5, k=7).resolved_backend() == "iterative"
-    # the maximally mixed two-qubit state is the gamma = 0 Werner state
-    square = fidelity_threshold(KExtProblem(state=maximally_mixed(2, 2), backend="schur_weyl"))
-    assert abs(square.alpha_star - 0.75) < 1e-7
-    # one Werner block backend: the k = 1 one is gone
-    with pytest.raises(ValueError, match="backend must be one of"):
-        KExtProblem.for_werner(d=2, gamma=0.3, backend="s3_blocks")
