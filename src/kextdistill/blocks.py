@@ -13,7 +13,7 @@ and the i-th extension slot.  By Schur-Weyl duality the probe is the direct
 sum, over multisets (mu_1, ..., mu_n) of partitions of m with at most d rows
 and over nu |- m with at most 2 rows, of the blocks
 
-    B(alpha) = alpha sum_i R_i (x) I - sum_i R_i (x) (I - Y_nu(tau_i)) / 2,
+    B(alpha) = alpha I (x) sum_i R_i - sum_i (I - Y_nu(tau_i)) / 2 (x) R_i,
     R_i = (x)_c (I + gamma Y_mu_c(tau_i)),
 
 each repeated by the orderings of its copy labels times the dimensions of
@@ -42,7 +42,7 @@ import numpy as np
 import scipy.linalg
 
 from .analytic import st_coefficients
-from .linalg import eig_min_dense_vec
+from .linalg import eig_min_dense_vec, pencil_top
 
 
 def _qubit_factors(gamma: float, alpha: float):
@@ -205,6 +205,7 @@ def werner_blocks(gamma: float, d: int, n: int, k: int):
     nu a partition of k + 2 with at most 2 rows.  The other n - len(mus)
     copies carry one-dimensional labels, each multiplying the block by
     1 + gamma for (k + 2) or 1 - gamma for (1^(k+2)) when d >= k + 2.
+    Rows are ordered (nu, copies), so linear is I_{dim nu} (x) sum_i R_i.
     """
     m = k + 2
     shapes = [mu for mu in partitions(m, d) if 1 < len(mu) < m]
@@ -219,17 +220,18 @@ def werner_blocks(gamma: float, d: int, n: int, k: int):
             eye = np.eye(len(ys[0]))
             const = np.zeros((len(term_sum) * len(eye),) * 2)
             for r, y in zip(terms, ys):
-                const -= _kron(r, 0.5 * (eye - y))
-            yield mus, nu, const, _kron(term_sum, eye)
+                const -= _kron(0.5 * (eye - y), r)
+            yield mus, nu, const, _kron(eye, term_sum)
 
 
 # blocks from this many rows get one scipy lowest-eigenpair solve each; smaller ones share one
 # batched numpy solve per size.  numpy and scipy load separate OpenBLAS libraries, each with
 # its own thread pool; on 2 cores, mixing them cost time once numpy's batches reached 32 rows:
 # the 21-point d = 3, n = 3, k = 2 curve took 0.45-0.70 s at 32 against 1.3-1.6 s at 64, and
-# one n = 8, k = 1 threshold 0.15 s at 32 or 64 against 0.40 s at 256.  Below 32, scipy's
-# per-call cost loses.
-SOLO_MIN_ROWS = 32
+# one n = 8, k = 1 threshold 0.15 s at 32 or 64 against 0.40 s at 256.  From 26 rows numpy's
+# eigh (with vectors, as the stacks' pencil and lowest block need) switches to divide and
+# conquer, which took 15 ms per 26- to 31-row block on 2 threads against 0.1 ms on one.
+SOLO_MIN_ROWS = 26
 
 
 def _lowest_pair(h: np.ndarray) -> tuple[float, np.ndarray]:
@@ -237,6 +239,18 @@ def _lowest_pair(h: np.ndarray) -> tuple[float, np.ndarray]:
     # h.T is h, and Fortran-ordered, so LAPACK works on it in place
     vals, vecs = scipy.linalg.eigh(h.T, subset_by_index=(0, 0), overwrite_a=True, check_finite=False)
     return float(vals[0]), vecs[:, 0]
+
+
+def _solo_lowest_pair(const: np.ndarray, term: np.ndarray, alpha: float, out: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of const + alpha I_f (x) term, built in out and overwriting it."""
+    t = len(term)
+    f = len(const) // t
+    np.copyto(out, const)
+    step = alpha * term
+    diagonal = out.reshape(f, t, f, t)
+    for i in range(f):
+        diagonal[i, :, i, :] += step
+    return _lowest_pair(out)
 
 
 class WernerBlocks:
@@ -248,7 +262,8 @@ class WernerBlocks:
     lowest-eigenpair solve per larger block, and one for the lowest small
     block.  The slope is p v^T L v for the lowest eigenvector v of the lowest
     block, its linear part L and its prefactor p: a supergradient of the
-    concave minimum.
+    concave minimum.  `pencil_tops` gives every block's top pencil
+    eigenpair, from which `linalg.pencil_bracket` brackets the threshold.
     """
 
     def __init__(self, gamma: float, d: int, n: int, k: int):
@@ -256,48 +271,86 @@ class WernerBlocks:
 
     @functools.cached_property
     def blocks(self) -> tuple[list, list]:
-        """(stacks, solos) of (const, linear, low, high).
+        """(stacks, solos).
 
-        A stack holds every block of one size below SOLO_MIN_ROWS, with const
-        and linear shaped (blocks, size, size); a solo is one larger block.
-        low and high are a block's smallest and largest prefactor over the
-        one-dimensional labels of its other copies.
+        A stack is (const, linear, low, high) for every block of one size
+        below SOLO_MIN_ROWS, with const and linear shaped (blocks, size, size).
+        A solo is (const, term, low, high) for one larger block.  Its linear
+        part is I_f (x) term_sum, f = dim nu, so only term_sum is kept, one
+        array shared by the blocks of one copy multiset.  low and high are a
+        block's smallest and largest prefactor over the one-dimensional labels
+        of its other copies.
         """
         gamma, d, n, k = self.params
         one_dim = (1.0 + gamma, 1.0 - gamma) if d >= k + 2 else (1.0 + gamma,)
         by_size: dict[int, list] = {}
         solos = []
-        for mus, _, const, linear in werner_blocks(*self.params):
+        terms: dict[tuple, np.ndarray] = {}
+        for mus, nu, const, linear in werner_blocks(*self.params):
             rest = n - len(mus)
-            block = (const, linear, min(one_dim) ** rest, max(one_dim) ** rest)
+            low, high = min(one_dim) ** rest, max(one_dim) ** rest
             if len(const) < SOLO_MIN_ROWS:
-                by_size.setdefault(len(const), []).append(block)
-            else:
-                solos.append(block)
+                by_size.setdefault(len(const), []).append((const, linear, low, high))
+                continue
+            t = len(const) // specht_dim(nu)
+            solos.append((const, terms.setdefault(mus, linear[:t, :t].copy()), low, high))
         stacks = [tuple(map(np.array, zip(*by_size[size]))) for size in sorted(by_size)]
         return stacks, solos
 
+    @functools.cached_property
+    def _buffer(self) -> np.ndarray:
+        """Room for the largest solo.  Every solo solve works here: allocating an array per block and
+        sample left 3.7 MB more resident after a 17-point fig1 sweep."""
+        return np.empty(max((len(const) ** 2 for const, *_ in self.blocks[1]), default=0))
+
+    def _work(self, rows: int) -> np.ndarray:
+        return self._buffer[: rows * rows].reshape(rows, rows)
+
     def lambda_min(self, alpha: float) -> tuple[float, float]:
         stacks, solos = self.blocks
-        # (scaled lowest eigenvalue, block, its eigenpair if already solved)
-        best = (np.inf, None, None)
+        best, slope, stacked = np.inf, 0.0, None
         for const, linear, low, high in stacks:
             lowest = np.linalg.eigvalsh(const + alpha * linear)[:, 0]
             scaled = np.where(lowest < 0.0, high, low) * lowest
             b = int(np.argmin(scaled))
-            if scaled[b] < best[0]:
-                best = (scaled[b], (const[b], linear[b], low[b], high[b]), None)
-        for block in solos:
-            const, linear, low, high = block
-            h = alpha * linear
-            h += const
-            lam, v = _lowest_pair(h)
-            if (high if lam < 0.0 else low) * lam < best[0]:
-                best = ((high if lam < 0.0 else low) * lam, block, (lam, v))
-        _, (const, linear, low, high), pair = best
-        if pair is None:
+            if scaled[b] < best:
+                best, stacked = scaled[b], (const[b], linear[b], low[b], high[b])
+        for const, term, low, high in solos:
+            lam, v = _solo_lowest_pair(const, term, alpha, self._work(len(const)))
+            pref = high if lam < 0.0 else low
+            if pref * lam < best:
+                v = v.reshape(-1, len(term))
+                best, slope, stacked = pref * lam, pref * float(np.sum(v * (v @ term))), None
+        if stacked is not None:
+            const, linear, low, high = stacked
             vals, vecs = np.linalg.eigh(const + alpha * linear)
-            pair = vals[0], vecs[:, 0]
-        lam, v = pair
-        pref = high if lam < 0.0 else low
-        return float(pref * lam), float(pref * (v @ linear @ v))
+            pref = high if vals[0] < 0.0 else low
+            best, slope = pref * vals[0], pref * (vecs[:, 0] @ linear @ vecs[:, 0])
+        return float(best), float(slope)
+
+    def pencil_tops(self) -> list[tuple[float, float]]:
+        """(r, g) of every block, as `linalg.pencil_bracket` takes them; LinAlgError if a linear part is singular.
+
+        r is the top eigenvalue of the block's pencil (-const, linear), and g
+        = high x^T linear x for its unit eigenvector x.  Each block of a
+        stack takes one LAPACK dsygv, which on these few rows took a fifth to
+        a half of the time of batched numpy Cholesky, solves and `eigh` per
+        stack; a solo takes `linalg.pencil_top`, with one Cholesky factor of
+        term_sum per copy multiset.
+        """
+        stacks, solos = self.blocks
+        tops = []
+        for const, linear, low, high in stacks:
+            for c, l, p in zip(const, linear, high):
+                # the pencil (c, l) has eigenvalues -r, ascending, with eigenvectors v^T l v = 1
+                vals, vecs, info = scipy.linalg.lapack.dsygv(c, l)
+                if info:
+                    raise np.linalg.LinAlgError(f"dsygv failed on a {len(c)}-row block, info {info}")
+                tops.append((-float(vals[0]), p / float(vecs[:, 0] @ vecs[:, 0])))
+        factored = None
+        for const, term, low, high in solos:
+            if term is not factored:  # the solos of one copy multiset are adjacent and share term
+                factored, chol = term, scipy.linalg.cholesky(term, lower=True, check_finite=False)
+            r, xx = pencil_top(const, chol, len(const) // len(term), self._work(len(const)))
+            tops.append((r, high / xx))
+        return tops

@@ -23,6 +23,7 @@ TOL_EIG = 1e-9          # threshold predicate of every search: lambda_min < -TOL
 DENSE_DIM_LIMIT = 4096  # largest probe dimension the dense backend accepts; auto goes iterative from here
 EIG_SEED = 20260810     # start vector for iterative solves; fixed for reproducible curves
 WARM_START_SEED_WEIGHT = 0.01  # share of the seeded start vector kept in a warm start
+PENCIL_SOLVE_COLUMNS = 256  # columns per triangular solve in pencil_top
 
 
 class SolverConvergenceError(RuntimeError):
@@ -355,7 +356,73 @@ def eig_min_iterative(handle: LinearMapHandle, v0: np.ndarray | None = None) -> 
 # thresholds
 
 
-def threshold_sup(f: Callable[[float], tuple[float, float]], tol_alpha: float) -> float:
+def _reduced_pencil(const: np.ndarray, chol: np.ndarray, copies: int, out: np.ndarray | None) -> np.ndarray:
+    """(I (x) chol)^-1 (-const) (I (x) chol)^-dag in out (or a new array), whose Fortran-ordered transpose holds it."""
+    t, n = len(chol), len(const)
+    trsm = scipy.linalg.get_blas_funcs("trsm", (chol, const))
+    work = np.negative(const, out=out)
+    for slab in work.reshape(copies, t, n):
+        # slab <- chol^-1 slab, written as slab^T <- slab^T chol^-T on its Fortran-ordered transpose
+        trsm(1.0, chol, slab.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+    # rows <- rows chol^-dag, written as conj(rows)^T <- chol^-1 conj(rows)^T; the array then holds
+    # the conjugate of the reduced Hermitian matrix, which is its transpose.  Solving for
+    # PENCIL_SOLVE_COLUMNS columns at a time touched 1 MB less of OpenBLAS's buffer at n = 8
+    columns = work.reshape(n * copies, t).T
+    if np.iscomplexobj(work):
+        np.conjugate(work, out=work)
+    for start in range(0, n * copies, PENCIL_SOLVE_COLUMNS):
+        trsm(1.0, chol, columns[:, start : start + PENCIL_SOLVE_COLUMNS], lower=1, overwrite_b=1)
+    return work
+
+
+def pencil_top(
+    const: np.ndarray, chol: np.ndarray, copies: int = 1, out: np.ndarray | None = None
+) -> tuple[float, float]:
+    """Top eigenvalue r of the pencil (-const, I_copies (x) L) and x^dag x of its eigenvector x, with x^dag (I (x) L) x = 1.
+
+    chol is the lower Cholesky factor of L, and the rows of const are
+    ordered (copy, row of L).  One working array of const's size (out, if
+    given) holds -const; triangular solves reduce it in place to the standard
+    Hermitian matrix (I (x) chol)^-1 (-const) (I (x) chol)^-dag, and LAPACK
+    finds its top eigenpair (r, z) in place.  Then x = (I (x) chol)^-dag z.
+    """
+    n = len(const)
+    top = (n - 1, n - 1)
+    vals, vecs = scipy.linalg.eigh(
+        _reduced_pencil(const, chol, copies, out).T, subset_by_index=top, overwrite_a=True, check_finite=False
+    )
+    if not len(vals):
+        # LAPACK's index-range solvers found no eigenpair where the top eigenvalue has a high
+        # multiplicity (gamma = 0, k = 5: two distinct eigenvalues); solve the whole spectrum
+        vals, vecs = scipy.linalg.eigh(_reduced_pencil(const, chol, copies, out).T, overwrite_a=True, check_finite=False)
+    x = scipy.linalg.solve_triangular(chol, vecs[:, -1].reshape(copies, -1).T, lower=True, trans="C")
+    return float(vals[-1]), float(np.vdot(x, x).real)
+
+
+def pencil_bracket(tops: Iterable[tuple[float, float]]) -> tuple[float, float]:
+    """threshold_sup's start bracket from the top pencil eigenpair of every block of the probe.
+
+    Each block is C + alpha L with L positive definite, times a prefactor p
+    (its largest, the one that scales negative eigenvalues), given as (r, g):
+    r the top eigenvalue of the pencil (-C, L), and g = p x^dag L x for its
+    unit eigenvector x.  The block is PSD for alpha >= r, so hi = min(1,
+    max r) bounds the threshold from above.  At r - delta, delta = 2 TOL_EIG
+    / g, the scaled Rayleigh quotient of x is -2 TOL_EIG, so lo = max(r -
+    delta) is certified; the first sample of threshold_sup confirms it.  A
+    block with g = 0 is never negative and is left out.  Returns [0, 1] if
+    no block is left or a value is not finite.
+    """
+    tops = [(r, g) for r, g in tops if g != 0.0]
+    if not tops or not all(math.isfinite(r) and math.isfinite(g) for r, g in tops):
+        return 0.0, 1.0
+    hi = min(1.0, max(r for r, _ in tops))
+    lo = min(hi, max(r - 2.0 * TOL_EIG / g for r, g in tops))
+    return float(max(lo, 0.0)), float(max(hi, 0.0))
+
+
+def threshold_sup(
+    f: Callable[[float], tuple[float, float]], tol_alpha: float, bracket: tuple[float, float] = (0.0, 1.0)
+) -> float:
     """Largest sampled alpha in [0, 1] with f(alpha) below -TOL_EIG, to bracket width tol_alpha.
 
     f(alpha) returns (value, slope).  value must be concave and nondecreasing
@@ -366,6 +433,13 @@ def threshold_sup(f: Callable[[float], tuple[float, float]], tol_alpha: float) -
     the chord from the previous lower end, which ends a stall on a slope that
     is too steep.
 
+    The search starts from bracket = (lo, hi): the caller's claim that f is
+    below -TOL_EIG at lo and not below it from hi on, such as pencil_bracket
+    gives.  The first sample, at lo, checks the claim.  If it fails for lo > 0,
+    the search starts over on [0, 1]; hi is taken on trust.  Newton steps run
+    only while hi - lo > tol_alpha, so a bracket narrower than that costs
+    that one sample.
+
     Each step aims a quarter of tol_alpha short of the tangent's -TOL_EIG
     crossing: far enough below -TOL_EIG to survive the eigensolver's error
     there, and close enough that the next probe, at lo + tol_alpha (the
@@ -373,10 +447,13 @@ def threshold_sup(f: Callable[[float], tuple[float, float]], tol_alpha: float) -
     when the slope is not positive, when the step does not end below hi, or
     when it is more than half the step before last (the rtsafe safeguard, for
     roots where tangent steps shrink slowly).  Returns 0.0 when f(0) is not
-    below -TOL_EIG; hi = 1 is never sampled.
+    below -TOL_EIG; hi is never sampled.
     """
-    lo, hi = 0.0, 1.0
+    lo, hi = bracket
     value, slope = f(lo)
+    if not value < -TOL_EIG and lo > 0.0:
+        lo, hi = 0.0, 1.0
+        value, slope = f(lo)
     if not value < -TOL_EIG:
         return 0.0
     last_step = step_before = math.inf

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from . import blocks
 from .linalg import TOL_EIG  # the one certification tolerance; perfbench/checks.py reads solver.TOL_EIG
@@ -36,6 +37,8 @@ from .linalg import (
     eig_min_iterative,
     layout,
     partial_trace,
+    pencil_bracket,
+    pencil_top,
     permute_subsystems,
     reorder_to,
     threshold_sup,
@@ -98,7 +101,10 @@ class ThresholdResult:
     alpha_star is the largest sampled alpha at which the probe was certified
     negative, a lower bound on the supremum that is exact (within tolerance)
     for full-rank states and a certified lower bound otherwise.  samples holds
-    every (alpha, lambda_min) the search evaluated, sorted by alpha.
+    every (alpha, lambda_min) the search evaluated, sorted by alpha: on dense
+    and schur_weyl often the one sample at the lower end of the pencil's
+    bracket, which certifies alpha_star, and on iterative or after a fallback
+    to [0, 1] the Newton samples.
     certificate is the probe eigenvector of lambda_residual at alpha_star:
     None on schur_weyl, or when no alpha was certified negative.  It is
     ordered like ProbeAssembly(problem).layout, spectator first, on either side.
@@ -179,9 +185,19 @@ class KExtProblem:
         d_s, d_x = self.input_dims
         return d_s**self.n * d_x ** (self.n * (self.k + 1)) * 2 ** (self.k + 2)
 
+    @functools.cached_property
+    def werner_params(self) -> WernerParams | None:
+        """The state's Werner parameters, None unless it is a Werner state; read once per problem."""
+        try:
+            return werner_params_of(self.state)
+        except ValueError:
+            return None
+
     def largest_werner_block(self) -> int:
         """Rows of the largest Schur-Weyl block of this problem; ValueError unless the state is a Werner state."""
-        return blocks.largest_block(werner_params_of(self.state).d, self.n, self.k)
+        if self.werner_params is None:
+            raise ValueError("state is not a Werner state")
+        return blocks.largest_block(self.werner_params.d, self.n, self.k)
 
     def resolved_backend(self) -> str:
         """The backend a solve uses.
@@ -192,11 +208,8 @@ class KExtProblem:
         """
         if self.backend != "auto":
             return self.backend
-        try:
-            if self.largest_werner_block() <= DENSE_DIM_LIMIT:
-                return "schur_weyl"
-        except ValueError:  # not a Werner state
-            pass
+        if self.werner_params is not None and self.largest_werner_block() <= DENSE_DIM_LIMIT:
+            return "schur_weyl"
         if self.total_dim >= DENSE_DIM_LIMIT:
             return "iterative"
         if self.total_dim < AUTO_ITERATIVE_MIN_DIM:
@@ -308,25 +321,20 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _lambda_min_solver(
+def _solver_and_pencil(
     problem: KExtProblem,
-) -> Callable[[float], tuple[float, float, np.ndarray | None]]:
-    """alpha -> (lambda_min, slope, eigenvector or None) through the problem's backend.
+) -> tuple[Callable[[float], tuple[float, float, np.ndarray | None]], Callable[[], list] | None]:
+    """(_lambda_min_solver(problem), pencil_tops): the backend's solve and its pencil, sharing one set of pieces.
 
-    The slope is v^dag L v for the returned eigenvector v and the linear part
-    L: a supergradient of the concave lambda_min (Hellmann-Feynman), computed
-    through the term kernel.  Each iterative solve starts from the previous
-    eigenvector, the first from EIG_SEED.  schur_weyl reads gamma from the
-    Werner state, builds its blocks in its first solve, returns (d^2 + gamma
-    d)^n times the probe's value and slope, and no probe eigenvector.  Every
-    backend raises ValueError for alpha outside [0, 1] or NaN.  A
-    non-converging iterative solve raises SolverConvergenceError.
+    pencil_tops() gives (r, g) per block for linalg.pencil_bracket, and
+    raises LinAlgError where a linear part is not positive definite.  It is
+    None on iterative, which holds no explicit pieces.
     """
     backend = problem.resolved_backend()
     if backend == "schur_weyl":
-        params = werner_params_of(problem.state)  # rho_BA = rho_AB, so either side
+        params = problem.werner_params  # rho_BA = rho_AB, so either side
         werner_probe = blocks.WernerBlocks(params.gamma, params.d, problem.n, problem.k)
-        return lambda alpha: (*werner_probe.lambda_min(_check_alpha(alpha)), None)
+        return lambda alpha: (*werner_probe.lambda_min(_check_alpha(alpha)), None), werner_probe.pencil_tops
     assembly = ProbeAssembly(problem)
     dims = assembly.layout.dims
     previous: np.ndarray | None = None
@@ -345,7 +353,29 @@ def _lambda_min_solver(
         previous = vec
         return with_slope(lam, vec)
 
-    return solve
+    def pencil_tops() -> list[tuple[float, float]]:
+        const, linear = assembly.dense_pieces()
+        r, xx = pencil_top(const, scipy.linalg.cholesky(linear, lower=True, check_finite=False))
+        return [(r, 1.0 / xx)]
+
+    return solve, pencil_tops if backend == "dense" else None
+
+
+def _lambda_min_solver(
+    problem: KExtProblem,
+) -> Callable[[float], tuple[float, float, np.ndarray | None]]:
+    """alpha -> (lambda_min, slope, eigenvector or None) through the problem's backend.
+
+    The slope is v^dag L v for the returned eigenvector v and the linear part
+    L: a supergradient of the concave lambda_min (Hellmann-Feynman), computed
+    through the term kernel.  Each iterative solve starts from the previous
+    eigenvector, the first from EIG_SEED.  schur_weyl reads gamma from the
+    Werner state, builds its blocks in its first solve, returns (d^2 + gamma
+    d)^n times the probe's value and slope, and no probe eigenvector.  Every
+    backend raises ValueError for alpha outside [0, 1] or NaN.  A
+    non-converging iterative solve raises SolverConvergenceError.
+    """
+    return _solver_and_pencil(problem)[0]
 
 
 def lambda_min_alpha(problem: KExtProblem, alpha: float) -> float:
@@ -366,10 +396,17 @@ def fidelity_threshold(problem: KExtProblem, tol_alpha: float = DEFAULT_TOL_ALPH
     The alpha-derivative of the probe is a symmetrized PSD operator, so
     lambda_min is a minimum of nondecreasing affine functions of alpha:
     nondecreasing and concave, with the backend's slope as a tangent.
+
+    On dense and schur_weyl, where the probe is held as explicit pieces
+    C + alpha L, the search starts from linalg.pencil_bracket: one top
+    eigenpair of the pencil (-C, L) per block brackets the threshold, and the
+    search's first sample certifies the lower end.  It starts from [0, 1]
+    instead on iterative, and where a Cholesky factorization of L fails
+    (gamma = +-1 on blocks, rank-deficient states).
     """
     check_tol_alpha(tol_alpha)
     backend = problem.resolved_backend()
-    solve = _lambda_min_solver(problem)
+    solve, pencil_tops = _solver_and_pencil(problem)
     samples: list[tuple[float, float]] = []
     residual, certificate = None, None
 
@@ -382,7 +419,13 @@ def fidelity_threshold(problem: KExtProblem, tol_alpha: float = DEFAULT_TOL_ALPH
             residual, certificate = value, vec
         return value, slope
 
-    alpha_star = threshold_sup(evaluate, tol_alpha)
+    bracket = (0.0, 1.0)
+    if pencil_tops is not None:
+        try:
+            bracket = pencil_bracket(pencil_tops())
+        except np.linalg.LinAlgError:  # L is singular to working precision
+            pass
+    alpha_star = threshold_sup(evaluate, tol_alpha, bracket)
     if residual is None:
         residual = samples[0][1]
     return ThresholdResult(

@@ -13,7 +13,7 @@ import numpy as np
 from . import solver
 from . import analytic as wa
 from .blocks import WernerBlocks, s3_block_lambda_min
-from .linalg import eig_min_dense, embed, layout
+from .linalg import eig_min_dense, embed, layout, threshold_sup
 from .solver import KExtProblem, cj_of_mnp, fidelity_threshold, symmetrize
 from .states import DensityOperator, from_matrix, gamma_from_p, maximally_mixed, p_from_gamma, werner, WernerParams
 
@@ -202,6 +202,35 @@ def check_schur_weyl_vs_probe() -> CheckResult:
     return CheckResult("schur_weyl_vs_probe", passed, worst, 1e-6, {"lambda_gap": worst_lambda, "lambda_tol": 1e-10})
 
 
+def check_pencil_vs_newton() -> CheckResult:
+    """fidelity_threshold, which starts from the pencil's bracket, against threshold_sup from [0, 1].
+
+    Both searches end within tol_alpha below the -TOL_EIG crossing, so the
+    bracketed alpha* must be certified by a fresh solve and lie within
+    tol_alpha of Newton's (on these problems it is 0 to 4e-9 above it).  One
+    dense problem (a complex rank-5 state, whose bracket is wider than
+    tol_alpha) and two schur_weyl ones, the second at n = 8 where kappa(L) is
+    about 79^8.
+    """
+    tol = solver.DEFAULT_TOL_ALPHA
+    rng = np.random.default_rng(1109)
+    g = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    problems = (
+        KExtProblem(state=from_matrix(g @ g.conj().T, layout(("A", 2), ("B", 3))), k=1),
+        KExtProblem.for_werner(d=3, gamma=-0.6, n=2, k=3),
+        KExtProblem.for_werner(d=3, gamma=0.975, n=8, k=1),
+    )
+    gaps, certified = [], True
+    for prob in problems:
+        solve = solver._lambda_min_solver(prob)
+        newton = threshold_sup(lambda alpha: solve(alpha)[:2], tol)
+        alpha_star = fidelity_threshold(prob, tol).alpha_star
+        gaps.append(alpha_star - newton)
+        certified &= solver.lambda_min_alpha(prob, alpha_star) < -solver.TOL_EIG
+    passed = certified and all(abs(gap) <= tol for gap in gaps)
+    return CheckResult("pencil_vs_newton", passed, max(abs(gap) for gap in gaps), tol, {"gaps": gaps, "certified": certified})
+
+
 def check_many_copy_growth() -> CheckResult:
     worst_increment = np.inf
     for g in (-0.25, 0.25):
@@ -333,6 +362,7 @@ ALL_CHECKS = (
     check_schur_weyl_vs_s3,
     check_iterative_vs_dense,
     check_schur_weyl_vs_probe,
+    check_pencil_vs_newton,
     check_many_copy_growth,
     check_lambda_monotone_alpha,
     check_symmetrizer_psd,

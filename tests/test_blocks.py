@@ -127,7 +127,8 @@ def test_auto_threshold_at_many_copies_is_exact(n):
         for gamma in (-0.7, -0.2, 0.4, 0.9):
             blocks = fidelity_threshold(KExtProblem.for_werner(d=3, gamma=gamma, n=8, k=1), tol_alpha=1e-6)
             reference = threshold_sup(lambda alpha: s3_block_lambda_min(gamma, alpha, 8, 3), 1e-6)
-            assert abs(blocks.alpha_star - reference) <= 1e-14
+            # the pencil's bracket puts alpha* within tol_alpha above the Newton search from [0, 1]
+            assert reference - 1e-14 <= blocks.alpha_star <= reference + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -270,3 +271,52 @@ def test_schur_weyl_requires_a_werner_state_and_the_block_cap():
     with pytest.raises(ValueError, match="8064"):
         KExtProblem.for_werner(d=3, gamma=0.5, k=7, backend="schur_weyl")
     assert KExtProblem.for_werner(d=3, gamma=0.5, k=7).resolved_backend() == "iterative"
+
+
+def newton_from_unit_interval(problem, tol_alpha):
+    solve = solver._lambda_min_solver(problem)
+    return threshold_sup(lambda alpha: solve(alpha)[:2], tol_alpha)
+
+
+@pytest.mark.parametrize("gamma", [-1.0, -0.975, -0.5, 0.0, 0.5, 0.975, 1.0])
+def test_schur_weyl_pencil_threshold_is_certified_and_within_tol_of_newton(gamma):
+    # kappa(L) is about 79^8 at gamma = 0.975; at gamma = +-1 L is singular and the search runs on [0, 1]
+    tol_alpha = solver.DEFAULT_TOL_ALPHA
+    problem = KExtProblem.for_werner(d=3, gamma=gamma, n=8, k=1)
+    result = fidelity_threshold(problem, tol_alpha)
+    newton = newton_from_unit_interval(problem, tol_alpha)
+    assert result.backend == "schur_weyl"
+    assert newton <= result.alpha_star <= newton + tol_alpha
+    assert lambda_min_alpha(problem, result.alpha_star) < -TOL_EIG
+    assert lambda_min_alpha(problem, min(1.0, result.alpha_star + tol_alpha)) >= -TOL_EIG
+
+
+def test_schur_weyl_solo_blocks_keep_only_the_term_sum():
+    # d = 3, k = 4: blocks of 30 to 144 rows with dim nu = 5, 9 and 5, solved from I_f (x) term_sum
+    werner_probe = blocks_mod.WernerBlocks(-0.35, 3, 1, 4)
+    stacks, solos = werner_probe.blocks
+    assert solos and all(len(const) > len(term) for const, term, *_ in solos)
+    for alpha in (0.3, 0.8):
+        best = math.inf
+        for mus, nu, const, linear in werner_blocks(-0.35, 3, 1, 4):
+            # d < k + 2: the one copy with a one-dimensional label carries (k + 2), a factor 1 + gamma
+            pref = 1.0 if mus else 0.65
+            best = min(best, pref * np.linalg.eigvalsh(const + alpha * linear)[0])
+        assert abs(werner_probe.lambda_min(alpha)[0] - best) < 1e-12
+
+
+def test_dense_pencil_bracket_is_closed_by_newton_steps():
+    # a rank-5 state on 2 x 3 at k = 1: g is small, so the bracket is wider than tol_alpha
+    from kextdistill.linalg import layout
+    from kextdistill.states import from_matrix
+
+    rng = np.random.default_rng(1109)
+    g = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    problem = KExtProblem(state=from_matrix(g @ g.conj().T, layout(("A", 2), ("B", 3))), k=1)
+    tol_alpha = solver.DEFAULT_TOL_ALPHA
+    result = fidelity_threshold(problem, tol_alpha)
+    newton = newton_from_unit_interval(problem, tol_alpha)
+    assert result.backend == "dense" and result.samples[0][0] > 0.0  # no restart on [0, 1]
+    assert newton <= result.alpha_star <= newton + tol_alpha
+    assert lambda_min_alpha(problem, result.alpha_star) < -TOL_EIG
+    assert lambda_min_alpha(problem, min(1.0, result.alpha_star + tol_alpha)) >= -TOL_EIG

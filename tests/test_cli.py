@@ -467,7 +467,8 @@ def test_validate_fresh_checkout_passes():
     results = validate.run_checks()
     failed = [r.name for r in results if not r.passed]
     assert failed == []
-    assert len(results) == 19 and {"schur_weyl_vs_probe", "schur_weyl_vs_s3"} <= {r.name for r in results}
+    assert len(results) == 20
+    assert {"schur_weyl_vs_probe", "schur_weyl_vs_s3", "pencil_vs_newton"} <= {r.name for r in results}
 
 
 def test_validate_reports_margins():
@@ -498,6 +499,16 @@ def test_validate_compares_the_schur_weyl_blocks_with_the_probe(monkeypatch):
     monkeypatch.setattr(kextdistill.blocks.WernerBlocks, "lambda_min", shifted)
     assert not validate.check_schur_weyl_vs_probe().passed
     assert not validate.check_schur_weyl_vs_s3().passed
+
+
+def test_validate_compares_the_pencil_bracket_with_newton(monkeypatch):
+    pencil_bracket = solver.pencil_bracket
+
+    def shifted(tops):
+        return pencil_bracket([(root - 1e-6, g) for root, g in tops])
+
+    monkeypatch.setattr(solver, "pencil_bracket", shifted)
+    assert not validate.check_pencil_vs_newton().passed
 
 
 def test_validate_detects_constant_mutation(monkeypatch):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kextdistill import linalg
 from kextdistill.linalg import (
@@ -21,6 +22,8 @@ from kextdistill.linalg import (
     kron,
     layout,
     partial_trace,
+    pencil_bracket,
+    pencil_top,
     permutation_matrix,
     permute_subsystems,
     reorder_to,
@@ -502,6 +505,65 @@ def test_threshold_sup_nonnegative_at_zero_returns_zero():
         samples = []
         assert threshold_sup(min_of_affine([(value, 1.0)], samples), TOL_ALPHA) == 0.0
         assert samples == [0.0]
+
+
+def test_threshold_sup_bracket_narrower_than_tol_alpha_costs_one_sample():
+    samples = []
+    pieces = [through(0.6, 1.0)]
+    lo = 0.6 - 0.5 * TOL_ALPHA
+    assert threshold_sup(min_of_affine(pieces, samples), TOL_ALPHA, (lo, 0.6)) == lo
+    assert samples == [lo]
+
+
+def test_threshold_sup_falls_back_to_the_unit_interval_when_lo_does_not_certify():
+    pieces = [through(0.6, 1.0)]
+    samples = []
+    alpha_star = threshold_sup(min_of_affine(pieces, samples), TOL_ALPHA, (0.7, 0.8))
+    newton = []
+    assert alpha_star == threshold_sup(min_of_affine(pieces, newton), TOL_ALPHA)
+    assert samples == [0.7] + newton
+    assert_certified_and_tight(pieces, alpha_star)
+
+
+@pytest.mark.parametrize("left,right", [(4.0, 0.25), (50.0, 0.02), (1.0, 1.0)])
+def test_threshold_sup_never_samples_hi_of_a_bracket(left, right):
+    # a bracket whose hi sits on the root, wider than tol_alpha, closed by Newton steps and midpoints
+    root = 0.75
+    pieces = [through(root, left), through(root, right)]
+    samples = []
+    alpha_star = threshold_sup(min_of_affine(pieces, samples), TOL_ALPHA, (root - 1e-3, root))
+    assert root not in samples and max(samples) < root
+    assert samples[0] == root - 1e-3
+    assert_certified_and_tight(pieces, alpha_star)
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+@pytest.mark.parametrize("real", [True, False])
+def test_pencil_top_is_the_top_generalized_eigenpair(copies, real):
+    rng = np.random.default_rng(copies)
+    t = 5
+    g = rng.standard_normal((t, t)) if real else rng.standard_normal((t, t)) + 1j * rng.standard_normal((t, t))
+    term = g @ g.conj().T + 0.1 * np.eye(t)
+    const = random_hermitian(rng, layout(("x", t * copies)), real=real).entries
+    linear = np.kron(np.eye(copies), term)
+    vals, vecs = scipy.linalg.eigh(-const, linear)
+    r, xx = pencil_top(const, np.linalg.cholesky(term), copies)
+    x = vecs[:, -1]  # scipy normalizes x^dag L x = 1
+    assert abs(r - vals[-1]) <= 1e-12 * abs(vals).max()
+    assert abs(xx - np.vdot(x, x).real) <= 1e-10 * xx
+
+
+def test_pencil_bracket_takes_each_block_at_its_own_step():
+    # the block with the largest root has a tiny g, so lo comes from the other one
+    lo, hi = pencil_bracket([(0.9, 1e-8), (0.8, 1.0)])
+    assert hi == 0.9 and lo == 0.8 - 2.0 * TOL_EIG
+    assert pencil_bracket([(1.2, 1.0)]) == (1.0, 1.0)
+    assert pencil_bracket([(-0.1, 1.0)]) == (0.0, 0.0)
+    # a block with no prefactor is never negative; no finite block leaves [0, 1]
+    assert pencil_bracket([(0.9, 0.0), (0.5, 1.0)]) == (0.5 - 2.0 * TOL_EIG, 0.5)
+    assert pencil_bracket([(float("nan"), 1.0)]) == (0.0, 1.0)
+    # plain floats from numpy ones: a sweep writes repr(alpha*) to its CSV
+    assert all(type(end) is float for end in pencil_bracket([(np.float64(0.5), np.float64(1.0))]))
 
 
 def test_import_does_not_load_scipy_optimize():
