@@ -24,7 +24,8 @@ or (1^m) when d >= m, sends every tau_i to +1 or -1, so it multiplies the
 whole block by 1 + gamma or 1 - gamma, both >= 0: only the multisets of
 multi-row labels need blocks, each with its smallest and largest prefactor.
 The blocks are on the scale of I + gamma V, so their eigenvalues are
-(d^2 + gamma d)^n times the probe's.
+(d^2 + gamma d)^n times the probe's.  `WernerBlocks.one_block` solves the
+`dense` backend's probe the same way, as one block.
 
 `s3_block_lambda_min` is the k = 1 case written from the paper's
 coefficient table (`analytic.st_coefficients`), on the same scale.  No
@@ -234,33 +235,27 @@ def werner_blocks(gamma: float, d: int, n: int, k: int):
 SOLO_MIN_ROWS = 26
 
 
-def _lowest_pair(h: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest eigenvalue and eigenvector of a real symmetric block, overwriting it."""
-    # h.T is h, and Fortran-ordered, so LAPACK works on it in place
-    vals, vecs = scipy.linalg.eigh(h.T, subset_by_index=(0, 0), overwrite_a=True, check_finite=False)
-    return float(vals[0]), vecs[:, 0]
-
-
 def _solo_lowest_pair(const: np.ndarray, term: np.ndarray, alpha: float, out: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of const + alpha I_f (x) term, built in out and overwriting it."""
-    t = len(term)
-    f = len(const) // t
+    """Lowest eigenpair of the Hermitian const + alpha I_f (x) term, built in out and overwriting it."""
+    f, t = len(const) // len(term), len(term)
     np.copyto(out, const)
-    step = alpha * term
-    diagonal = out.reshape(f, t, f, t)
-    for i in range(f):
-        diagonal[i, :, i, :] += step
-    return _lowest_pair(out)
+    diagonal, const_diagonal = out.reshape(f, t, f, t), const.reshape(f, t, f, t)
+    for i in range(f):  # alpha term + const, with no array of term's size per sample
+        np.multiply(term, alpha, out=diagonal[i, :, i, :])
+        diagonal[i, :, i, :] += const_diagonal[i, :, i, :]
+    # out.T, Fortran-ordered, is conj(out): LAPACK solves it in place, and conj maps its eigenvector back
+    vals, vecs = scipy.linalg.eigh(out.T, subset_by_index=(0, 0), overwrite_a=True, check_finite=False)
+    return float(vals[0]), vecs[:, 0].conj()
 
 
 class WernerBlocks:
-    """lambda_min(alpha) and its slope for the n-copy, k-extension probe of the Werner state I + gamma V.
+    """lambda_min(alpha), slope and eigenvector of the Werner probe I + gamma V, or of one_block(const, linear).
 
-    The value is (d^2 + gamma d)^n times the probe's lambda_min.  The blocks
-    are built on the first call.  Each alpha costs one batched
+    The Werner value is (d^2 + gamma d)^n times the probe's lambda_min, and
+    the blocks are built on the first call.  Each alpha costs one batched
     `np.linalg.eigvalsh` per block size below SOLO_MIN_ROWS rows, one
     lowest-eigenpair solve per larger block, and one for the lowest small
-    block.  The slope is p v^T L v for the lowest eigenvector v of the lowest
+    block.  The slope is p v^dag L v for the lowest eigenvector v of the lowest
     block, its linear part L and its prefactor p: a supergradient of the
     concave minimum.  `pencil_tops` gives every block's top pencil
     eigenpair, from which `linalg.pencil_bracket` brackets the threshold.
@@ -269,12 +264,19 @@ class WernerBlocks:
     def __init__(self, gamma: float, d: int, n: int, k: int):
         self.params = (gamma, d, n, k)
 
+    @classmethod
+    def one_block(cls, const: np.ndarray, linear: np.ndarray) -> "WernerBlocks":
+        """Any probe const + alpha linear, real or complex Hermitian, as one solo block with prefactors 1 (not copied)."""
+        probe = cls.__new__(cls)
+        probe.params, probe.blocks = None, ([], [(const, linear, 1.0, 1.0)])
+        return probe
+
     @functools.cached_property
     def blocks(self) -> tuple[list, list]:
         """(stacks, solos).
 
         A stack is (const, linear, low, high) for every block of one size
-        below SOLO_MIN_ROWS, with const and linear shaped (blocks, size, size).
+        below SOLO_MIN_ROWS, real, with const and linear shaped (blocks, size, size).
         A solo is (const, term, low, high) for one larger block.  Its linear
         part is I_f (x) term_sum, f = dim nu, so only term_sum is kept, one
         array shared by the blocks of one copy multiset.  low and high are a
@@ -299,16 +301,18 @@ class WernerBlocks:
 
     @functools.cached_property
     def _buffer(self) -> np.ndarray:
-        """Room for the largest solo.  Every solo solve works here: allocating an array per block and
-        sample left 3.7 MB more resident after a 17-point fig1 sweep."""
-        return np.empty(max((len(const) ** 2 for const, *_ in self.blocks[1]), default=0))
+        """Room for the largest solo, in its dtype.  Every solo solve works here: allocating an array per
+        block and sample left 3.7 MB more resident after a 17-point fig1 sweep."""
+        solos = self.blocks[1]
+        return np.empty(max((len(c) ** 2 for c, *_ in solos), default=0), dtype=solos[0][0].dtype if solos else float)
 
     def _work(self, rows: int) -> np.ndarray:
         return self._buffer[: rows * rows].reshape(rows, rows)
 
-    def lambda_min(self, alpha: float) -> tuple[float, float]:
+    def lambda_min(self, alpha: float) -> tuple[float, float, np.ndarray]:
+        """(lambda_min, slope, v) at alpha, v the unit lowest eigenvector of the lowest block."""
         stacks, solos = self.blocks
-        best, slope, stacked = np.inf, 0.0, None
+        best, slope, vec, stacked = np.inf, 0.0, None, None
         for const, linear, low, high in stacks:
             lowest = np.linalg.eigvalsh(const + alpha * linear)[:, 0]
             scaled = np.where(lowest < 0.0, high, low) * lowest
@@ -319,24 +323,25 @@ class WernerBlocks:
             lam, v = _solo_lowest_pair(const, term, alpha, self._work(len(const)))
             pref = high if lam < 0.0 else low
             if pref * lam < best:
-                v = v.reshape(-1, len(term))
-                best, slope, stacked = pref * lam, pref * float(np.sum(v * (v @ term))), None
+                w = v.reshape(-1, len(term))
+                # v^dag (I_f (x) term) v, without a conjugate of term; sum w (w @ term) on a real block
+                best, slope, vec, stacked = pref * lam, pref * float(np.sum(w * (w.conj() @ term)).real), v, None
         if stacked is not None:
             const, linear, low, high = stacked
             vals, vecs = np.linalg.eigh(const + alpha * linear)
-            pref = high if vals[0] < 0.0 else low
-            best, slope = pref * vals[0], pref * (vecs[:, 0] @ linear @ vecs[:, 0])
-        return float(best), float(slope)
+            pref, vec = (high if vals[0] < 0.0 else low), vecs[:, 0]
+            best, slope = pref * vals[0], pref * (vec @ linear @ vec)
+        return float(best), float(slope), vec
 
     def pencil_tops(self) -> list[tuple[float, float]]:
         """(r, g) of every block, as `linalg.pencil_bracket` takes them; LinAlgError if a linear part is singular.
 
         r is the top eigenvalue of the block's pencil (-const, linear), and g
-        = high x^T linear x for its unit eigenvector x.  Each block of a
+        = high x^dag linear x for its unit eigenvector x.  Each block of a
         stack takes one LAPACK dsygv, which on these few rows took a fifth to
         a half of the time of batched numpy Cholesky, solves and `eigh` per
-        stack; a solo takes `linalg.pencil_top`, with one Cholesky factor of
-        term_sum per copy multiset.
+        stack; a solo takes `linalg.pencil_top` in the buffer, with one
+        Cholesky factor of term per copy multiset.
         """
         stacks, solos = self.blocks
         tops = []

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import blocks
 from .linalg import TOL_EIG  # the one certification tolerance; perfbench/checks.py reads solver.TOL_EIG
@@ -33,12 +32,11 @@ from .linalg import (
     LinearMapHandle,
     SystemLayout,
     eig_min_dense,
-    eig_min_dense_vec,
+    eig_min_dense_vec,  # no caller here; bound for perfbench/spans.py only
     eig_min_iterative,
     layout,
     partial_trace,
     pencil_bracket,
-    pencil_top,
     permute_subsystems,
     reorder_to,
     threshold_sup,
@@ -105,9 +103,10 @@ class ThresholdResult:
     and schur_weyl often the one sample at the lower end of the pencil's
     bracket, which certifies alpha_star, and on iterative or after a fallback
     to [0, 1] the Newton samples.
-    certificate is the probe eigenvector of lambda_residual at alpha_star:
-    None on schur_weyl, or when no alpha was certified negative.  It is
-    ordered like ProbeAssembly(problem).layout, spectator first, on either side.
+    certificate is the unit probe eigenvector of lambda_residual at
+    alpha_star (dense: of its one block): None on schur_weyl, or when no alpha
+    was certified negative.  It is ordered like ProbeAssembly(problem).layout,
+    spectator first, on either side.
     On schur_weyl, lambda_residual and every sample are on the blocks' scale,
     (d^2 + gamma d)^n times the probe eigenvalue: TOL_EIG is absolute, and at
     n = 8, d = 3 the probe-scale value is -4.4e-14 to -1.6e-10.
@@ -296,6 +295,7 @@ class ProbeAssembly:
         return self._dense_pieces
 
     def dense(self, alpha: float) -> HermitianOperator:
+        """The reference dense probe at alpha, used by the tests and by `kext validate`; no backend samples it."""
         const, linear = self.dense_pieces()
         return HermitianOperator(self.layout, const + alpha * linear)
 
@@ -331,34 +331,24 @@ def _solver_and_pencil(
     None on iterative, which holds no explicit pieces.
     """
     backend = problem.resolved_backend()
+    if backend == "dense":
+        probe = blocks.WernerBlocks.one_block(*ProbeAssembly(problem).dense_pieces())
+        return lambda alpha: probe.lambda_min(_check_alpha(alpha)), probe.pencil_tops
     if backend == "schur_weyl":
         params = problem.werner_params  # rho_BA = rho_AB, so either side
         werner_probe = blocks.WernerBlocks(params.gamma, params.d, problem.n, problem.k)
-        return lambda alpha: (*werner_probe.lambda_min(_check_alpha(alpha)), None), werner_probe.pencil_tops
+        return lambda alpha: (*werner_probe.lambda_min(_check_alpha(alpha))[:2], None), werner_probe.pencil_tops
     assembly = ProbeAssembly(problem)
-    dims = assembly.layout.dims
     previous: np.ndarray | None = None
-
-    def with_slope(lam: float, vec: np.ndarray) -> tuple[float, float, np.ndarray]:
-        v = vec.reshape(dims)
-        slope = sum(np.vdot(v, assembly.term(v, i)[0]).real for i in range(len(assembly.pairs)))
-        return lam, float(slope), vec
 
     def solve(alpha: float) -> tuple[float, float, np.ndarray]:
         nonlocal previous
-        _check_alpha(alpha)
-        if backend == "dense":
-            return with_slope(*eig_min_dense_vec(assembly.dense(alpha)))
-        lam, vec = eig_min_iterative(assembly.handle(alpha), v0=previous)
-        previous = vec
-        return with_slope(lam, vec)
+        lam, previous = eig_min_iterative(assembly.handle(_check_alpha(alpha)), v0=previous)
+        v = previous.reshape(assembly.layout.dims)
+        slope = sum(np.vdot(v, assembly.term(v, i)[0]).real for i in range(len(assembly.pairs)))
+        return lam, float(slope), previous
 
-    def pencil_tops() -> list[tuple[float, float]]:
-        const, linear = assembly.dense_pieces()
-        r, xx = pencil_top(const, scipy.linalg.cholesky(linear, lower=True, check_finite=False))
-        return [(r, 1.0 / xx)]
-
-    return solve, pencil_tops if backend == "dense" else None
+    return solve, None
 
 
 def _lambda_min_solver(
@@ -367,13 +357,15 @@ def _lambda_min_solver(
     """alpha -> (lambda_min, slope, eigenvector or None) through the problem's backend.
 
     The slope is v^dag L v for the returned eigenvector v and the linear part
-    L: a supergradient of the concave lambda_min (Hellmann-Feynman), computed
-    through the term kernel.  Each iterative solve starts from the previous
-    eigenvector, the first from EIG_SEED.  schur_weyl reads gamma from the
-    Werner state, builds its blocks in its first solve, returns (d^2 + gamma
-    d)^n times the probe's value and slope, and no probe eigenvector.  Every
-    backend raises ValueError for alpha outside [0, 1] or NaN.  A
-    non-converging iterative solve raises SolverConvergenceError.
+    L: a supergradient of the concave lambda_min (Hellmann-Feynman).  dense
+    (its dense pieces, built here, as one block) and schur_weyl share
+    blocks.WernerBlocks.lambda_min; iterative takes the slope through the
+    term kernel, and starts each solve from the previous eigenvector, the
+    first from EIG_SEED.  schur_weyl reads gamma from the Werner state,
+    builds its blocks in its first solve, returns (d^2 + gamma d)^n times the
+    probe's value and slope, and no probe eigenvector.  Every backend raises
+    ValueError for alpha outside [0, 1] or NaN.  A non-converging iterative
+    solve raises SolverConvergenceError.
     """
     return _solver_and_pencil(problem)[0]
 

@@ -141,7 +141,7 @@ def check_schur_weyl_vs_s3() -> CheckResult:
                 werner_probe = WernerBlocks(g, d, n, 1)
                 scale = 2.0 * (1.0 + abs(g)) ** n
                 for a in (0.3, 0.7, 0.95):
-                    value, slope = werner_probe.lambda_min(a)
+                    value, slope, _ = werner_probe.lambda_min(a)
                     ref_value, ref_slope = s3_block_lambda_min(g, a, n, d)
                     worst = max(worst, abs(value - ref_value) / scale)
                     worst_slope = max(worst_slope, abs(slope - ref_slope) / scale)
@@ -191,10 +191,12 @@ def check_schur_weyl_vs_probe() -> CheckResult:
     for d, gamma, n, k, side, backend, alphas in cases:
         blocks = KExtProblem.for_werner(d=d, gamma=gamma, n=n, k=k, side=side, backend="schur_weyl")
         probe = replace(blocks, backend=backend)
-        solve_blocks, solve_probe = solver._lambda_min_solver(blocks), solver._lambda_min_solver(probe)
+        solve_blocks, assembly = solver._lambda_min_solver(blocks), solver.ProbeAssembly(probe)
         scale = (d * d + gamma * d) ** n
         for a in alphas:
-            worst_lambda = max(worst_lambda, abs(solve_blocks(a)[0] / scale - solve_probe(a)[0]))
+            # ProbeAssembly.dense, not the dense backend, which shares the blocks' solver
+            ref = eig_min_dense(assembly.dense(a)) if backend == "dense" else solver.lambda_min_alpha(probe, a)
+            worst_lambda = max(worst_lambda, abs(solve_blocks(a)[0] / scale - ref))
         if backend == "dense" and probe.total_dim <= 512:
             gap = fidelity_threshold(blocks).alpha_star - fidelity_threshold(probe).alpha_star
             worst = max(worst, abs(gap))

@@ -4,9 +4,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kextdistill import blocks as blocks_mod
-from kextdistill.analytic import alpha_max_k1
+from kextdistill.analytic import alpha_max_k1, maxmixed_bound
 from kextdistill.blocks import (
     largest_block,
     partitions,
@@ -48,7 +49,7 @@ def test_block_sign_matches_dense_probe():
         block = s3_block_lambda_min(gamma, alpha, 1, 2)[0]
         if abs(block) < 1e-8:
             continue  # at a crossing both solvers sit at numerical zero
-        dense = lambda_min_alpha(KExtProblem.for_werner(d=2, gamma=gamma), alpha)
+        dense = lambda_min_alpha(KExtProblem.for_werner(d=2, gamma=gamma, backend="dense"), alpha)
         assert np.sign(block) == np.sign(dense)
 
 
@@ -303,6 +304,25 @@ def test_schur_weyl_solo_blocks_keep_only_the_term_sum():
             pref = 1.0 if mus else 0.65
             best = min(best, pref * np.linalg.eigvalsh(const + alpha * linear)[0])
         assert abs(werner_probe.lambda_min(alpha)[0] - best) < 1e-12
+
+
+def test_pencil_top_solves_the_whole_spectrum_where_the_top_is_degenerate(monkeypatch):
+    # at d = 3, k = 5, gamma = 0 a reduced block has two eigenvalues of high multiplicity, and
+    # LAPACK's index-range solver returns no top eigenpair for it
+    whole_spectrum = []
+    eigh = scipy.linalg.eigh
+
+    def spy(*args, **kwargs):
+        whole_spectrum.append("subset_by_index" not in kwargs)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    problem = KExtProblem.for_werner(d=3, gamma=0.0, n=1, k=5)
+    tol_alpha = solver.DEFAULT_TOL_ALPHA
+    result = fidelity_threshold(problem, tol_alpha)
+    assert result.backend == "schur_weyl" and any(whole_spectrum)
+    assert abs(result.alpha_star - maxmixed_bound(5)) <= tol_alpha
+    assert lambda_min_alpha(problem, result.alpha_star) < -TOL_EIG
 
 
 def test_dense_pencil_bracket_is_closed_by_newton_steps():

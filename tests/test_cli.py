@@ -493,8 +493,8 @@ def test_validate_compares_the_schur_weyl_blocks_with_the_probe(monkeypatch):
     lambda_min = kextdistill.blocks.WernerBlocks.lambda_min
 
     def shifted(self, alpha):
-        value, slope = lambda_min(self, alpha)
-        return value + 1e-9, slope
+        value, slope, vec = lambda_min(self, alpha)
+        return value + 1e-9, slope, vec
 
     monkeypatch.setattr(kextdistill.blocks.WernerBlocks, "lambda_min", shifted)
     assert not validate.check_schur_weyl_vs_probe().passed

@@ -50,6 +50,13 @@ def random_state(rng, d_a, d_b):
     return from_matrix(g @ g.conj().T, layout(("A", d_a), ("B", d_b)))
 
 
+def rank5_2x3_state():
+    """The complex rank-5 2 x 3 state of validate.check_pencil_vs_newton."""
+    rng = np.random.default_rng(1109)
+    g = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    return from_matrix(g @ g.conj().T, layout(("A", 2), ("B", 3)))
+
+
 def identity_channel_cj(d=2):
     lay = layout(("A", d), ("B", d), ("a", d), ("b", d))
     phi = bell_state("phi_plus", d).matrix
@@ -308,9 +315,11 @@ def test_threshold_result_invariants():
     "problem",
     [
         KExtProblem.for_werner(d=2, gamma=-0.3, k=1, backend="dense"),
+        KExtProblem(state=rank5_2x3_state(), k=1, side="bob", backend="dense"),
+        KExtProblem(state=rank5_2x3_state(), k=1, side="alice", backend="dense"),
         KExtProblem(state=random_state(np.random.default_rng(4), 2, 2), k=1, backend="iterative"),
     ],
-    ids=["dense", "iterative"],
+    ids=["dense", "dense-complex-bob", "dense-complex-alice", "iterative"],
 )
 def test_threshold_certificate_is_a_negative_eigenvector(problem):
     result = fidelity_threshold(problem)
@@ -320,6 +329,21 @@ def test_threshold_certificate_is_a_negative_eigenvector(problem):
     assert (result.alpha_star, lam) in result.samples
     assert np.vdot(v, pv).real / np.vdot(v, v).real < -TOL_EIG
     assert np.linalg.norm(pv - lam * v) <= 1e-8
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("state", [werner(WernerParams(d=3, gamma=-0.5)), rank5_2x3_state()], ids=["werner", "complex"])
+def test_dense_lambda_and_slope_match_the_reference_probe(state, side):
+    # the dense backend solves its pieces in place as one block; the reference is
+    # eig_min_dense of ProbeAssembly.dense and the slope v^dag L v through the term kernel
+    problem = KExtProblem(state=state, k=1, side=side, backend="dense")
+    solve, assembly = solver._lambda_min_solver(problem), ProbeAssembly(problem)
+    for alpha in (0.0, 0.5, 0.9, 1.0):
+        lam, slope, vec = solve(alpha)
+        assert abs(lam - eig_min_dense(assembly.dense(alpha))) <= 1e-12 * assembly.norm_bound
+        v = vec.reshape(assembly.layout.dims)
+        kernel_slope = sum(np.vdot(v, assembly.term(v, i)[0]).real for i in range(len(assembly.pairs)))
+        assert abs(slope - kernel_slope) <= 1e-12
 
 
 @pytest.mark.parametrize("backend", ["dense", "iterative"])
