@@ -9,7 +9,7 @@ fidelity on rank-deficient states, and carries the closed-form Werner-state
 results plus one symmetric-group block backend for Werner states: Schur-Weyl
 blocks at any n and k, on the scale of I + gamma V, which is (d^2 + gamma d)^n
 times the probe.  `s3_block_lambda_min` is the k = 1 reference the blocks are
-checked against.
+checked against.  Helpers that only the tests call live in `tests/`.
 """
 
 from .blocks import WernerBlocks, s3_block_lambda_min
@@ -24,7 +24,6 @@ from .linalg import (
     kron,
     layout,
     partial_trace,
-    partial_transpose,
     permute_subsystems,
     swap_op,
 )
@@ -49,7 +48,6 @@ from .states import (
     load_state,
     maximally_mixed,
     p_from_gamma,
-    probe_operator,
     projectors,
     save_state,
     werner,
@@ -58,7 +56,6 @@ from .analytic import (
     IrrepCoefficients,
     MnPTradeoff,
     alpha_max_k1,
-    alpha_max_k1_d4_p,
     maxmixed_bound,
     mnp_alpha_max,
     mnp_f,

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL_EIG, HermitianOperator, SystemLayout, eig_min_dense_vec, embed, layout
+from .linalg import TOL_EIG, HermitianOperator, eig_min_dense_vec, embed, layout
 from .linalg import permutation_matrix, threshold_sup
-from .states import DensityOperator, gamma_from_p
+from .states import DensityOperator
 
 MNP_TOL_EIG = TOL_EIG  # the one certification tolerance; perfbench/checks.py reads it under this name
 MNP_TOL_ALPHA = 1e-7
@@ -94,53 +94,6 @@ def r_operators(d: int):
     return tuple(HermitianOperator(lay, m) for m in (r_plus, r_minus, r_0, r_1, r_2, r_3))
 
 
-def coefficients_from_traces(gamma: float, alpha: float, d: int = 3) -> IrrepCoefficients:
-    """Recompute the coefficient table from dense commutant-operator traces.
-
-    The qubit factor of the mixed-symmetry subspace carries a basis freedom;
-    the state-side triple is read out in the reflected basis (R_1, R_2
-    negated) so that both rows land in the standard table form.  Eigenvalues
-    of any assembled block are independent of this choice.
-    """
-    if d < 3:
-        raise ValueError("the antisymmetric scalar component needs d >= 3")
-
-    def expand(x: np.ndarray, ops, flip: bool) -> tuple:
-        r_plus, r_minus, r_0, r_1, r_2, _ = ops
-        sign = -1.0 if flip else 1.0
-
-        def coef(r: HermitianOperator) -> float:
-            den = float(np.trace(r.entries.conj().T @ r.entries).real)
-            if den == 0.0:  # empty subspace (qubit triple has no antisymmetric part)
-                return 0.0
-            return float(np.trace(x @ r.entries).real) / den
-
-        comp = (coef(r_0), sign * coef(r_1), sign * coef(r_2), 0.0)
-        return comp, coef(r_plus), coef(r_minus)
-
-    ops_state = r_operators(d)
-    lay_s = ops_state[0].layout
-    v12_s = permutation_matrix(lay_s, {"x1": "x2", "x2": "x1"})
-    v13_s = permutation_matrix(lay_s, {"x1": "x3", "x3": "x1"})
-    x1 = np.eye(d**3) + gamma * v12_s
-    x2 = np.eye(d**3) + gamma * v13_s
-    s, s_plus, s_minus = expand(x1, ops_state, flip=True)
-    s_tilde, _, _ = expand(x2, ops_state, flip=True)
-
-    ops_target = r_operators(2)
-    lay_t = ops_target[0].layout
-    v12_t = permutation_matrix(lay_t, {"x1": "x2", "x2": "x1"})
-    v13_t = permutation_matrix(lay_t, {"x1": "x3", "x3": "x1"})
-    y1 = (alpha - 0.5) * np.eye(8) + 0.5 * v12_t
-    y2 = (alpha - 0.5) * np.eye(8) + 0.5 * v13_t
-    t, t_plus, _ = expand(y1, ops_target, flip=False)
-    t_tilde, _, _ = expand(y2, ops_target, flip=False)
-    return IrrepCoefficients(
-        s=s, s_tilde=s_tilde, t=t, t_tilde=t_tilde,
-        s_plus=s_plus, s_minus=s_minus, t_plus=t_plus,
-    )
-
-
 def reduced_matrix(c: IrrepCoefficients) -> HermitianOperator:
     """The 4x4 qubit-block operator in terms of the coefficient table."""
     s0, s1, s2, _ = c.s
@@ -181,13 +134,6 @@ def alpha_max_k1(gamma: float) -> float:
     if not -1.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [-1, 1], got {gamma}")
     return 0.5 + 0.5 * math.sqrt((1.0 + 2.0 * gamma**2) / (4.0 - gamma**2))
-
-
-def alpha_max_k1_d4_p(p: float) -> float:
-    """The d = 4 threshold in the symmetric-weight parametrization."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return 0.5 + math.sqrt(0.25 - 15.0 * p * (1.0 - p) / (25.0 - 16.0 * p**2))
 
 
 def maxmixed_bound(k: int) -> float:
@@ -259,20 +205,14 @@ def _ellipse_points(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 - y_plus + y_minus, 0.5 - y_plus - y_minus
 
 
-def z_operator(state: DensityOperator, alpha: float, f1: float, f2: float) -> HermitianOperator:
-    """(alpha - F1) rho_AB x I_E + (alpha - F2) rho_AE x I_B for the M&P criterion."""
-    k1, k2, lay = _z_pieces(state)
-    return HermitianOperator(lay, (alpha - f1) * k1 + (alpha - f2) * k2)
-
-
-def _z_pieces(state: DensityOperator) -> tuple[np.ndarray, np.ndarray, SystemLayout]:
+def _z_pieces(state: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     (la, da), (lb, db) = state.layout.subsystems
     if da != db:
         raise ValueError("measure-and-prepare scan needs a state on d x d")
     lay = layout((la, da), (lb, db), ("E_", db))
     k1 = embed(lay, {(la, lb): state.matrix}).entries
     k2 = embed(lay, {(la, "E_"): state.matrix}).entries
-    return k1, k2, lay
+    return k1, k2
 
 
 def _min_over_ellipse(alpha: float, k1: np.ndarray, k2: np.ndarray) -> tuple[float, float]:
@@ -318,7 +258,7 @@ def _min_over_ellipse(alpha: float, k1: np.ndarray, k2: np.ndarray) -> tuple[flo
 
 def mnp_min_lambda(state: DensityOperator, alpha: float) -> float:
     """Infimum over the ellipse boundary of the smallest eigenvalue of Z."""
-    k1, k2, _ = _z_pieces(state)
+    k1, k2 = _z_pieces(state)
     return _min_over_ellipse(alpha, k1, k2)[0]
 
 
@@ -330,5 +270,5 @@ def mnp_threshold_numeric(state: DensityOperator) -> float:
     infimum is attained there; the origin contributes a PSD operator and can
     be skipped).
     """
-    k1, k2, _ = _z_pieces(state)
+    k1, k2 = _z_pieces(state)
     return threshold_sup(lambda alpha: _min_over_ellipse(alpha, k1, k2), MNP_TOL_ALPHA)

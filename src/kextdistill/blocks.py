@@ -114,23 +114,11 @@ def partitions(m: int, max_rows: int) -> tuple[tuple[int, ...], ...]:
     return tuple(grow(m, m, max_rows))
 
 
-def _hooks_and_contents(shape: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(hook length, content) of every box of the Young diagram."""
-    columns = [sum(1 for row in shape if row > j) for j in range(shape[0])]
-    return [(row - j + columns[j] - i - 1, j - i) for i, row in enumerate(shape) for j in range(row)]
-
-
 def specht_dim(shape: tuple[int, ...]) -> int:
     """f^shape, the dimension of the symmetric-group irrep (hook length formula)."""
-    return math.factorial(sum(shape)) // math.prod(h for h, _ in _hooks_and_contents(shape))
-
-
-def unitary_dim(shape: tuple[int, ...], d: int) -> int:
-    """Dimension of the U(d) irrep of this shape (hook-content formula); 0 beyond d rows."""
-    if len(shape) > d:
-        return 0
-    boxes = _hooks_and_contents(shape)
-    return math.prod(d + c for _, c in boxes) // math.prod(h for h, _ in boxes)
+    columns = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+    hooks = (row - j + columns[j] - i - 1 for i, row in enumerate(shape) for j in range(row))
+    return math.factorial(sum(shape)) // math.prod(hooks)
 
 
 @functools.lru_cache(maxsize=None)
@@ -310,7 +298,7 @@ class WernerBlocks:
 
     def lambda_min(self, alpha: float) -> tuple[float, float, np.ndarray]:
         stacks, solos = self.blocks
-        best, slope, vec, stacked = np.inf, 0.0, None, None
+        best, slope, vec, stacked, solo = np.inf, 0.0, None, None, None
         for const, linear, low, high in stacks:
             lowest = np.linalg.eigvalsh(const + alpha * linear)[:, 0]
             scaled = np.where(lowest < 0.0, high, low) * lowest
@@ -321,11 +309,14 @@ class WernerBlocks:
             lam, v = _solo_lowest_pair(const, term, alpha, self._work(len(const)))
             pref = high if lam < 0.0 else low
             if pref * lam < best:
-                w = v.reshape(-1, len(term))
-                # v^dag (I_f (x) term) v from conj(w) @ term on LAPACK's BLAS, term passed as its transpose: on
-                # numpy's own BLAS, its threads spun through the next eigensolve (1296 rows, 2 cores: 120 -> 180 ms)
-                conj_w_term = scipy.linalg.blas.get_blas_funcs("gemm", (term,))(1.0, w.T, term.T, trans_a=2, trans_b=1)
-                best, slope, vec, stacked = pref * lam, pref * float(np.sum(w * conj_w_term).real), v, None
+                best, vec, stacked, solo = pref * lam, v, None, (term, pref)
+        if solo is not None:
+            term, pref = solo
+            w = vec.reshape(-1, len(term))
+            # v^dag (I_f (x) term) v from conj(w) @ term on LAPACK's BLAS, term passed as its transpose: on
+            # numpy's own BLAS, its threads spun through the next eigensolve (1296 rows, 2 cores: 120 -> 180 ms)
+            conj_w_term = scipy.linalg.blas.get_blas_funcs("gemm", (term,))(1.0, w.T, term.T, trans_a=2, trans_b=1)
+            slope = pref * float(np.sum(w * conj_w_term).real)
         if stacked is not None:
             const, linear, low, high = stacked
             vals, vecs = np.linalg.eigh(const + alpha * linear)

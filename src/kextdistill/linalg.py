@@ -159,12 +159,6 @@ def kron(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     return HermitianOperator(a.layout.concat(b.layout), np.kron(a.entries, b.entries))
 
 
-def relabel(h: HermitianOperator, mapping: Mapping[str, str]) -> HermitianOperator:
-    """Rename subsystem labels without touching the entries."""
-    subs = tuple((mapping.get(lab, lab), dim) for lab, dim in h.layout.subsystems)
-    return HermitianOperator(SystemLayout(subs), h.entries)
-
-
 def _permutation_order(lay: SystemLayout, perm: Mapping[str, str]) -> list[int]:
     """order[q] = position of the subsystem whose content moves to position q under perm."""
     full = {lab: perm.get(lab, lab) for lab in lay.labels}
@@ -177,9 +171,10 @@ def _permutation_order(lay: SystemLayout, perm: Mapping[str, str]) -> list[int]:
     return [lay.index(source[lab]) for lab in lay.labels]
 
 
-def _transposed(h: HermitianOperator, order: list[int], lay: SystemLayout) -> HermitianOperator:
-    """h on lay, its entries as a (row subsystems, column subsystems) tensor with axes moved to order."""
-    out = h.entries.reshape(h.layout.dims * 2).transpose(order).reshape(h.dim, h.dim)
+def _reordered(h: HermitianOperator, order: list[int], lay: SystemLayout) -> HermitianOperator:
+    """h on lay, with both its row and its column subsystems moved to order."""
+    full = order + [q + len(order) for q in order]
+    out = h.entries.reshape(h.layout.dims * 2).transpose(full).reshape(h.dim, h.dim)
     return HermitianOperator(lay, out)
 
 
@@ -204,7 +199,7 @@ def swap_op(lay: SystemLayout, i: str, j: str) -> HermitianOperator:
 def permute_subsystems(h: HermitianOperator, perm: Mapping[str, str]) -> HermitianOperator:
     """P h P^T for P = permutation_matrix(h.layout, perm): the content of subsystem l moves to perm[l]."""
     order = _permutation_order(h.layout, perm)
-    return _transposed(h, order + [q + len(order) for q in order], h.layout)
+    return _reordered(h, order, h.layout)
 
 
 def reorder_to(h: HermitianOperator, target: SystemLayout) -> HermitianOperator:
@@ -212,7 +207,7 @@ def reorder_to(h: HermitianOperator, target: SystemLayout) -> HermitianOperator:
     if set(target.labels) != set(h.layout.labels):
         raise ValueError("target layout must carry the same labels")
     order = [h.layout.index(lab) for lab in target.labels]
-    return _transposed(h, order + [q + len(order) for q in order], target)
+    return _reordered(h, order, target)
 
 
 def partial_trace(h: HermitianOperator, keep: Iterable[str]) -> HermitianOperator:
@@ -234,21 +229,6 @@ def partial_trace(h: HermitianOperator, keep: Iterable[str]) -> HermitianOperato
     d = sub.total_dim
     out = np.einsum(spec, h.entries.reshape(lay.dims * 2)).reshape(d, d)
     return HermitianOperator(sub, out)
-
-
-def partial_transpose(h: HermitianOperator, labels: Iterable[str]) -> HermitianOperator:
-    """Transpose the given subsystems in the computational basis."""
-    lay = h.layout
-    targets = {lab for lab in labels}
-    unknown = targets - set(lay.labels)
-    if unknown:
-        raise KeyError(f"unknown subsystem labels {sorted(unknown)}")
-    n = len(lay.dims)
-    order = list(range(2 * n))
-    for p, lab in enumerate(lay.labels):
-        if lab in targets:
-            order[p], order[n + p] = order[n + p], order[p]
-    return _transposed(h, order, lay)
 
 
 def embed(lay: SystemLayout, ops: Mapping[tuple[str, ...] | str, np.ndarray]) -> HermitianOperator:

@@ -179,12 +179,6 @@ def projectors(d: int) -> tuple[HermitianOperator, HermitianOperator]:
     return p_s, p_as
 
 
-def probe_operator(alpha: float, kind: str = "phi_plus") -> HermitianOperator:
-    """The two-qubit operator alpha*I - Bell, with spectrum {alpha-1, alpha, alpha, alpha}."""
-    bell = bell_state(kind, 2)
-    return HermitianOperator(bell.layout, alpha * np.eye(4) - bell.matrix)
-
-
 # ---------------------------------------------------------------------------
 # state files: versioned plain text, diff-able fixtures
 

@@ -13,7 +13,7 @@ import numpy as np
 from . import solver
 from . import analytic as wa
 from .blocks import WernerBlocks, s3_block_lambda_min
-from .linalg import eig_min_dense, embed, layout, threshold_sup
+from .linalg import eig_min_dense, eig_min_dense_vec, embed, layout, threshold_sup
 from .solver import KExtProblem, cj_of_mnp, fidelity_threshold, symmetrize
 from .states import DensityOperator, from_matrix, gamma_from_p, maximally_mixed, p_from_gamma, werner, WernerParams
 
@@ -175,9 +175,12 @@ def check_schur_weyl_vs_probe() -> CheckResult:
     """The Schur-Weyl blocks against the full probe: lambda_min on an alpha grid, and alpha*.
 
     The blocks are (d^2 + gamma d)^n times the probe; their alpha* is certified
-    on that scale, so it can sit slightly above the probe's.
+    on that scale, so it can sit slightly above the probe's.  The reference
+    alpha* (up to dimension 512) is threshold_sup from [0, 1] on the probe's
+    own lowest pair (lambda, v^dag L v), with no block solver and no pencil,
+    so an error of the blocks' search cannot cancel in the gap.
     """
-    worst, worst_lambda = 0.0, 0.0
+    worst, worst_lambda, references = 0.0, 0.0, []
     # (d, gamma, n, k, side, reference backend, alphas): dense up to dimension 1296, ARPACK at 7776
     cases = [
         (2, -0.6, 1, 1, "bob", "dense", (0.2, 0.5, 0.8, 1.0)),
@@ -198,10 +201,17 @@ def check_schur_weyl_vs_probe() -> CheckResult:
             ref = eig_min_dense(assembly.dense(a)) if backend == "dense" else solver.lambda_min_alpha(probe, a)
             worst_lambda = max(worst_lambda, abs(solve_blocks(a)[0] / scale - ref))
         if backend == "dense" and probe.total_dim <= 512:
-            gap = fidelity_threshold(blocks).alpha_star - fidelity_threshold(probe).alpha_star
-            worst = max(worst, abs(gap))
+            linear = assembly.dense_pieces()[1]
+
+            def probe_pair(alpha: float) -> tuple[float, float]:
+                lam, v = eig_min_dense_vec(assembly.dense(alpha))
+                return lam, float(np.vdot(v, linear @ v).real)
+
+            references.append(threshold_sup(probe_pair, solver.DEFAULT_TOL_ALPHA))
+            worst = max(worst, abs(fidelity_threshold(blocks).alpha_star - references[-1]))
     passed = worst <= 1e-6 and worst_lambda <= 1e-10
-    return CheckResult("schur_weyl_vs_probe", passed, worst, 1e-6, {"lambda_gap": worst_lambda, "lambda_tol": 1e-10})
+    details = {"lambda_gap": worst_lambda, "lambda_tol": 1e-10, "reference_alpha_stars": references}
+    return CheckResult("schur_weyl_vs_probe", passed, worst, 1e-6, details)
 
 
 def check_pencil_vs_newton() -> CheckResult:
@@ -258,7 +268,8 @@ def check_lambda_monotone_alpha() -> CheckResult:
     ]
     worst = 0.0
     for prob in problems:
-        lams = [solver.lambda_min_alpha(prob, a) for a in np.linspace(0.0, 1.0, 11)]
+        solve = solver._lambda_min_solver(prob)  # one solver, so a dense probe is assembled once
+        lams = [solve(a)[0] for a in np.linspace(0.0, 1.0, 11)]
         worst = max(worst, max(max(0.0, lams[i] - lams[i + 1]) for i in range(len(lams) - 1)))
     return _result("lambda_monotone_alpha", worst, 1e-12)
 

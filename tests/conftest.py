@@ -1,4 +1,8 @@
+import numpy as np
 import pytest
+
+from kextdistill.linalg import HermitianOperator
+from kextdistill.states import bell_state
 
 
 def _reference_bisection(holds, tol):
@@ -36,3 +40,14 @@ def _assert_supergradient(f, alphas):
 @pytest.fixture(scope="session")
 def assert_supergradient():
     return _assert_supergradient
+
+
+def _probe_operator(alpha):
+    """The two-qubit operator alpha I - Phi+, with spectrum {alpha - 1, alpha, alpha, alpha}."""
+    bell = bell_state("phi_plus", 2)
+    return HermitianOperator(bell.layout, alpha * np.eye(4) - bell.matrix)
+
+
+@pytest.fixture(scope="session")
+def probe_operator():
+    return _probe_operator

@@ -11,7 +11,6 @@ import numpy as np
 
 from kextdistill.analytic import (
     alpha_max_k1,
-    gamma_from_p,
     maxmixed_bound,
     mnp_alpha_max,
     mnp_threshold_numeric,
@@ -29,6 +28,7 @@ from kextdistill.states import (
     WernerParams,
     bell_state,
     from_matrix,
+    gamma_from_p,
     maximally_mixed,
     projectors,
     werner,

@@ -5,10 +5,9 @@ import pytest
 
 from kextdistill import analytic
 from kextdistill.analytic import (
+    IrrepCoefficients,
     MnPTradeoff,
     alpha_max_k1,
-    alpha_max_k1_d4_p,
-    coefficients_from_traces,
     k1_quadratic_residual,
     maxmixed_bound,
     mnp_alpha_max,
@@ -19,9 +18,8 @@ from kextdistill.analytic import (
     reduced_eigenvalues,
     reduced_matrix,
     st_coefficients,
-    z_operator,
 )
-from kextdistill.linalg import eig_min_dense
+from kextdistill.linalg import eig_min_dense, embed, layout, permutation_matrix
 from kextdistill.states import WernerParams, gamma_from_p, werner
 
 SIGMA = (
@@ -90,6 +88,51 @@ def test_coefficient_invariants():
     assert c.s[3] == 0.0 and c.t[3] == 0.0
     assert c.s_tilde == (c.s[0], c.s[1], -c.s[2], c.s[3])
     assert c.t_tilde == (c.t[0], c.t[1], -c.t[2], c.t[3])
+
+
+def coefficients_from_traces(gamma, alpha, d=3):
+    """Recompute the coefficient table from dense commutant-operator traces.
+
+    The qubit factor of the mixed-symmetry subspace carries a basis freedom;
+    the state-side triple is read out in the reflected basis (R_1, R_2
+    negated) so that both rows land in the standard table form.  Eigenvalues
+    of any assembled block are independent of this choice.
+    """
+
+    def expand(x, ops, flip):
+        r_plus, r_minus, r_0, r_1, r_2, _ = ops
+        sign = -1.0 if flip else 1.0
+
+        def coef(r):
+            den = float(np.trace(r.entries.conj().T @ r.entries).real)
+            if den == 0.0:  # empty subspace (qubit triple has no antisymmetric part)
+                return 0.0
+            return float(np.trace(x @ r.entries).real) / den
+
+        comp = (coef(r_0), sign * coef(r_1), sign * coef(r_2), 0.0)
+        return comp, coef(r_plus), coef(r_minus)
+
+    ops_state = r_operators(d)
+    lay_s = ops_state[0].layout
+    v12_s = permutation_matrix(lay_s, {"x1": "x2", "x2": "x1"})
+    v13_s = permutation_matrix(lay_s, {"x1": "x3", "x3": "x1"})
+    x1 = np.eye(d**3) + gamma * v12_s
+    x2 = np.eye(d**3) + gamma * v13_s
+    s, s_plus, s_minus = expand(x1, ops_state, flip=True)
+    s_tilde, _, _ = expand(x2, ops_state, flip=True)
+
+    ops_target = r_operators(2)
+    lay_t = ops_target[0].layout
+    v12_t = permutation_matrix(lay_t, {"x1": "x2", "x2": "x1"})
+    v13_t = permutation_matrix(lay_t, {"x1": "x3", "x3": "x1"})
+    y1 = (alpha - 0.5) * np.eye(8) + 0.5 * v12_t
+    y2 = (alpha - 0.5) * np.eye(8) + 0.5 * v13_t
+    t, t_plus, _ = expand(y1, ops_target, flip=False)
+    t_tilde, _, _ = expand(y2, ops_target, flip=False)
+    return IrrepCoefficients(
+        s=s, s_tilde=s_tilde, t=t, t_tilde=t_tilde,
+        s_plus=s_plus, s_minus=s_minus, t_plus=t_plus,
+    )
 
 
 def test_trace_recomputation_matches_table():
@@ -186,6 +229,11 @@ def test_alpha_max_solves_quadratic():
         assert abs(k1_quadratic_residual(g, alpha_max_k1(g))) < 1e-12
 
 
+def alpha_max_k1_d4_p(p):
+    """The d = 4 threshold in the symmetric-weight parametrization."""
+    return 0.5 + math.sqrt(0.25 - 15.0 * p * (1.0 - p) / (25.0 - 16.0 * p**2))
+
+
 def test_alpha_max_d4_parametrization():
     assert alpha_max_k1_d4_p(1.0) == pytest.approx(1.0, abs=1e-14)
     assert alpha_max_k1_d4_p(0.0) == pytest.approx(1.0, abs=1e-14)
@@ -256,7 +304,7 @@ def test_mnp_threshold_numeric_on_werner():
 @pytest.mark.parametrize("d", [2, 3])
 def test_ellipse_slope_is_a_supergradient(d, assert_supergradient):
     for gamma in (-1.0, -0.3, 0.5):
-        k1, k2, _ = analytic._z_pieces(werner(WernerParams(d=d, gamma=gamma)))
+        k1, k2 = analytic._z_pieces(werner(WernerParams(d=d, gamma=gamma)))
         assert_supergradient(
             lambda alpha: analytic._min_over_ellipse(alpha, k1, k2), np.linspace(0.0, 1.0, 5)
         )
@@ -280,6 +328,15 @@ def test_mnp_inner_scan_sign():
     threshold = alpha_max_k1(0.4)
     assert mnp_min_lambda(state, threshold - 1e-3) < 0.0
     assert mnp_min_lambda(state, threshold + 1e-3) > 0.0
+
+
+def z_operator(state, alpha, f1, f2):
+    """(alpha - F1) rho_AB x I_E + (alpha - F2) rho_AE x I_B for the M&P criterion."""
+    (la, d), (lb, _) = state.layout.subsystems
+    lay = layout((la, d), (lb, d), ("E", d))
+    k1 = embed(lay, {(la, lb): state.matrix}).entries
+    k2 = embed(lay, {(la, "E"): state.matrix}).entries
+    return (alpha - f1) * k1 + (alpha - f2) * k2
 
 
 def test_beta_criterion_matches_dense_positivity():

@@ -9,11 +9,11 @@ import scipy.linalg
 from kextdistill import blocks as blocks_mod
 from kextdistill.analytic import alpha_max_k1, maxmixed_bound
 from kextdistill.blocks import (
+    WernerBlocks,
     largest_block,
     partitions,
     s3_block_lambda_min,
     specht_dim,
-    unitary_dim,
     werner_blocks,
     young_orthogonal_form,
     young_transpositions,
@@ -158,6 +158,15 @@ def test_young_orthogonal_form_is_a_representation(m):
             assert all(y[0, 0] == -1.0 for y in adjacent)
 
 
+def unitary_dim(shape, d):
+    """Dimension of the U(d) irrep of this shape (hook-content formula); 0 beyond d rows."""
+    if len(shape) > d:
+        return 0
+    columns = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+    boxes = [(row - j + columns[j] - i - 1, j - i) for i, row in enumerate(shape) for j in range(row)]
+    return math.prod(d + c for _, c in boxes) // math.prod(h for h, _ in boxes)
+
+
 def block_multiplicity(mus, nu, d, n):
     """Orderings of the copy labels times the U(d) and U(2) irrep dimensions."""
     orderings = math.factorial(n) // math.prod(math.factorial(c) for c in Counter(mus).values())
@@ -213,6 +222,67 @@ def test_schur_weyl_slope_is_a_supergradient(d, n, k, assert_supergradient):
     for gamma in (-1.0, -0.4, 0.5):
         solve = solver._lambda_min_solver(KExtProblem.for_werner(d=d, gamma=gamma, n=n, k=k, backend="schur_weyl"))
         assert_supergradient(lambda alpha: solve(alpha)[:2], np.linspace(0.0, 1.0, 6))
+
+
+@pytest.mark.parametrize(
+    "d, n, k, gamma, alphas",
+    [
+        (3, 1, 2, -0.35, (0.7, 0.9)),  # stacked winners
+        (3, 1, 2, 0.4, (0.2, 0.5)),
+        (3, 8, 1, -0.35, (0.7, 0.8)),  # solo winners
+        (3, 8, 1, 0.4, (0.7, 0.8)),
+        (3, 1, 4, -0.35, (0.3, 0.5)),
+        (3, 1, 4, 0.4, (0.7, 0.9)),
+    ],
+)
+def test_werner_slope_matches_the_lowest_reference_block(d, n, k, gamma, alphas):
+    # p v^dag L v of the lowest block rebuilt from werner_blocks' full (const, linear), at every prefactor.
+    # At (3, 1, 4) the lowest solo eigenvalue is 4- to 6-fold (an irrep of the extensions' S_5): there L
+    # compressed to the lowest eigenspace must be a multiple of the identity, and that multiple is v^dag L v.
+    werner_probe = WernerBlocks(gamma, d, n, k)
+    for alpha in alphas:
+        value, slope, _ = werner_probe.lambda_min(alpha)
+        candidates = []
+        for mus, nu, const, linear in werner_blocks(gamma, d, n, k):
+            vals, vecs = np.linalg.eigh(const + alpha * linear)
+            for _, a, b in full_labels(mus, d, n, k):
+                candidates.append(((1 + gamma) ** a * (1 - gamma) ** b, vals, vecs, linear))
+        candidates.sort(key=lambda c: c[0] * c[1][0])
+        (pref, vals, vecs, linear), runner_up = candidates[:2]
+        lowest = vals <= vals[0] + 1e-9 * abs(vals[0])
+        assert runner_up[0] * runner_up[1][0] - pref * vals[0] > 1e-4 * abs(value)
+        assert (~lowest).any() and vals[~lowest][0] - vals[0] > 1e-4 * abs(vals[0])
+        compressed = np.linalg.eigvalsh(vecs[:, lowest].T @ linear @ vecs[:, lowest])
+        reference = pref * compressed.mean()
+        assert np.ptp(compressed) <= 1e-12 * abs(compressed.mean())
+        assert abs(value - pref * vals[0]) <= 1e-12 * abs(value)
+        assert abs(slope - reference) <= 1e-12 * abs(reference), (alpha, slope, reference)
+
+
+@pytest.mark.parametrize("d, n, k", [(3, 8, 1), (3, 2, 3)])
+def test_werner_slope_takes_one_product_per_sample(d, n, k, monkeypatch):
+    # the slope's gemm runs once, on the final lowest solo block, not each time a solo lowers the minimum
+    get_blas_funcs, products = scipy.linalg.blas.get_blas_funcs, []
+
+    def spied(names, arrays=(), *args, **kwargs):
+        func = get_blas_funcs(names, arrays, *args, **kwargs)
+        if names != "gemm":
+            return func
+
+        def counted(*a, **kw):
+            products.append(1)
+            return func(*a, **kw)
+
+        return counted
+
+    monkeypatch.setattr(scipy.linalg.blas, "get_blas_funcs", spied)
+    werner_probe = WernerBlocks(0.4, d, n, k)
+    counts = []
+    for alpha in np.linspace(0.0, 1.0, 11):
+        products.clear()
+        werner_probe.lambda_min(float(alpha))
+        counts.append(len(products))
+    assert max(counts) == 1, counts
 
 
 @pytest.mark.parametrize("side", ["bob", "alice"])

@@ -30,7 +30,7 @@ from kextdistill.linalg import (
     swap_op,
     threshold_sup,
 )
-from kextdistill.states import bell_state, probe_operator, werner, WernerParams
+from kextdistill.states import bell_state, werner, WernerParams
 
 
 def random_hermitian(rng, lay, real=False):
@@ -73,7 +73,7 @@ def test_kron_identity_and_pauli():
     assert np.array_equal(kron(sz, i2b).entries, np.diag([1.0, 1.0, -1.0, -1.0]))
 
 
-def test_kron_matches_double_loop_oracle():
+def test_kron_matches_double_loop_oracle(probe_operator):
     a = werner(WernerParams(d=2, gamma=-1.0)).op
     b = probe_operator(0.5)
     got = kron(a, b).entries
@@ -272,7 +272,7 @@ def test_eig_min_dense_rejects_non_hermitian():
         eig_min_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_probe_operator_spectrum():
+def test_probe_operator_spectrum(probe_operator):
     for alpha in (0.0, 0.3, 0.6, 1.0):
         m = probe_operator(alpha)
         vals = np.sort(np.linalg.eigvalsh(m.entries))
@@ -281,7 +281,7 @@ def test_probe_operator_spectrum():
         assert eig_min_dense(m) == pytest.approx(alpha - 1.0, abs=1e-12)
 
 
-def test_probe_sum_eigenvalues_on_three_qubits():
+def test_probe_sum_eigenvalues_on_three_qubits(probe_operator):
     # M_ab x I_e + M_ae x I_b at alpha = 3/4 touches zero from above
     lay = layout(("a", 2), ("b", 2), ("e", 2))
     alpha = 0.75

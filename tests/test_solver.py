@@ -12,11 +12,11 @@ from kextdistill.analytic import alpha_max_k1, maxmixed_bound
 from kextdistill.linalg import (
     HermitianOperator,
     LinearMapHandle,
+    SystemLayout,
     eig_min_dense,
     embed,
     layout,
     partial_trace,
-    relabel,
     reorder_to,
 )
 from kextdistill.solver import (
@@ -38,7 +38,6 @@ from kextdistill.states import (
     bell_state,
     from_matrix,
     maximally_mixed,
-    probe_operator,
     projectors,
     werner,
 )
@@ -150,7 +149,7 @@ def test_backend_resolution():
 # probe assembly
 
 
-def test_probe_of_maximally_mixed_factorizes():
+def test_probe_of_maximally_mixed_factorizes(probe_operator):
     prob = KExtProblem(state=maximally_mixed(2, 2), n=1, k=1)
     probe = ProbeAssembly(prob).dense(0.6)
     m = probe_operator(0.6).entries
@@ -715,10 +714,9 @@ def full_space_cj_of_mnp(sigma_in, sigma_out, side):
     big = embed(lay, {tuple(in_labels): sigma_in.matrix.T, tuple(out_labels): sigma_out.matrix})
     sym = symmetrize(big, [(f"X{i}", f"x{i}") for i in range(k + 1)])
     core = partial_trace(sym, ("S", "X0", "s", "x0"))
-    if side == "bob":
-        named = relabel(core, {"S": "A", "X0": "B", "s": "a", "x0": "b"})
-    else:
-        named = relabel(core, {"S": "B", "X0": "A", "s": "b", "x0": "a"})
+    # rename (S, X0, s, x0) to the parties of the side
+    labels = ("A", "B", "a", "b") if side == "bob" else ("B", "A", "b", "a")
+    named = HermitianOperator(SystemLayout(tuple(zip(labels, core.layout.dims))), core.entries)
     target = layout(("A", named.layout.dim_of("A")), ("B", named.layout.dim_of("B")), ("a", 2), ("b", 2))
     return reorder_to(named, target).entries
 

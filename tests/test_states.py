@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kextdistill.linalg import layout, partial_trace, partial_transpose, swap_op
+from kextdistill.linalg import layout, partial_trace, swap_op
 from kextdistill.states import (
     StateValidationError,
     WernerParams,
@@ -11,7 +11,6 @@ from kextdistill.states import (
     load_state,
     maximally_mixed,
     p_from_gamma,
-    probe_operator,
     projectors,
     save_state,
     werner,
@@ -131,7 +130,7 @@ def test_antisymmetric_projector_is_singlet_for_qubits():
     assert np.abs(p_as.entries - psi.matrix).max() < 1e-14
 
 
-def test_probe_operator_endpoints():
+def test_probe_operator_endpoints(probe_operator):
     assert np.abs(probe_operator(0.0).entries + bell_state("phi_plus", 2).matrix).max() < 1e-14
     m1 = probe_operator(1.0)
     assert np.linalg.eigvalsh(m1.entries)[0] == pytest.approx(0.0, abs=1e-14)
@@ -163,8 +162,9 @@ def test_werner_ppt_boundary(d):
         if abs(gamma + 1.0 / d) < 1e-6:
             continue
         rho = werner(WernerParams(d=d, gamma=float(gamma)))
-        pt = partial_transpose(rho.op, (rho.layout.labels[1],))
-        min_eig = np.linalg.eigvalsh(pt.entries)[0]
+        # rho^{T_B}: B's row and column indices exchanged
+        pt = rho.matrix.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+        min_eig = np.linalg.eigvalsh(pt)[0]
         if gamma < -1.0 / d:
             assert min_eig < -1e-12
         else:
