@@ -6,13 +6,14 @@ negative eigenvalue; this package assembles those probes (dense or
 matrix-free), finds the fidelity threshold, evaluates maps through their
 Choi states, builds the measure-and-prepare strategies that reach unit
 fidelity on rank-deficient states, and carries the closed-form Werner-state
-results plus one symmetric-group block backend for Werner states: Schur-Weyl
-blocks at any n and k, on the scale of I + gamma V, which is (d^2 + gamma d)^n
-times the probe.  `s3_block_lambda_min` is the k = 1 reference the blocks are
-checked against.  Helpers that only the tests call live in `tests/`.
+results.  `BlockProbe` solves a probe held as blocks: the dense probe as one
+block, and the Schur-Weyl blocks of any Werner probe at any n and k
+(`werner_probe`), on the scale of I + gamma V, which is (d^2 + gamma d)^n
+times the probe.  `s3_block_lambda_min` is the k = 1 reference the blocks
+are checked against.  Helpers that only the tests call live in `tests/`.
 """
 
-from .blocks import WernerBlocks, s3_block_lambda_min
+from .blocks import BlockProbe, s3_block_lambda_min, werner_probe
 from .linalg import (
     HermitianOperator,
     LinearMapHandle,
@@ -21,7 +22,6 @@ from .linalg import (
     eig_min_dense,
     eig_min_iterative,
     embed,
-    kron,
     layout,
     partial_trace,
     permute_subsystems,

@@ -1,10 +1,11 @@
-"""Symmetric-group block decompositions of Werner-state probes.
+"""Probes held as blocks, and the symmetric-group blocks of Werner-state probes.
 
-`WernerBlocks` solves the probe of any Werner state at any number of copies
-n and extensions k.  Each probe term rho_{S,X_i} x (alpha I - Phi+)_{s,x_i}
-of a Werner state rho proportional to I + gamma V, with every x qubit
-rotated by iY (which turns Phi+ into psi- and keeps the spectrum), is the
-group-algebra element
+`BlockProbe` solves any probe given as blocks const + alpha I_f (x) term:
+the `dense` probe as one block, and, built by `werner_probe`, the probe of
+any Werner state at any number of copies n and extensions k.  Each probe
+term rho_{S,X_i} x (alpha I - Phi+)_{s,x_i} of a Werner state rho
+proportional to I + gamma V, with every x qubit rotated by iY (which turns
+Phi+ into psi- and keeps the spectrum), is the group-algebra element
 
     (x)_c (1 + gamma tau_i) (x) ((alpha - 1/2) + tau_i / 2)
 
@@ -28,7 +29,7 @@ The blocks are on the scale of I + gamma V, so their eigenvalues are
 
 `s3_block_lambda_min` is the k = 1 case written from the paper's
 coefficient table (`analytic.st_coefficients`), on the same scale.  No
-backend calls it; it is the independent reference `WernerBlocks` is checked
+backend calls it; it is the independent reference `werner_probe` is checked
 against where no probe fits, such as n = 8.
 """
 
@@ -186,14 +187,15 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def werner_blocks(gamma: float, d: int, n: int, k: int):
-    """Yield (mus, nu, const, linear) for every block const + alpha * linear of the Werner probe, on the I + gamma V scale.
+    """Yield (mus, nu, const, term) for every block const + alpha I_{dim nu} (x) term of the Werner probe, on the I + gamma V scale.
 
     mus is a multiset of multi-row copy labels (a sorted tuple of at most n
     partitions of k + 2 with at most d rows, neither one row nor one column),
     nu a partition of k + 2 with at most 2 rows.  The other n - len(mus)
     copies carry one-dimensional labels, each multiplying the block by
     1 + gamma for (k + 2) or 1 - gamma for (1^(k+2)) when d >= k + 2.
-    Rows are ordered (nu, copies), so linear is I_{dim nu} (x) sum_i R_i.
+    Rows are ordered (nu, copies).  term is sum_i R_i, one array shared by
+    the blocks of one copy multiset.
     """
     m = k + 2
     shapes = [mu for mu in partitions(m, d) if 1 < len(mu) < m]
@@ -209,7 +211,7 @@ def werner_blocks(gamma: float, d: int, n: int, k: int):
             const = np.zeros((len(term_sum) * len(eye),) * 2)
             for r, y in zip(terms, ys):
                 const -= _kron(0.5 * (eye - y), r)
-            yield mus, nu, const, _kron(eye, term_sum)
+            yield mus, nu, const, term_sum
 
 
 # blocks from this many rows get one scipy lowest-eigenpair solve each; smaller ones share one
@@ -235,78 +237,48 @@ def _solo_lowest_pair(const: np.ndarray, term: np.ndarray, alpha: float, out: np
     return float(vals[0]), vecs[:, 0].conj()
 
 
-class WernerBlocks:
-    """lambda_min(alpha), slope and eigenvector of the Werner probe I + gamma V, or of one_block(const, linear).
+class BlockProbe:
+    """lambda_min(alpha), slope, eigenvector and pencil tops of a probe held as blocks const + alpha I_f (x) term.
 
-    The Werner value is (d^2 + gamma d)^n times the probe's lambda_min, and
-    the blocks are built on the first call.  Each alpha costs one batched
-    `np.linalg.eigvalsh` per block size below SOLO_MIN_ROWS rows, one
-    lowest-eigenpair solve per larger block, and one for the lowest small
-    block.  The slope is p v^dag L v for the lowest eigenvector v of the lowest
-    block, its linear part L and its prefactor p: a supergradient of the
-    concave minimum.  `pencil_tops` gives every block's top pencil
-    eigenpair, from which `linalg.pencil_bracket` brackets the threshold.
+    blocks yields (const, term, low, high): const and term Hermitian of one
+    dtype, term positive semidefinite, f = len(const) // len(term), and the
+    prefactors 0 <= low <= high that scale the block's nonnegative and
+    negative eigenvalues.  A real block below SOLO_MIN_ROWS rows joins the
+    stack of its size, (const, linear, low, high) shaped (blocks, size, size)
+    with linear = I_f (x) term; every other block is a solo.  Each alpha
+    costs one batched `np.linalg.eigvalsh` per stack, one lowest-eigenpair
+    solve per solo, and one for the lowest stacked block.  The slope is p
+    v^dag (I_f (x) term) v for the lowest eigenvector v of the lowest block
+    and its prefactor p: a supergradient of the concave minimum.
     """
 
-    def __init__(self, gamma: float, d: int, n: int, k: int):
-        self.params = (gamma, d, n, k)
-
-    @classmethod
-    def one_block(cls, const: np.ndarray, linear: np.ndarray) -> "WernerBlocks":
-        """Any probe const + alpha linear, real or complex Hermitian, as one solo block with prefactors 1 (not copied)."""
-        probe = cls.__new__(cls)
-        probe.params, probe.blocks = None, ([], [(const, linear, 1.0, 1.0)])
-        return probe
-
-    @functools.cached_property
-    def blocks(self) -> tuple[list, list]:
-        """(stacks, solos).
-
-        A stack is (const, linear, low, high) for every block of one size
-        below SOLO_MIN_ROWS, real, with const and linear shaped (blocks, size, size).
-        A solo is (const, term, low, high) for one larger block.  Its linear
-        part is I_f (x) term_sum, f = dim nu, so only term_sum is kept, one
-        array shared by the blocks of one copy multiset.  low and high are a
-        block's smallest and largest prefactor over the one-dimensional labels
-        of its other copies.
-        """
-        gamma, d, n, k = self.params
-        one_dim = (1.0 + gamma, 1.0 - gamma) if d >= k + 2 else (1.0 + gamma,)
+    def __init__(self, blocks):
         by_size: dict[int, list] = {}
-        solos = []
-        terms: dict[tuple, np.ndarray] = {}
-        for mus, nu, const, linear in werner_blocks(*self.params):
-            rest = n - len(mus)
-            low, high = min(one_dim) ** rest, max(one_dim) ** rest
-            if len(const) < SOLO_MIN_ROWS:
+        self.solos = []
+        for const, term, low, high in blocks:
+            if len(const) < SOLO_MIN_ROWS and not np.iscomplexobj(const):
+                linear = _kron(np.eye(len(const) // len(term)), term)
                 by_size.setdefault(len(const), []).append((const, linear, low, high))
-                continue
-            t = len(const) // specht_dim(nu)
-            solos.append((const, terms.setdefault(mus, linear[:t, :t].copy()), low, high))
-        stacks = [tuple(map(np.array, zip(*by_size[size]))) for size in sorted(by_size)]
-        return stacks, solos
+            else:
+                self.solos.append((const, term, low, high))
+        self.stacks = [tuple(map(np.array, zip(*by_size[size]))) for size in sorted(by_size)]
+        # every solo solve, real or complex, works in this one byte array: allocating an array per block
+        # and sample left 3.7 MB more resident after a 17-point fig1 sweep
+        self._buffer = np.empty(max((const.nbytes for const, *_ in self.solos), default=0), dtype=np.uint8)
 
-    @functools.cached_property
-    def _buffer(self) -> np.ndarray:
-        """Room for the largest solo, in its dtype.  Every solo solve works here: allocating an array per
-        block and sample left 3.7 MB more resident after a 17-point fig1 sweep."""
-        solos = self.blocks[1]
-        return np.empty(max((len(c) ** 2 for c, *_ in solos), default=0), dtype=solos[0][0].dtype if solos else float)
-
-    def _work(self, rows: int) -> np.ndarray:
-        return self._buffer[: rows * rows].reshape(rows, rows)
+    def _work(self, const: np.ndarray) -> np.ndarray:
+        return self._buffer[: const.nbytes].view(const.dtype).reshape(const.shape)
 
     def lambda_min(self, alpha: float) -> tuple[float, float, np.ndarray]:
-        stacks, solos = self.blocks
         best, slope, vec, stacked, solo = np.inf, 0.0, None, None, None
-        for const, linear, low, high in stacks:
+        for const, linear, low, high in self.stacks:
             lowest = np.linalg.eigvalsh(const + alpha * linear)[:, 0]
             scaled = np.where(lowest < 0.0, high, low) * lowest
             b = int(np.argmin(scaled))
             if scaled[b] < best:
                 best, stacked = scaled[b], (const[b], linear[b], low[b], high[b])
-        for const, term, low, high in solos:
-            lam, v = _solo_lowest_pair(const, term, alpha, self._work(len(const)))
+        for const, term, low, high in self.solos:
+            lam, v = _solo_lowest_pair(const, term, alpha, self._work(const))
             pref = high if lam < 0.0 else low
             if pref * lam < best:
                 best, vec, stacked, solo = pref * lam, v, None, (term, pref)
@@ -327,16 +299,15 @@ class WernerBlocks:
     def pencil_tops(self) -> list[tuple[float, float]]:
         """(r, g) of every block, as `linalg.pencil_bracket` takes them; LinAlgError if a linear part is singular.
 
-        r is the top eigenvalue of the block's pencil (-const, linear), and g
-        = high x^dag linear x for its unit eigenvector x.  Each block of a
-        stack takes one LAPACK dsygv, which on these few rows took a fifth to
-        a half of the time of batched numpy Cholesky, solves and `eigh` per
-        stack; a solo takes `linalg.pencil_top` in the buffer, with one
-        Cholesky factor of term per copy multiset.
+        r is the top eigenvalue of the block's pencil (-const, I_f (x) term),
+        and g = high x^dag (I_f (x) term) x for its unit eigenvector x.  Each
+        block of a stack takes one LAPACK dsygv, which on these few rows took a
+        fifth to a half of the time of batched numpy Cholesky, solves and
+        `eigh` per stack; a solo takes `linalg.pencil_top` in the buffer, with
+        one Cholesky factor per term, shared by adjacent solos.
         """
-        stacks, solos = self.blocks
         tops = []
-        for const, linear, low, high in stacks:
+        for const, linear, low, high in self.stacks:
             for c, l, p in zip(const, linear, high):
                 # the pencil (c, l) has eigenvalues -r, ascending, with eigenvectors v^T l v = 1
                 vals, vecs, info = scipy.linalg.lapack.dsygv(c, l)
@@ -344,9 +315,21 @@ class WernerBlocks:
                     raise np.linalg.LinAlgError(f"dsygv failed on a {len(c)}-row block, info {info}")
                 tops.append((-float(vals[0]), p / float(vecs[:, 0] @ vecs[:, 0])))
         factored = None
-        for const, term, low, high in solos:
-            if term is not factored:  # the solos of one copy multiset are adjacent and share term
+        for const, term, low, high in self.solos:
+            if term is not factored:
                 factored, chol = term, scipy.linalg.cholesky(term, lower=True, check_finite=False)
-            r, xx = pencil_top(const, chol, len(const) // len(term), self._work(len(const)))
+            r, xx = pencil_top(const, chol, len(const) // len(term), self._work(const))
             tops.append((r, high / xx))
         return tops
+
+
+def werner_probe(gamma: float, d: int, n: int, k: int) -> BlockProbe:
+    """The Werner probe as a BlockProbe, on the I + gamma V scale: (d^2 + gamma d)^n times the probe.
+
+    low and high are a block's smallest and largest prefactor over the one-dimensional labels of its other copies.
+    """
+    one_dim = (1.0 + gamma, 1.0 - gamma) if d >= k + 2 else (1.0 + gamma,)
+    return BlockProbe(
+        (const, term, min(one_dim) ** (n - len(mus)), max(one_dim) ** (n - len(mus)))
+        for mus, _, const, term in werner_blocks(gamma, d, n, k)
+    )

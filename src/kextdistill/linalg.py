@@ -74,9 +74,6 @@ class SystemLayout:
             raise KeyError(f"unknown subsystem labels {sorted(unknown)}")
         return SystemLayout(tuple(s for s in self.subsystems if s[0] in wanted))
 
-    def concat(self, other: "SystemLayout") -> "SystemLayout":
-        return SystemLayout(self.subsystems + other.subsystems)
-
 
 def layout(*pairs: tuple[str, int]) -> SystemLayout:
     """Shorthand: layout(("A", 2), ("B", 2))."""
@@ -152,11 +149,6 @@ class LinearMapHandle:
 
 # ---------------------------------------------------------------------------
 # tensor-structure primitives
-
-
-def kron(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    """Kronecker product; the layout is the concatenation of the two layouts."""
-    return HermitianOperator(a.layout.concat(b.layout), np.kron(a.entries, b.entries))
 
 
 def _permutation_order(lay: SystemLayout, perm: Mapping[str, str]) -> list[int]:

@@ -104,9 +104,9 @@ class ThresholdResult:
     bracket, which certifies alpha_star, and on iterative or after a fallback
     to [0, 1] the Newton samples.
     certificate is the unit probe eigenvector of lambda_residual at
-    alpha_star (dense: of its one block): None on schur_weyl, or when no alpha
-    was certified negative.  It is ordered like ProbeAssembly(problem).layout,
-    spectator first, on either side.
+    alpha_star (dense: of its BlockProbe's one block): None on schur_weyl, or
+    when no alpha was certified negative.  It is ordered like
+    ProbeAssembly(problem).layout, spectator first, on either side.
     On schur_weyl, lambda_residual and every sample are on the blocks' scale,
     (d^2 + gamma d)^n times the probe eigenvalue: TOL_EIG is absolute, and at
     n = 8, d = 3 the probe-scale value is -4.4e-14 to -1.6e-10.
@@ -326,18 +326,20 @@ def _solver_and_pencil(
 ) -> tuple[Callable[[float], tuple[float, float, np.ndarray | None]], Callable[[], list] | None]:
     """(_lambda_min_solver(problem), pencil_tops): the backend's solve and its pencil, sharing one set of pieces.
 
+    dense and schur_weyl hold their pieces in one blocks.BlockProbe, built
+    here: the dense pieces as one block, or blocks.werner_probe.
     pencil_tops() gives (r, g) per block for linalg.pencil_bracket, and
     raises LinAlgError where a linear part is not positive definite.  It is
     None on iterative, which holds no explicit pieces.
     """
     backend = problem.resolved_backend()
     if backend == "dense":
-        probe = blocks.WernerBlocks.one_block(*ProbeAssembly(problem).dense_pieces())
+        probe = blocks.BlockProbe([(*ProbeAssembly(problem).dense_pieces(), 1.0, 1.0)])
         return lambda alpha: probe.lambda_min(_check_alpha(alpha)), probe.pencil_tops
     if backend == "schur_weyl":
         params = problem.werner_params  # rho_BA = rho_AB, so either side
-        werner_probe = blocks.WernerBlocks(params.gamma, params.d, problem.n, problem.k)
-        return lambda alpha: (*werner_probe.lambda_min(_check_alpha(alpha))[:2], None), werner_probe.pencil_tops
+        probe = blocks.werner_probe(params.gamma, params.d, problem.n, problem.k)
+        return lambda alpha: (*probe.lambda_min(_check_alpha(alpha))[:2], None), probe.pencil_tops
     assembly = ProbeAssembly(problem)
     previous: np.ndarray | None = None
 
@@ -358,12 +360,12 @@ def _lambda_min_solver(
 
     The slope is v^dag L v for the returned eigenvector v and the linear part
     L: a supergradient of the concave lambda_min (Hellmann-Feynman).  dense
-    (its dense pieces, built here, as one block) and schur_weyl share
-    blocks.WernerBlocks.lambda_min; iterative takes the slope through the
-    term kernel, and starts each solve from the previous eigenvector, the
-    first from EIG_SEED.  schur_weyl reads gamma from the Werner state,
-    builds its blocks in its first solve, returns (d^2 + gamma d)^n times the
-    probe's value and slope, and no probe eigenvector.  Every backend raises
+    (its dense pieces as one block) and schur_weyl (blocks.werner_probe)
+    share blocks.BlockProbe.lambda_min, with the blocks built here;
+    iterative takes the slope through the term kernel, and starts each solve
+    from the previous eigenvector, the first from EIG_SEED.  schur_weyl reads
+    gamma from the Werner state, returns (d^2 + gamma d)^n times the probe's
+    value and slope, and no probe eigenvector.  Every backend raises
     ValueError for alpha outside [0, 1] or NaN.  A non-converging iterative
     solve raises SolverConvergenceError.
     """

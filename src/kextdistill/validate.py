@@ -12,7 +12,7 @@ import numpy as np
 
 from . import solver
 from . import analytic as wa
-from .blocks import WernerBlocks, s3_block_lambda_min
+from .blocks import s3_block_lambda_min, werner_probe
 from .linalg import eig_min_dense, eig_min_dense_vec, embed, layout, threshold_sup
 from .solver import KExtProblem, cj_of_mnp, fidelity_threshold, symmetrize
 from .states import DensityOperator, from_matrix, gamma_from_p, maximally_mixed, p_from_gamma, werner, WernerParams
@@ -138,10 +138,10 @@ def check_schur_weyl_vs_s3() -> CheckResult:
     for d in (2, 3, 4):
         for n in (1, 2, 3, 4, 8):
             for g in (-0.8, -0.25, 0.0, 0.5):
-                werner_probe = WernerBlocks(g, d, n, 1)
+                probe = werner_probe(g, d, n, 1)
                 scale = 2.0 * (1.0 + abs(g)) ** n
                 for a in (0.3, 0.7, 0.95):
-                    value, slope, _ = werner_probe.lambda_min(a)
+                    value, slope, _ = probe.lambda_min(a)
                     ref_value, ref_slope = s3_block_lambda_min(g, a, n, d)
                     worst = max(worst, abs(value - ref_value) / scale)
                     worst_slope = max(worst_slope, abs(slope - ref_slope) / scale)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -9,12 +10,14 @@ import scipy.linalg
 from kextdistill import blocks as blocks_mod
 from kextdistill.analytic import alpha_max_k1, maxmixed_bound
 from kextdistill.blocks import (
-    WernerBlocks,
+    SOLO_MIN_ROWS,
+    BlockProbe,
     largest_block,
     partitions,
     s3_block_lambda_min,
     specht_dim,
     werner_blocks,
+    werner_probe,
     young_orthogonal_form,
     young_transpositions,
 )
@@ -193,8 +196,9 @@ def test_block_spectra_are_the_probe_spectrum(d, n, k):
     for alpha in (0.25, 0.8):
         probe = np.linalg.eigvalsh(assembly.dense(alpha).entries)
         union = []
-        for mus, nu, const, linear in werner_blocks(gamma, d, n, k):
+        for mus, nu, const, term in werner_blocks(gamma, d, n, k):
             assert all(1 < len(mu) < k + 2 for mu in mus)
+            linear = np.kron(np.eye(len(const) // len(term)), term)
             values = np.linalg.eigvalsh(const + alpha * linear) / scale
             for labels, a, b in full_labels(mus, d, n, k):
                 pref = (1 + gamma) ** a * (1 - gamma) ** b
@@ -236,14 +240,15 @@ def test_schur_weyl_slope_is_a_supergradient(d, n, k, assert_supergradient):
     ],
 )
 def test_werner_slope_matches_the_lowest_reference_block(d, n, k, gamma, alphas):
-    # p v^dag L v of the lowest block rebuilt from werner_blocks' full (const, linear), at every prefactor.
+    # p v^dag L v of the lowest block rebuilt from werner_blocks' const and I_f (x) term, at every prefactor.
     # At (3, 1, 4) the lowest solo eigenvalue is 4- to 6-fold (an irrep of the extensions' S_5): there L
     # compressed to the lowest eigenspace must be a multiple of the identity, and that multiple is v^dag L v.
-    werner_probe = WernerBlocks(gamma, d, n, k)
+    probe = werner_probe(gamma, d, n, k)
     for alpha in alphas:
-        value, slope, _ = werner_probe.lambda_min(alpha)
+        value, slope, _ = probe.lambda_min(alpha)
         candidates = []
-        for mus, nu, const, linear in werner_blocks(gamma, d, n, k):
+        for mus, nu, const, term in werner_blocks(gamma, d, n, k):
+            linear = np.kron(np.eye(len(const) // len(term)), term)
             vals, vecs = np.linalg.eigh(const + alpha * linear)
             for _, a, b in full_labels(mus, d, n, k):
                 candidates.append(((1 + gamma) ** a * (1 - gamma) ** b, vals, vecs, linear))
@@ -276,11 +281,11 @@ def test_werner_slope_takes_one_product_per_sample(d, n, k, monkeypatch):
         return counted
 
     monkeypatch.setattr(scipy.linalg.blas, "get_blas_funcs", spied)
-    werner_probe = WernerBlocks(0.4, d, n, k)
+    probe = werner_probe(0.4, d, n, k)
     counts = []
     for alpha in np.linspace(0.0, 1.0, 11):
         products.clear()
-        werner_probe.lambda_min(float(alpha))
+        probe.lambda_min(float(alpha))
         counts.append(len(products))
     assert max(counts) == 1, counts
 
@@ -295,7 +300,7 @@ def test_schur_weyl_threshold_matches_the_probe(side):
         assert blocks.lambda_residual < -TOL_EIG
 
 
-def test_schur_weyl_builds_its_blocks_in_the_first_solve(monkeypatch):
+def test_schur_weyl_builds_its_blocks_once_when_the_solver_is_made(monkeypatch):
     built = []
     real = blocks_mod.werner_blocks
 
@@ -305,8 +310,10 @@ def test_schur_weyl_builds_its_blocks_in_the_first_solve(monkeypatch):
 
     monkeypatch.setattr(blocks_mod, "werner_blocks", counted)
     problem = KExtProblem.for_werner(d=3, gamma=-0.5, k=3, backend="schur_weyl")
-    solve = solver._lambda_min_solver(problem)
+    assert problem.resolved_backend() == "schur_weyl"
     assert built == []
+    solve = solver._lambda_min_solver(problem)
+    assert built == [(-0.5, 3, 1, 3)]
     values = [solve(alpha)[0] for alpha in (0.3, 0.9)]
     assert len(built) == 1 and values[0] < values[1]
 
@@ -364,16 +371,22 @@ def test_schur_weyl_pencil_threshold_is_certified_and_within_tol_of_newton(gamma
 
 def test_schur_weyl_solo_blocks_keep_only_the_term_sum():
     # d = 3, k = 4: blocks of 30 to 144 rows with dim nu = 5, 9 and 5, solved from I_f (x) term_sum
-    werner_probe = blocks_mod.WernerBlocks(-0.35, 3, 1, 4)
-    stacks, solos = werner_probe.blocks
+    probe = werner_probe(-0.35, 3, 1, 4)
+    solos = probe.solos
     assert solos and all(len(const) > len(term) for const, term, *_ in solos)
+    # the solos of one copy multiset share one term array
+    multisets = [mus for mus, _, const, _ in werner_blocks(-0.35, 3, 1, 4) if len(const) >= SOLO_MIN_ROWS]
+    assert len(multisets) == len(solos) and len(set(multisets)) < len(solos)
+    for (mus_a, (_, term_a, *_)), (mus_b, (_, term_b, *_)) in itertools.combinations(zip(multisets, solos), 2):
+        assert (term_a is term_b) == (mus_a == mus_b)
     for alpha in (0.3, 0.8):
         best = math.inf
-        for mus, nu, const, linear in werner_blocks(-0.35, 3, 1, 4):
+        for mus, nu, const, term in werner_blocks(-0.35, 3, 1, 4):
             # d < k + 2: the one copy with a one-dimensional label carries (k + 2), a factor 1 + gamma
             pref = 1.0 if mus else 0.65
+            linear = np.kron(np.eye(len(const) // len(term)), term)
             best = min(best, pref * np.linalg.eigvalsh(const + alpha * linear)[0])
-        assert abs(werner_probe.lambda_min(alpha)[0] - best) < 1e-12
+        assert abs(probe.lambda_min(alpha)[0] - best) < 1e-12
 
 
 def test_pencil_top_solves_the_whole_spectrum_where_the_top_is_degenerate(monkeypatch):
@@ -410,3 +423,76 @@ def test_dense_pencil_bracket_is_closed_by_newton_steps():
     assert newton <= result.alpha_star <= newton + tol_alpha
     assert lambda_min_alpha(problem, result.alpha_star) < -TOL_EIG
     assert lambda_min_alpha(problem, min(1.0, result.alpha_star + tol_alpha)) >= -TOL_EIG
+
+
+def random_block(rng, rows, copies, low, high, complex_=False):
+    """(const, term, low, high): const Hermitian with eigenvalues of either sign, term positive definite."""
+    t = rows // copies
+
+    def sample(size):
+        g = rng.standard_normal((size, size))
+        return g + 1j * rng.standard_normal((size, size)) if complex_ else g
+
+    g = sample(rows)
+    h = sample(t)
+    term = h @ h.conj().T / t + 0.5 * np.eye(t)
+    return (g + g.conj().T) / math.sqrt(8 * rows), term, low, high
+
+
+def arbitrary_blocks():
+    # (rows, f, low, high): the second block of each stacked size wins at alpha = 0 on its high
+    # prefactor, and would lose on its low one
+    rng = np.random.default_rng(19)
+    real = [(4, 1, 1.0, 1.1), (4, 2, 0.2, 3.0), (12, 3, 0.9, 1.0), (12, 2, 0.3, 2.5)]
+    real += [(30, 3, 0.5, 1.2), (30, 2, 0.7, 1.0), (45, 3, 0.4, 1.3), (45, 1, 0.8, 1.1)]
+    blocks = [random_block(rng, *shape) for shape in real]
+    return blocks + [random_block(rng, *shape, complex_=True) for shape in ((12, 2, 0.6, 1.2), (40, 2, 0.3, 1.0))]
+
+
+@pytest.mark.parametrize("chosen", [[i] for i in range(10)] + [list(range(10))])
+def test_block_probe_solves_arbitrary_block_lists(chosen):
+    # every block alone, so each path wins once (stacked, real solo, small and large complex solo), then all ten
+    every = arbitrary_blocks()
+    blocks = [every[i] for i in chosen]
+    probe = BlockProbe(blocks)
+    stacked = [b for b in blocks if len(b[0]) < SOLO_MIN_ROWS and not np.iscomplexobj(b[0])]
+    assert sum(len(stack[0]) for stack in probe.stacks) == len(stacked)
+    assert len(probe.solos) == len(blocks) - len(stacked)
+    linears = [np.kron(np.eye(len(const) // len(term)), term) for const, term, *_ in blocks]
+    for alpha in (0.0, 1.0, 3.0, 6.0):
+        candidates = []
+        for (const, term, low, high), linear in zip(blocks, linears):
+            vals, vecs = np.linalg.eigh(const + alpha * linear)
+            pref = high if vals[0] < 0.0 else low
+            candidates.append((pref * vals[0], pref * np.vdot(vecs[:, 0], linear @ vecs[:, 0]).real))
+        value, slope, _ = probe.lambda_min(alpha)
+        ref_value, ref_slope = min(candidates)
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        assert abs(slope - ref_slope) <= 1e-12 * abs(ref_slope)
+    reference = []
+    for (const, term, low, high), linear in zip(blocks, linears):
+        vals, vecs = scipy.linalg.eigh(-const, linear)
+        reference.append((vals[-1], high / np.vdot(vecs[:, -1], vecs[:, -1]).real))
+    for (r, g), (ref_r, ref_g) in zip(sorted(probe.pencil_tops()), sorted(reference)):
+        assert abs(r - ref_r) <= 1e-12 * abs(ref_r) and abs(g - ref_g) <= 1e-12 * abs(ref_g)
+
+
+def test_small_complex_dense_probe_is_solved_as_a_complex_solo():
+    # a complex 2 x 1 state at k = 1 gives a 16-row probe: stacked, its imaginary part would be dropped
+    from kextdistill.linalg import layout
+    from kextdistill.states import from_matrix
+
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    complex_state = from_matrix(g @ g.conj().T, layout(("A", 2), ("B", 1)))
+    g = np.random.default_rng(3).standard_normal((2, 2))
+    real_state = from_matrix(g @ g.T, layout(("A", 2), ("B", 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        complex_result = fidelity_threshold(KExtProblem(state=complex_state, k=1, backend="dense"))
+        real_result = fidelity_threshold(KExtProblem(state=real_state, k=1, backend="dense"))
+    for state, stacks in ((complex_state, 0), (real_state, 1)):
+        const, linear = solver.ProbeAssembly(KExtProblem(state=state, k=1)).dense_pieces()
+        assert len(const) == 16 and len(BlockProbe([(const, linear, 1.0, 1.0)]).stacks) == stacks
+    assert complex_result.alpha_star == 0.749999993318122
+    assert abs(real_result.alpha_star - 0.7499999969999673) <= 1e-12

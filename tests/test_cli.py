@@ -490,14 +490,14 @@ def test_validate_compares_the_iterative_solve_with_dense(monkeypatch):
 
 
 def test_validate_compares_the_schur_weyl_blocks_with_the_probe(monkeypatch):
-    lambda_min = kextdistill.blocks.WernerBlocks.lambda_min
+    lambda_min = kextdistill.blocks.BlockProbe.lambda_min
     intact = validate.check_schur_weyl_vs_probe()
 
     def shifted(self, alpha):
         value, slope, vec = lambda_min(self, alpha)
         return value + 1e-9, slope, vec
 
-    monkeypatch.setattr(kextdistill.blocks.WernerBlocks, "lambda_min", shifted)
+    monkeypatch.setattr(kextdistill.blocks.BlockProbe, "lambda_min", shifted)
     mutated = validate.check_schur_weyl_vs_probe()
     assert intact.passed and not mutated.passed
     # the reference alpha* runs no block solver, so the shift does not reach it

@@ -19,7 +19,6 @@ from kextdistill.linalg import (
     eig_min_dense_vec,
     eig_min_iterative,
     embed,
-    kron,
     layout,
     partial_trace,
     pencil_bracket,
@@ -30,7 +29,7 @@ from kextdistill.linalg import (
     swap_op,
     threshold_sup,
 )
-from kextdistill.states import bell_state, werner, WernerParams
+from kextdistill.states import bell_state
 
 
 def random_hermitian(rng, lay, real=False):
@@ -63,28 +62,6 @@ def test_hermitian_operator_validation():
     assert real.is_real
     cplx = HermitianOperator(lay, np.array([[1.0, 1j], [-1j, 0.0]]))
     assert not cplx.is_real
-
-
-def test_kron_identity_and_pauli():
-    i2 = HermitianOperator(layout(("A", 2)), np.eye(2))
-    i2b = HermitianOperator(layout(("B", 2)), np.eye(2))
-    assert np.array_equal(kron(i2, i2b).entries, np.eye(4))
-    sz = HermitianOperator(layout(("A", 2)), np.diag([1.0, -1.0]))
-    assert np.array_equal(kron(sz, i2b).entries, np.diag([1.0, 1.0, -1.0, -1.0]))
-
-
-def test_kron_matches_double_loop_oracle(probe_operator):
-    a = werner(WernerParams(d=2, gamma=-1.0)).op
-    b = probe_operator(0.5)
-    got = kron(a, b).entries
-    da, db = a.dim, b.dim
-    expected = np.zeros((da * db, da * db))
-    for i in range(da):
-        for j in range(da):
-            for r in range(db):
-                for s in range(db):
-                    expected[i * db + r, j * db + s] = a.entries[i, j] * b.entries[r, s]
-    assert np.abs(got - expected).max() == 0.0
 
 
 def test_swap_two_qubits_maps_01_to_10():
@@ -195,7 +172,7 @@ def test_partial_trace_of_product():
     rng = np.random.default_rng(4)
     a = random_hermitian(rng, layout(("A", 2)))
     b = random_hermitian(rng, layout(("B", 3)))
-    prod = kron(a, b)
+    prod = HermitianOperator(layout(("A", 2), ("B", 3)), np.kron(a.entries, b.entries))
     kept_a = partial_trace(prod, ("A",))
     assert np.abs(kept_a.entries - a.entries * b.trace()).max() < 1e-12
     kept_b = partial_trace(prod, ("B",))
@@ -238,16 +215,6 @@ def test_embed_places_joint_operators():
     got2 = embed(lay2, {("A", "B"): ab.entries}).entries
     back = reorder_to(HermitianOperator(lay2, got2), layout(("A", 2), ("B", 3), ("C", 2)))
     assert np.abs(back.entries - expected).max() < 1e-14
-
-
-def test_kron_associativity():
-    rng = np.random.default_rng(8)
-    a = random_hermitian(rng, layout(("A", 2)))
-    b = random_hermitian(rng, layout(("B", 3)))
-    c = random_hermitian(rng, layout(("C", 2)))
-    left = kron(kron(a, b), c).entries
-    right = kron(a, kron(b, c)).entries
-    assert np.abs(left - right).max() < 1e-12
 
 
 def test_swap_is_hermitian_and_orthogonal():
