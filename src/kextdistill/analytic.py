@@ -178,9 +178,8 @@ class MnPTradeoff:
     @classmethod
     def from_angle(cls, theta: float) -> "MnPTradeoff":
         """Boundary point of the tradeoff ellipse y_+^2 + y_-^2/3 = 1/16."""
-        y_plus = 0.25 * math.cos(theta)
-        y_minus = 0.25 * math.sqrt(3.0) * math.sin(theta)
-        return cls(f1=0.5 - y_plus + y_minus, f2=0.5 - y_plus - y_minus)
+        f1, f2 = _ellipse_points(np.array([theta]))
+        return cls(f1=float(f1[0]), f2=float(f2[0]))
 
     def is_feasible(self, tol: float = 1e-12) -> bool:
         """Membership in the convex hull of (0, 0) and the ellipse disk."""

@@ -215,7 +215,7 @@ def run_sweep(cfg: SweepConfig) -> list[str]:
                 params = [float(k)]
             try:
                 problems = [(p, _problem(cfg, p, n, k)) for p in params]
-            except ValueError as exc:
+            except (ValueError, OSError) as exc:
                 raise ConfigError(f"n = {n}, k = {k}: {exc}") from exc
             grid.append((path, problems))
     written: list[str] = []

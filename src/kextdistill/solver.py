@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -103,10 +103,10 @@ class ThresholdResult:
     and schur_weyl often the one sample at the lower end of the pencil's
     bracket, which certifies alpha_star, and on iterative or after a fallback
     to [0, 1] the Newton samples.
-    certificate is the unit probe eigenvector of lambda_residual at
-    alpha_star (dense: of its BlockProbe's one block): None on schur_weyl, or
-    when no alpha was certified negative.  It is ordered like
-    ProbeAssembly(problem).layout, spectator first, on either side.
+    certificate is the probe's unit eigenvector of lambda_residual at
+    alpha_star, ordered like ProbeAssembly(problem).layout, spectator first:
+    None on schur_weyl, whose lambda_min returns a block's vector, or when no
+    alpha was certified negative.
     On schur_weyl, lambda_residual and every sample are on the blocks' scale,
     (d^2 + gamma d)^n times the probe eigenvalue: TOL_EIG is absolute, and at
     n = 8, d = 3 the probe-scale value is -4.4e-14 to -1.6e-10.
@@ -217,6 +217,19 @@ class KExtProblem:
         condition = max(float(spectrum[0] / spectrum[-1]), 0.0) ** self.n
         return "iterative" if condition >= AUTO_ITERATIVE_MIN_CONDITION else "dense"
 
+    def probe(self) -> blocks.BlockProbe | ProbeAssembly:
+        """A new probe of the resolved backend, with lambda_min(alpha) -> (value, slope, vector) and pencil_tops().
+
+        dense: its dense pieces as one blocks.BlockProbe block; schur_weyl: blocks.werner_probe; iterative: ProbeAssembly.
+        """
+        backend = self.resolved_backend()
+        if backend == "dense":
+            return blocks.BlockProbe([(*ProbeAssembly(self).dense_pieces(), 1.0, 1.0)])
+        if backend == "schur_weyl":
+            params = self.werner_params  # rho_BA = rho_AB, so either side
+            return blocks.werner_probe(params.gamma, params.d, self.n, self.k)
+        return ProbeAssembly(self)
+
 
 def _fuse_copies(mat: np.ndarray, dims: tuple[int, int], n: int, parties: tuple[int, int]) -> np.ndarray:
     """(A1 B1 A2 B2 ...) ordered n-fold product, regrouped as (S1..Sn, X1..Xn) for parties (S, X)."""
@@ -234,11 +247,12 @@ def _apply_pair(op4: np.ndarray, tensor: np.ndarray, p: int, q: int) -> np.ndarr
 
 
 class ProbeAssembly:
-    """The probe as probe(alpha) = const_part + alpha * linear_part, built from one term kernel.
+    """The probe as probe(alpha) = const_part + alpha * linear_part, built from one term kernel; the iterative probe.
 
     Pair i contributes alpha * rho_i - Bell_i rho_i, where rho_i is the fused
     state on the i-th big pair and Bell_i the target on the i-th qubit pair;
-    both the matrix-free handle and the dense pieces are sums of `term`.
+    both the matrix-free handle and the dense pieces are sums of `term`.  It
+    is also the iterative backend's probe, solved on the handle by ARPACK.
     """
 
     def __init__(self, problem: KExtProblem):
@@ -267,6 +281,7 @@ class ProbeAssembly:
             for big, small in self.pairs
         ]
         self._dense_pieces: tuple[np.ndarray, np.ndarray] | None = None
+        self._previous: np.ndarray | None = None
 
     def term(self, x: np.ndarray, pair: int) -> tuple[np.ndarray, np.ndarray]:
         """(rho_i x, Bell_i rho_i x) for x shaped layout.dims plus optional trailing columns."""
@@ -314,6 +329,20 @@ class ProbeAssembly:
             dim=self.layout.total_dim, apply=apply, norm_bound=self.norm_bound, is_real=self.is_real
         )
 
+    def lambda_min(self, alpha: float) -> tuple[float, float, np.ndarray]:
+        """(lambda_min, slope v^dag L v, eigenvector v) on handle(alpha), started from the last v, the first from EIG_SEED.
+
+        ValueError for alpha outside [0, 1] or NaN, where norm_bound fails; SolverConvergenceError if ARPACK fails.
+        """
+        lam, self._previous = eig_min_iterative(self.handle(_check_alpha(alpha)), v0=self._previous)
+        v = self._previous.reshape(self.layout.dims)
+        slope = sum(np.vdot(v, self.term(v, i)[0]).real for i in range(len(self.pairs)))
+        return lam, float(slope), self._previous
+
+    def pencil_tops(self) -> list[tuple[float, float]]:
+        """[]: no explicit pieces, so linalg.pencil_bracket gives [0, 1]."""
+        return []
+
 
 def _check_alpha(alpha: float) -> float:
     if not 0.0 <= alpha <= 1.0:
@@ -321,60 +350,12 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _solver_and_pencil(
-    problem: KExtProblem,
-) -> tuple[Callable[[float], tuple[float, float, np.ndarray | None]], Callable[[], list] | None]:
-    """(_lambda_min_solver(problem), pencil_tops): the backend's solve and its pencil, sharing one set of pieces.
-
-    dense and schur_weyl hold their pieces in one blocks.BlockProbe, built
-    here: the dense pieces as one block, or blocks.werner_probe.
-    pencil_tops() gives (r, g) per block for linalg.pencil_bracket, and
-    raises LinAlgError where a linear part is not positive definite.  It is
-    None on iterative, which holds no explicit pieces.
-    """
-    backend = problem.resolved_backend()
-    if backend == "dense":
-        probe = blocks.BlockProbe([(*ProbeAssembly(problem).dense_pieces(), 1.0, 1.0)])
-        return lambda alpha: probe.lambda_min(_check_alpha(alpha)), probe.pencil_tops
-    if backend == "schur_weyl":
-        params = problem.werner_params  # rho_BA = rho_AB, so either side
-        probe = blocks.werner_probe(params.gamma, params.d, problem.n, problem.k)
-        return lambda alpha: (*probe.lambda_min(_check_alpha(alpha))[:2], None), probe.pencil_tops
-    assembly = ProbeAssembly(problem)
-    previous: np.ndarray | None = None
-
-    def solve(alpha: float) -> tuple[float, float, np.ndarray]:
-        nonlocal previous
-        lam, previous = eig_min_iterative(assembly.handle(_check_alpha(alpha)), v0=previous)
-        v = previous.reshape(assembly.layout.dims)
-        slope = sum(np.vdot(v, assembly.term(v, i)[0]).real for i in range(len(assembly.pairs)))
-        return lam, float(slope), previous
-
-    return solve, None
-
-
-def _lambda_min_solver(
-    problem: KExtProblem,
-) -> Callable[[float], tuple[float, float, np.ndarray | None]]:
-    """alpha -> (lambda_min, slope, eigenvector or None) through the problem's backend.
-
-    The slope is v^dag L v for the returned eigenvector v and the linear part
-    L: a supergradient of the concave lambda_min (Hellmann-Feynman).  dense
-    (its dense pieces as one block) and schur_weyl (blocks.werner_probe)
-    share blocks.BlockProbe.lambda_min, with the blocks built here;
-    iterative takes the slope through the term kernel, and starts each solve
-    from the previous eigenvector, the first from EIG_SEED.  schur_weyl reads
-    gamma from the Werner state, returns (d^2 + gamma d)^n times the probe's
-    value and slope, and no probe eigenvector.  Every backend raises
-    ValueError for alpha outside [0, 1] or NaN.  A non-converging iterative
-    solve raises SolverConvergenceError.
-    """
-    return _solver_and_pencil(problem)[0]
-
-
 def lambda_min_alpha(problem: KExtProblem, alpha: float) -> float:
-    """Smallest probe eigenvalue at alpha via the problem's backend; (d^2 + gamma d)^n times it on schur_weyl."""
-    return _lambda_min_solver(problem)(alpha)[0]
+    """Smallest probe eigenvalue at alpha from a new problem.probe(); (d^2 + gamma d)^n times it on schur_weyl.
+
+    ValueError for alpha outside [0, 1] or NaN.  A loop over alpha should build one problem.probe() instead.
+    """
+    return problem.probe().lambda_min(_check_alpha(alpha))[0]
 
 
 def check_tol_alpha(tol_alpha: float) -> float:
@@ -391,34 +372,31 @@ def fidelity_threshold(problem: KExtProblem, tol_alpha: float = DEFAULT_TOL_ALPH
     lambda_min is a minimum of nondecreasing affine functions of alpha:
     nondecreasing and concave, with the backend's slope as a tangent.
 
-    On dense and schur_weyl, where the probe is held as explicit pieces
-    C + alpha L, the search starts from linalg.pencil_bracket: one top
-    eigenpair of the pencil (-C, L) per block brackets the threshold, and the
-    search's first sample certifies the lower end.  It starts from [0, 1]
-    instead on iterative, and where a Cholesky factorization of L fails
-    (gamma = +-1 on blocks, rank-deficient states).
+    Every sample solves one problem.probe(), from linalg.pencil_bracket of
+    its pencil_tops(): on dense and schur_weyl, one top eigenpair of the
+    pencil (-C, L) per block of C + alpha L brackets the threshold, and the
+    first sample certifies the lower end.  It is [0, 1] on iterative (no tops)
+    and where a Cholesky factor of L fails (gamma = +-1, rank-deficient states).
     """
     check_tol_alpha(tol_alpha)
     backend = problem.resolved_backend()
-    solve, pencil_tops = _solver_and_pencil(problem)
+    probe = problem.probe()
     samples: list[tuple[float, float]] = []
     residual, certificate = None, None
 
     def evaluate(alpha: float) -> tuple[float, float]:
         nonlocal residual, certificate
-        value, slope, vec = solve(alpha)
+        value, slope, vec = probe.lambda_min(alpha)
         samples.append((alpha, value))
         if value < -TOL_EIG:
-            # the driver moves its lower end here, so this sample certifies it
-            residual, certificate = value, vec
+            # threshold_sup moves its lower end here, so this sample certifies it; a block eigenvector is no probe vector
+            residual, certificate = value, None if backend == "schur_weyl" else vec
         return value, slope
 
-    bracket = (0.0, 1.0)
-    if pencil_tops is not None:
-        try:
-            bracket = pencil_bracket(pencil_tops())
-        except np.linalg.LinAlgError:  # L is singular to working precision
-            pass
+    try:
+        bracket = pencil_bracket(probe.pencil_tops())
+    except np.linalg.LinAlgError:  # L is singular to working precision
+        bracket = (0.0, 1.0)
     alpha_star = threshold_sup(evaluate, tol_alpha, bracket)
     if residual is None:
         residual = samples[0][1]

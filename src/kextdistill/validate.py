@@ -161,8 +161,8 @@ def check_iterative_vs_dense() -> CheckResult:
     )
     for prob in problems:
         iterative, dense = replace(prob, backend="iterative"), replace(prob, backend="dense")
-        # one solver per backend, so the dense probe is assembled once for the whole grid
-        solve_iterative, solve_dense = solver._lambda_min_solver(iterative), solver._lambda_min_solver(dense)
+        # one probe per backend, so the dense probe is assembled once for the whole grid
+        solve_iterative, solve_dense = iterative.probe().lambda_min, dense.probe().lambda_min
         for a in (0.25, 0.5, 0.75, 1.0):
             gap = solve_iterative(a)[0] - solve_dense(a)[0]
             worst_lambda = max(worst_lambda, abs(gap))
@@ -194,11 +194,11 @@ def check_schur_weyl_vs_probe() -> CheckResult:
     for d, gamma, n, k, side, backend, alphas in cases:
         blocks = KExtProblem.for_werner(d=d, gamma=gamma, n=n, k=k, side=side, backend="schur_weyl")
         probe = replace(blocks, backend=backend)
-        solve_blocks, assembly = solver._lambda_min_solver(blocks), solver.ProbeAssembly(probe)
+        solve_blocks, assembly = blocks.probe().lambda_min, solver.ProbeAssembly(probe)
         scale = (d * d + gamma * d) ** n
         for a in alphas:
-            # ProbeAssembly.dense, not the dense backend, which shares the blocks' solver
-            ref = eig_min_dense(assembly.dense(a)) if backend == "dense" else solver.lambda_min_alpha(probe, a)
+            # ProbeAssembly.dense, not the dense backend, which shares the blocks' solver; iterative: one cold solve
+            ref = eig_min_dense(assembly.dense(a)) if backend == "dense" else assembly.lambda_min(a)[0]
             worst_lambda = max(worst_lambda, abs(solve_blocks(a)[0] / scale - ref))
         if backend == "dense" and probe.total_dim <= 512:
             linear = assembly.dense_pieces()[1]
@@ -234,7 +234,7 @@ def check_pencil_vs_newton() -> CheckResult:
     )
     gaps, certified = [], True
     for prob in problems:
-        solve = solver._lambda_min_solver(prob)
+        solve = prob.probe().lambda_min
         newton = threshold_sup(lambda alpha: solve(alpha)[:2], tol)
         alpha_star = fidelity_threshold(prob, tol).alpha_star
         gaps.append(alpha_star - newton)
@@ -268,7 +268,7 @@ def check_lambda_monotone_alpha() -> CheckResult:
     ]
     worst = 0.0
     for prob in problems:
-        solve = solver._lambda_min_solver(prob)  # one solver, so a dense probe is assembled once
+        solve = prob.probe().lambda_min  # one probe, so a dense probe is assembled once
         lams = [solve(a)[0] for a in np.linspace(0.0, 1.0, 11)]
         worst = max(worst, max(max(0.0, lams[i] - lams[i + 1]) for i in range(len(lams) - 1)))
     return _result("lambda_monotone_alpha", worst, 1e-12)

@@ -195,7 +195,8 @@ def test_criterion_7_property_suite():
 
     # lambda_min monotone in alpha
     prob = KExtProblem.for_werner(d=2, gamma=-0.6)
-    lams = [lambda_min_alpha(prob, a) for a in np.linspace(0.0, 1.0, 9)]
+    probe = prob.probe()
+    lams = [probe.lambda_min(a)[0] for a in np.linspace(0.0, 1.0, 9)]
     if not all(b >= a - 1e-12 for a, b in zip(lams, lams[1:])):
         failures.append("lambda_min not monotone in alpha")
 

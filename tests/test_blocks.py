@@ -60,7 +60,7 @@ def test_block_sign_matches_dense_probe():
 def test_block_lambda_is_the_dense_lambda_times_the_trace_scale(d, n):
     # the blocks take I + gamma V unnormalized, whose trace is d^2 + gamma d per copy
     for gamma in (-1.0, -0.5, 0.0, 0.3, 1.0):
-        dense_solve = solver._lambda_min_solver(KExtProblem.for_werner(d, gamma=gamma, n=n, backend="dense"))
+        dense_solve = KExtProblem.for_werner(d, gamma=gamma, n=n, backend="dense").probe().lambda_min
         for alpha in (0.3, 0.6, 0.95):
             dense = dense_solve(alpha)[0]
             block = s3_block_lambda_min(gamma, alpha, n, d)[0] / (d * d + gamma * d) ** n
@@ -103,13 +103,15 @@ def test_block_backend_through_problem_api(block_threshold):
 
 
 def test_block_backend_has_no_explicit_probe():
+    # the schur_weyl probe returns one block's eigenvector, no probe vector, so no certificate is kept
     problem = KExtProblem.for_werner(d=2, gamma=0.2, backend="schur_weyl")
-    solve = solver._lambda_min_solver(problem)
-    value, _, vector = solve(0.5)
-    assert vector is None
+    value, _, vector = problem.probe().lambda_min(0.5)
+    assert len(vector) < problem.total_dim
     assert value == lambda_min_alpha(problem, 0.5)
+    result = fidelity_threshold(problem)
+    assert result.lambda_residual < -TOL_EIG and result.certificate is None
     with pytest.raises(ValueError):
-        solve(1.5)
+        lambda_min_alpha(problem, 1.5)
 
 
 def test_block_backend_reads_gamma_from_the_state():
@@ -224,7 +226,7 @@ def test_block_dimensions_add_up_to_the_probe(d, n, k):
 @pytest.mark.parametrize("d, n, k", [(2, 1, 3), (3, 2, 2), (3, 1, 4), (3, 8, 1)])
 def test_schur_weyl_slope_is_a_supergradient(d, n, k, assert_supergradient):
     for gamma in (-1.0, -0.4, 0.5):
-        solve = solver._lambda_min_solver(KExtProblem.for_werner(d=d, gamma=gamma, n=n, k=k, backend="schur_weyl"))
+        solve = KExtProblem.for_werner(d=d, gamma=gamma, n=n, k=k, backend="schur_weyl").probe().lambda_min
         assert_supergradient(lambda alpha: solve(alpha)[:2], np.linspace(0.0, 1.0, 6))
 
 
@@ -312,7 +314,7 @@ def test_schur_weyl_builds_its_blocks_once_when_the_solver_is_made(monkeypatch):
     problem = KExtProblem.for_werner(d=3, gamma=-0.5, k=3, backend="schur_weyl")
     assert problem.resolved_backend() == "schur_weyl"
     assert built == []
-    solve = solver._lambda_min_solver(problem)
+    solve = problem.probe().lambda_min
     assert built == [(-0.5, 3, 1, 3)]
     values = [solve(alpha)[0] for alpha in (0.3, 0.9)]
     assert len(built) == 1 and values[0] < values[1]
@@ -352,7 +354,7 @@ def test_schur_weyl_requires_a_werner_state_and_the_block_cap():
 
 
 def newton_from_unit_interval(problem, tol_alpha):
-    solve = solver._lambda_min_solver(problem)
+    solve = problem.probe().lambda_min
     return threshold_sup(lambda alpha: solve(alpha)[:2], tol_alpha)
 
 

@@ -361,11 +361,21 @@ def test_sweep_block_backend_on_a_werner_state_file(tmp_path):
 
 def test_sweep_missing_state_file(tmp_path):
     cfg = parse_config_text(
-        f"family = file\nfile = {tmp_path/'missing.state'}\noutput = out.csv\n"
+        f"family = file\nfile = {tmp_path/'missing.state'}\noutput = {tmp_path/'out.csv'}\n"
     )
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(ConfigError) as excinfo:
         run_sweep(cfg)
+    assert isinstance(excinfo.value.__cause__, FileNotFoundError)
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_sweep_command_rejects_a_missing_state_file(tmp_path, capsys):
+    # it used to be reported as a solver failure, exit 3
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"family = file\nfile = {tmp_path/'missing.state'}\noutput = {tmp_path/'out.csv'}\n")
+    assert run_cli(["sweep", "--config", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 # ---------------------------------------------------------------------------

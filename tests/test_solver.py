@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kextdistill import solver
+from kextdistill import blocks
 from kextdistill.analytic import alpha_max_k1, maxmixed_bound
 from kextdistill.linalg import (
     HermitianOperator,
@@ -336,7 +336,7 @@ def test_dense_lambda_and_slope_match_the_reference_probe(state, side):
     # the dense backend solves its pieces in place as one block; the reference is
     # eig_min_dense of ProbeAssembly.dense and the slope v^dag L v through the term kernel
     problem = KExtProblem(state=state, k=1, side=side, backend="dense")
-    solve, assembly = solver._lambda_min_solver(problem), ProbeAssembly(problem)
+    solve, assembly = problem.probe().lambda_min, ProbeAssembly(problem)
     for alpha in (0.0, 0.5, 0.9, 1.0):
         lam, slope, vec = solve(alpha)
         assert abs(lam - eig_min_dense(assembly.dense(alpha))) <= 1e-12 * assembly.norm_bound
@@ -432,7 +432,7 @@ def test_threshold_matches_bisection_and_is_certified(problem, reference_bisecti
     # bisection short
     tol_alpha = 1e-3
     alpha_star = fidelity_threshold(problem, tol_alpha=tol_alpha).alpha_star
-    exact = solver._lambda_min_solver(dataclasses.replace(problem, backend="dense"))
+    exact = dataclasses.replace(problem, backend="dense").probe().lambda_min
     bisection = reference_bisection(lambda alpha: exact(alpha)[0] < -TOL_EIG, tol_alpha)
     assert abs(alpha_star - bisection) <= tol_alpha
     if alpha_star > 0.0:
@@ -457,7 +457,7 @@ def dense_two_qubit_problems(draw):
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(problem=dense_two_qubit_problems())
 def test_lambda_min_is_nondecreasing_and_concave_in_alpha(problem):
-    solve = solver._lambda_min_solver(problem)
+    solve = problem.probe().lambda_min
     lams = [solve(alpha)[0] for alpha in np.linspace(0.0, 1.0, 9)]
     assert all(b >= a - 1e-12 for a, b in zip(lams, lams[1:]))
     assert all(b >= 0.5 * (a + c) - 1e-12 for a, b, c in zip(lams, lams[1:], lams[2:]))
@@ -485,19 +485,36 @@ def test_threshold_tolerance_validation():
             fidelity_threshold(KExtProblem.for_werner(d=2, gamma=-0.5), tol_alpha=tol_alpha)
 
 
+@pytest.mark.parametrize(
+    "backend, kind", [("dense", blocks.BlockProbe), ("iterative", ProbeAssembly), ("schur_weyl", blocks.BlockProbe)]
+)
+def test_every_backend_is_one_probe_object(backend, kind):
+    problem = KExtProblem.for_werner(d=2, gamma=-0.5, k=2, backend=backend)
+    assert type(problem.probe()) is kind
+    result = fidelity_threshold(problem)
+    # iterative holds no explicit pieces, so its search starts from [0, 1]
+    assert (problem.probe().pencil_tops() == []) == (backend == "iterative")
+    assert (result.samples[0][0] == 0.0) == (backend == "iterative")
+    # a warm-started ARPACK solve differs from a cold one within its tolerance; the block solves are exact
+    tol = 1e-10 if backend == "iterative" else 0.0
+    for alpha, value in result.samples:
+        assert abs(value - problem.probe().lambda_min(alpha)[0]) <= tol
+
+
 def test_lambda_monotone_in_alpha():
     rng = np.random.default_rng(3)
     for prob in (
         KExtProblem.for_werner(d=2, gamma=0.4),
         KExtProblem(state=random_state(rng, 2, 2), k=1),
     ):
-        lams = [lambda_min_alpha(prob, a) for a in np.linspace(0.0, 1.0, 11)]
+        probe = prob.probe()
+        lams = [probe.lambda_min(a)[0] for a in np.linspace(0.0, 1.0, 11)]
         assert all(b >= a - 1e-12 for a, b in zip(lams, lams[1:]))
 
 
 def test_dense_probe_slope_is_a_supergradient(assert_supergradient):
     problem = KExtProblem(state=random_state(np.random.default_rng(7), 2, 2), k=1, backend="dense")
-    solve = solver._lambda_min_solver(problem)
+    solve = problem.probe().lambda_min
     assert_supergradient(lambda alpha: solve(alpha)[:2], np.linspace(0.0, 1.0, 11))
 
 
