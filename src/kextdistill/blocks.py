@@ -181,6 +181,14 @@ def young_transpositions(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(size: int) -> np.ndarray:
+    """np.eye(size), read-only and made once per size for every block builder."""
+    eye = np.eye(size)
+    eye.setflags(write=False)
+    return eye
+
+
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of two matrices, without its overhead for general shapes."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
@@ -199,7 +207,7 @@ def werner_blocks(gamma: float, d: int, n: int, k: int):
     """
     m = k + 2
     shapes = [mu for mu in partitions(m, d) if 1 < len(mu) < m]
-    pair = {mu: [np.eye(len(y)) + gamma * y for y in young_transpositions(mu)] for mu in shapes}
+    pair = {mu: [_identity(len(y)) + gamma * y for y in young_transpositions(mu)] for mu in shapes}
     for mus in itertools.chain.from_iterable(
         itertools.combinations_with_replacement(shapes, j) for j in range(n + 1)
     ):
@@ -207,7 +215,7 @@ def werner_blocks(gamma: float, d: int, n: int, k: int):
         term_sum = sum(terms)
         for nu in partitions(m, 2):
             ys = young_transpositions(nu)
-            eye = np.eye(len(ys[0]))
+            eye = _identity(len(ys[0]))
             const = np.zeros((len(term_sum) * len(eye),) * 2)
             for r, y in zip(terms, ys):
                 const -= _kron(0.5 * (eye - y), r)
@@ -257,7 +265,7 @@ class BlockProbe:
         self.solos = []
         for const, term, low, high in blocks:
             if len(const) < SOLO_MIN_ROWS and not np.iscomplexobj(const):
-                linear = _kron(np.eye(len(const) // len(term)), term)
+                linear = _kron(_identity(len(const) // len(term)), term)
                 by_size.setdefault(len(const), []).append((const, linear, low, high))
             else:
                 self.solos.append((const, term, low, high))

@@ -137,6 +137,7 @@ class HermitianOperator:
 class LinearMapHandle:
     """Matrix-free self-adjoint operator: apply() returns H @ v without materializing H.
 
+    apply returns a new array, which eig_min_iterative then overwrites.
     norm_bound is a positive upper bound on the spectral norm of H;
     eig_min_iterative shifts H by it.
     """
@@ -307,11 +308,13 @@ def eig_min_iterative(handle: LinearMapHandle, v0: np.ndarray | None = None) -> 
     """
     n = handle.dim
     sigma = handle.norm_bound
-    op = spla.LinearOperator(
-        (n, n),
-        matvec=lambda v: handle.apply(v) - sigma * v,
-        dtype=np.float64 if handle.is_real else np.complex128,
-    )
+
+    def shifted(v: np.ndarray) -> np.ndarray:
+        out = handle.apply(v)
+        out -= sigma * v  # in place in the handle's new array, so a matvec allocates only sigma * v
+        return out
+
+    op = spla.LinearOperator((n, n), matvec=shifted, dtype=np.float64 if handle.is_real else np.complex128)
     rng = np.random.default_rng(EIG_SEED)
     start = rng.standard_normal(n) if handle.is_real else rng.standard_normal(n) + 1j * rng.standard_normal(n)
     start /= np.linalg.norm(start)

@@ -16,10 +16,12 @@ of rho_AB is solved as the bob side of rho_BA.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 
 from . import blocks
 from .linalg import TOL_EIG  # the one certification tolerance; perfbench/checks.py reads solver.TOL_EIG
@@ -57,7 +59,7 @@ SIDES = ("bob", "alice")
 # per side, the spectator S and the extended party X as indices into the state's (A, B)
 PARTY_ORDER = {"bob": (0, 1), "alice": (1, 0)}
 BACKENDS = ("auto", "dense", "iterative", "schur_weyl")
-# auto: dense below this probe dimension; at 384, ARPACK lost to dense on 3 of 5 full-rank states (2 cores)
+# auto: dense below this probe dimension; at 384, ARPACK lost to dense on 5 of 5 full-rank states, by 1.1-4.5x (2 cores)
 AUTO_ITERATIVE_MIN_DIM = 512
 # auto, below DENSE_DIM_LIMIT: iterative only if (lambda_min(rho) / lambda_max(rho))^n is at
 # least this; below it the probe has a cluster of eigenvalues near 0 where Lanczos stalls
@@ -240,10 +242,66 @@ def _fuse_copies(mat: np.ndarray, dims: tuple[int, int], n: int, parties: tuple[
     return acc.reshape(dims * 2 * n).transpose(order).reshape(big, big)
 
 
-def _apply_pair(op4: np.ndarray, tensor: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Contract a two-system operator (shape (dp, dq, dp, dq)) into axes p, q of tensor."""
-    out = np.tensordot(op4, tensor, axes=([2, 3], [p, q]))
-    return np.moveaxis(out, (0, 1), (p, q))
+class _PairKernel:
+    """rho_fused applied to the (S, X_i) of one extension pair i at a time, for `columns` vectors, in buffers of its own.
+
+    load() copies the vectors once into the working order (S, s, X0, x0, ...,
+    Xk, xk, columns).  product(i) copies them into pair i's order (S, X_i, s,
+    x_i, then the rest in working order), applies rho_fused to the leading
+    (S, X_i) by one gemm, and returns that product r shaped like the order,
+    with half = b (r_00 + r_11) on its (s, x_i) = 00 and 11 slices, b the
+    entry of Phi+ Phi+^dag (1/sqrt(2) squared, just below 1/2): that operator
+    times r is half on both slices and 0 on 01 and 10.  Both arrays are
+    views of the buffers, valid until the next product().  The gemm is
+    scipy's, writing into the product buffer, as in blocks.BlockProbe: numpy
+    and scipy load separate OpenBLAS libraries, each with its own thread
+    pool, and ARPACK runs on scipy's.
+    """
+
+    def __init__(self, assembly: "ProbeAssembly", columns: int, dtype):
+        k = len(assembly.pairs) - 1
+        dims = assembly.layout.dims
+        rho = assembly.rho_fused.astype(dtype, copy=False)
+        # the layout axes in working order: S is 0, X_i is 1 + i, s is k + 2 and x_i is k + 3 + i
+        self.working = (0, k + 2) + tuple(a for i in range(k + 1) for a in (1 + i, k + 3 + i))
+        self.work = np.empty(tuple(dims[a] for a in self.working) + (columns,), dtype=dtype)
+        # pair i's order as axes of work; the columns stay last
+        self.orders = [
+            (0, 2 + 2 * i, 1, 3 + 2 * i) + tuple(a for a in range(2, 2 * k + 5) if a not in (2 + 2 * i, 3 + 2 * i))
+            for i in range(k + 1)
+        ]
+        # the gemm reads gathered^T (Fortran-ordered, rows x D) and writes product^T, C-ordered D x rows
+        gathered = np.empty(self.work.size, dtype=dtype)
+        self._gathered_f = gathered.reshape(len(rho), -1).T
+        self._product_f = np.empty(self._gathered_f.shape, dtype=dtype, order="F")
+        self._rho_f = rho.T
+        self._gemm = scipy.linalg.blas.get_blas_funcs("gemm", dtype=dtype)
+        half = np.empty(self.work.size // 4, dtype=dtype)
+        self._weight = assembly.bell[0, 0]
+        self._views = []
+        for order in self.orders:
+            source = self.work.transpose(order)
+            shape = source.shape[:2] + source.shape[4:]
+            self._views.append((source, gathered.reshape(source.shape), self._product_f.T.reshape(source.shape), half.reshape(shape)))
+
+    def load(self, columns: np.ndarray) -> None:
+        """Copy columns, shaped layout.dims + (columns,), into the working order."""
+        np.copyto(self.work, columns.transpose(self.working + (len(self.working),)))
+
+    def product(self, pair: int) -> tuple[np.ndarray, np.ndarray]:
+        source, gathered, product, half = self._views[pair]
+        np.copyto(gathered, source)
+        self._gemm(1.0, self._gathered_f, self._rho_f, c=self._product_f, overwrite_c=1)
+        np.add(product[:, :, 0, 0], product[:, :, 1, 1], out=half)
+        half *= self._weight
+        return product, half
+
+    def to_layout(self, array: np.ndarray, pair: int | None = None) -> np.ndarray:
+        """A new C-ordered array in layout order, columns last, from one in working order or in pair's order."""
+        axes = self.working + (len(self.working),)
+        if pair is not None:
+            axes = tuple(axes[a] for a in self.orders[pair])
+        return np.array(array.transpose(np.argsort(axes)), order="C")
 
 
 class ProbeAssembly:
@@ -251,8 +309,12 @@ class ProbeAssembly:
 
     Pair i contributes alpha * rho_i - Bell_i rho_i, where rho_i is the fused
     state on the i-th big pair and Bell_i the target on the i-th qubit pair;
-    both the matrix-free handle and the dense pieces are sums of `term`.  It
-    is also the iterative backend's probe, solved on the handle by ARPACK.
+    the matrix-free handle, `term` and the dense pieces all run `_PairKernel`:
+    one copy into the pair-interleaved working order, then per pair one
+    transpose copy, one scipy gemm with rho_fused and two slab operations on
+    the (s, x_i) = 00 and 11 slices.  layout, the order of every vector in and
+    out, stays spectator first.  It is also the iterative backend's probe,
+    solved on the handle by ARPACK.
     """
 
     def __init__(self, problem: KExtProblem):
@@ -271,42 +333,64 @@ class ProbeAssembly:
         self.is_real = not np.iscomplexobj(self.rho_fused)
         # |alpha I - Bell| <= 1 on [0, 1] and |(rho^{x n})^T| = lambda_max(rho)^n, per pair
         self.norm_bound = (k + 1) * float(problem.state.spectrum[-1]) ** n
-        self._rho_r = self.rho_fused.reshape(big_s, big_x, big_s, big_x)
-        self._bell_r = self.bell.reshape(2, 2, 2, 2)
-        self._axes = [
-            (
-                (self.layout.index(big[0]), self.layout.index(big[1])),
-                (self.layout.index(small[0]), self.layout.index(small[1])),
-            )
-            for big, small in self.pairs
-        ]
         self._dense_pieces: tuple[np.ndarray, np.ndarray] | None = None
+        self._kernels: dict[tuple[int, np.dtype], _PairKernel] = {}
         self._previous: np.ndarray | None = None
+
+    def _kernel(self, columns: int, dtype) -> _PairKernel:
+        """The kernel for `columns` vectors of dtype, made once: every handle and term call shares its buffers."""
+        key = (columns, np.dtype(dtype))
+        if key not in self._kernels:
+            self._kernels[key] = _PairKernel(self, columns, dtype)
+        return self._kernels[key]
 
     def term(self, x: np.ndarray, pair: int) -> tuple[np.ndarray, np.ndarray]:
         """(rho_i x, Bell_i rho_i x) for x shaped layout.dims plus optional trailing columns."""
-        (pa, pb), (qa, qb) = self._axes[pair]
-        rv = _apply_pair(self._rho_r, x, pa, pb)
-        return rv, _apply_pair(self._bell_r, rv, qa, qb)
+        columns = x.reshape(self.layout.dims + (-1,))
+        kernel = self._kernel(columns.shape[-1], np.result_type(self.rho_fused, x))
+        kernel.load(columns)
+        product, half = kernel.product(pair)
+        bell = np.zeros_like(product)
+        bell[:, :, 0, 0] = bell[:, :, 1, 1] = half
+        return tuple(kernel.to_layout(part, pair).reshape(x.shape) for part in (product, bell))
 
     def dense_pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        """(const, linear) as dim x dim arrays; ValueError above DENSE_DIM_LIMIT, before any allocation."""
+        """(const, linear) as dim x dim arrays; ValueError above DENSE_DIM_LIMIT, before any allocation.
+
+        The kernel runs on 64 identity columns at a time (fewer if 64 does
+        not divide dim) and adds each pair's columns into both pieces, pairs
+        in order.  Every entry of a product is one entry of rho_fused times 1,
+        exactly, so the pieces do not depend on the slab width.  Besides the
+        pieces, the build holds 4.25 slabs: 0.18 of a piece at 1536 rows,
+        where building from the whole identity at once held four pieces more.
+        """
         if self._dense_pieces is None:
             dim = self.layout.total_dim
             if dim > DENSE_DIM_LIMIT:
                 raise ValueError(f"dense probe pieces limited to dimension {DENSE_DIM_LIMIT}, this probe has {dim}")
-            shape = self.layout.dims + (dim,)
             dtype = np.float64 if self.is_real else np.complex128
-            const = np.zeros(shape, dtype=dtype)
-            linear = np.zeros(shape, dtype=dtype)
-            eye = np.eye(dim, dtype=dtype).reshape(shape)
-            for i in range(len(self.pairs)):
-                rv, brv = self.term(eye, i)
-                linear += rv
-                const -= brv
-                # free this pair's columns before the next pair allocates its own
-                del rv, brv
-            self._dense_pieces = (const.reshape(dim, dim), linear.reshape(dim, dim))
+            const = np.zeros((dim, dim), dtype=dtype)
+            linear = np.zeros((dim, dim), dtype=dtype)
+            width = math.gcd(dim, 64)
+            kernel = _PairKernel(self, width, dtype)
+            columns = np.zeros((dim, width), dtype=dtype)
+            to_working = kernel.working + (len(kernel.working),)
+            for start in range(0, dim, width):
+                np.fill_diagonal(columns[start : start + width], 1.0)
+                kernel.load(columns.reshape(self.layout.dims + (width,)))
+                columns[start : start + width] = 0.0
+                # this slab's columns of both pieces, their rows in working order
+                const_slab, linear_slab = (
+                    piece[:, start : start + width].reshape(self.layout.dims + (width,)).transpose(to_working)
+                    for piece in (const, linear)
+                )
+                for i, order in enumerate(kernel.orders):
+                    product, half = kernel.product(i)
+                    linear_slab.transpose(order)[...] += product
+                    const_pair = const_slab.transpose(order)
+                    const_pair[:, :, 0, 0] -= half
+                    const_pair[:, :, 1, 1] -= half
+            self._dense_pieces = (const, linear)
         return self._dense_pieces
 
     def dense(self, alpha: float) -> HermitianOperator:
@@ -315,19 +399,30 @@ class ProbeAssembly:
         return HermitianOperator(self.layout, const + alpha * linear)
 
     def handle(self, alpha: float) -> LinearMapHandle:
-        dims = self.layout.dims
-
-        def apply(vec: np.ndarray) -> np.ndarray:
-            vt = vec.reshape(dims)
-            acc = np.zeros_like(vt)
-            for i in range(len(self.pairs)):
-                rv, brv = self.term(vt, i)
-                acc = acc + alpha * rv - brv
-            return acc.reshape(-1)
-
+        """probe(alpha) as a LinearMapHandle; each apply returns a new array, in layout order."""
+        acc = np.empty_like(self._kernel(1, self.rho_fused.dtype).work)
         return LinearMapHandle(
-            dim=self.layout.total_dim, apply=apply, norm_bound=self.norm_bound, is_real=self.is_real
+            dim=self.layout.total_dim,
+            apply=functools.partial(self._apply, alpha, acc),
+            norm_bound=self.norm_bound,
+            is_real=self.is_real,
         )
+
+    def _apply(self, alpha: float, acc: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        # a method, not a closure that calls itself: that cycle kept each assembly alive until the
+        # cyclic garbage collector ran, and peak RSS grew by about 0.5 MB per threshold
+        if self.is_real and np.iscomplexobj(vec):  # as two real vectors, on the real buffers
+            return self._apply(alpha, acc, vec.real) + 1j * self._apply(alpha, acc, vec.imag)
+        kernel = self._kernel(1, self.rho_fused.dtype)
+        kernel.load(vec.reshape(self.layout.dims + (1,)))
+        acc.fill(0.0)
+        for i, order in enumerate(kernel.orders):
+            product, half = kernel.product(i)
+            product *= alpha
+            product[:, :, 0, 0] -= half
+            product[:, :, 1, 1] -= half
+            acc.transpose(order)[...] += product
+        return kernel.to_layout(acc).reshape(-1)
 
     def lambda_min(self, alpha: float) -> tuple[float, float, np.ndarray]:
         """(lambda_min, slope v^dag L v, eigenvector v) on handle(alpha), started from the last v, the first from EIG_SEED.

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,19 +197,33 @@ def embed_reference_pieces(assembly, bell):
     return const, linear
 
 
-@pytest.mark.parametrize("bell", ["phi_plus", "psi_minus"])
-@pytest.mark.parametrize("kind", ["werner", "complex"])
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("side", ["bob", "alice"])
+# (side, n, kind, bell): the 2 x 2 states at k = 1, and the complex 2 x 3 state at k = 2 and 3, whose
+# pairs add into shared entries of both pieces; bob at k = 3 has 5184 rows, above the dense cap
+EMBED_CASES = [
+    (side, n, kind, bell)
+    for side in SIDES
+    for n in (1, 2)
+    for kind in ("werner", "complex")
+    for bell in ("phi_plus", "psi_minus")
+] + [
+    (side, 1, kind, bell)
+    for side, kind in (("bob", "complex_2x3_k2"), ("alice", "complex_2x3_k2"), ("alice", "complex_2x3_k3"))
+    for bell in ("phi_plus", "psi_minus")
+]
+
+
+@pytest.mark.parametrize("side,n,kind,bell", EMBED_CASES)
 def test_dense_pieces_match_embed_reference(side, n, kind, bell):
     # the assembly targets phi_plus; toward psi_minus the probe is the same
     # one with each b qubit rotated by iY, since (I x iY) phi_plus (I x iY)^dag
     # is psi_minus, so every Bell target has the phi_plus spectrum
     if kind == "werner":
-        state = werner(WernerParams(d=2, gamma=-0.3))
+        state, k = werner(WernerParams(d=2, gamma=-0.3)), 1
+    elif kind == "complex":
+        state, k = random_state(np.random.default_rng(7), 2, 2), 1
     else:
-        state = random_state(np.random.default_rng(7), 2, 2)
-    assembly = ProbeAssembly(KExtProblem(state=state, n=n, k=1, side=side))
+        state, k = random_state(np.random.default_rng(7), 2, 3), int(kind[-1])
+    assembly = ProbeAssembly(KExtProblem(state=state, n=n, k=k, side=side))
     const, linear = assembly.dense_pieces()
     if bell == "psi_minus":
         iy = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -223,16 +238,58 @@ def test_dense_pieces_match_embed_reference(side, n, kind, bell):
     assert np.array_equal(linear, ref_linear)
 
 
+def tensordot_apply(assembly, alpha, v):
+    """probe(alpha) v as the sum over pairs of alpha rho_i v - Bell_i rho_i v, one np.tensordot per factor."""
+    lay = assembly.layout
+    big_s, big_x = (lay.dim_of(lab) for lab in assembly.pairs[0][0])
+    rho = assembly.rho_fused.reshape(big_s, big_x, big_s, big_x)
+    bell = bell_state("phi_plus", 2).matrix.reshape(2, 2, 2, 2)
+
+    def contract(op, tensor, labels):
+        axes = [lay.index(lab) for lab in labels]
+        return np.moveaxis(np.tensordot(op, tensor, axes=([2, 3], axes)), (0, 1), axes)
+
+    tensor = v.reshape(lay.dims)
+    out = np.zeros(tensor.shape, dtype=np.result_type(rho, v))
+    for big, small in assembly.pairs:
+        rv = contract(rho, tensor, big)
+        out += alpha * rv - contract(bell, rv, small)
+    return out.reshape(-1)
+
+
 @pytest.mark.parametrize("side,n", [("bob", 1), ("alice", 1), ("bob", 2), ("alice", 2)])
 def test_dense_and_handle_agree(side, n):
+    # k = 1..3 on a complex 2 x 2, a real Werner and a complex 2 x 3 state: the handle against the dense
+    # probe up to 1536 rows, and everywhere (up to 839808 rows) against a term-by-term tensordot reference
     rng = np.random.default_rng(1)
-    state = random_state(rng, 2, 2)
-    assembly = ProbeAssembly(KExtProblem(state=state, n=n, k=1, side=side))
-    probe = assembly.dense(0.7)
-    handle = assembly.handle(0.7)
-    assert isinstance(handle, LinearMapHandle)
-    v = rng.standard_normal(probe.dim) + 1j * rng.standard_normal(probe.dim)
-    assert np.abs(probe.entries @ v - handle.apply(v)).max() < 1e-10
+    states = [random_state(rng, 2, 2), werner(WernerParams(d=2, gamma=-0.3)), random_state(rng, 2, 3)]
+    for state, k in itertools.product(states, (1, 2, 3)):
+        assembly = ProbeAssembly(KExtProblem(state=state, n=n, k=k, side=side))
+        handle = assembly.handle(0.7)
+        assert isinstance(handle, LinearMapHandle)
+        dim = assembly.layout.total_dim
+        vectors = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim)]
+        if assembly.is_real:  # ARPACK's vectors on a real probe
+            vectors.append(rng.standard_normal(dim))
+        for v in vectors:
+            applied = handle.apply(v)
+            assert applied.dtype == np.result_type(assembly.rho_fused, v)
+            assert np.abs(tensordot_apply(assembly, 0.7, v) - applied).max() < 1e-10, (k, dim)
+            if dim <= 1536:
+                assert np.abs(assembly.dense(0.7).entries @ v - applied).max() < 1e-10, (k, dim)
+
+
+def test_dense_pieces_hold_little_besides_the_pieces():
+    # besides const and linear, the slab build holds 4.25 slabs of 64 columns: 0.18 of a piece at these 1536 rows
+    assembly = ProbeAssembly(KExtProblem(state=random_state(np.random.default_rng(3), 2, 3), k=3, side="alice"))
+    tracemalloc.start()
+    try:
+        const, linear = assembly.dense_pieces()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert const.shape == (1536, 1536) and const.dtype == np.complex128
+    assert peak < 2.25 * const.nbytes
 
 
 def test_alice_side_probe_matches_swapped_state():
