@@ -252,9 +252,10 @@ class _PairKernel:
     with half = b (r_00 + r_11) on its (s, x_i) = 00 and 11 slices, b the
     entry of Phi+ Phi+^dag (1/sqrt(2) squared, just below 1/2): that operator
     times r is half on both slices and 0 on 01 and 10.  Both arrays are
-    views of the buffers, valid until the next product().  The gemm is
-    scipy's, writing into the product buffer, as in blocks.BlockProbe: numpy
-    and scipy load separate OpenBLAS libraries, each with its own thread
+    views of the buffers, valid until the next product().  slope() sums
+    x^dag rho_i x over the pairs, the probe's alpha-slope at a unit x.  The
+    gemm is scipy's, writing into the product buffer, as in blocks.BlockProbe:
+    numpy and scipy load separate OpenBLAS libraries, each with its own thread
     pool, and ARPACK runs on scipy's.
     """
 
@@ -296,25 +297,32 @@ class _PairKernel:
         half *= self._weight
         return product, half
 
-    def to_layout(self, array: np.ndarray, pair: int | None = None) -> np.ndarray:
-        """A new C-ordered array in layout order, columns last, from one in working order or in pair's order."""
-        axes = self.working + (len(self.working),)
-        if pair is not None:
-            axes = tuple(axes[a] for a in self.orders[pair])
-        return np.array(array.transpose(np.argsort(axes)), order="C")
+    def slope(self) -> float:
+        """x^dag (sum_i rho_i) x for the loaded x, summed over columns; product(i) gathers x in pair i's order, like r."""
+        return float(sum(np.vdot(view[1], self.product(i)[0]).real for i, view in enumerate(self._views)))
+
+    @functools.cached_property
+    def acc(self) -> np.ndarray:
+        """The handle's accumulator, in working order, made on first use: dense_pieces' kernel holds none."""
+        return np.empty_like(self.work)
+
+    def to_layout(self, array: np.ndarray) -> np.ndarray:
+        """A new C-ordered array in layout order, columns last, from one in working order."""
+        return np.array(array.transpose(np.argsort(self.working + (len(self.working),))), order="C")
 
 
 class ProbeAssembly:
-    """The probe as probe(alpha) = const_part + alpha * linear_part, built from one term kernel; the iterative probe.
+    """The probe as probe(alpha) = const_part + alpha * linear_part, built from one pair kernel; the iterative probe.
 
     Pair i contributes alpha * rho_i - Bell_i rho_i, where rho_i is the fused
     state on the i-th big pair and Bell_i the target on the i-th qubit pair;
-    the matrix-free handle, `term` and the dense pieces all run `_PairKernel`:
-    one copy into the pair-interleaved working order, then per pair one
-    transpose copy, one scipy gemm with rho_fused and two slab operations on
-    the (s, x_i) = 00 and 11 slices.  layout, the order of every vector in and
-    out, stays spectator first.  It is also the iterative backend's probe,
-    solved on the handle by ARPACK.
+    the matrix-free handle, the slope and the dense pieces all run
+    `_PairKernel`: one copy into the pair-interleaved working order, then per
+    pair one transpose copy, one scipy gemm with rho_fused and two slab
+    operations on the (s, x_i) = 00 and 11 slices.  The handle and the slope
+    share one one-column kernel per assembly; dense_pieces builds its own.
+    layout, the order of every vector in and out, stays spectator first.  It
+    is also the iterative backend's probe, solved on the handle by ARPACK.
     """
 
     def __init__(self, problem: KExtProblem):
@@ -334,25 +342,12 @@ class ProbeAssembly:
         # |alpha I - Bell| <= 1 on [0, 1] and |(rho^{x n})^T| = lambda_max(rho)^n, per pair
         self.norm_bound = (k + 1) * float(problem.state.spectrum[-1]) ** n
         self._dense_pieces: tuple[np.ndarray, np.ndarray] | None = None
-        self._kernels: dict[tuple[int, np.dtype], _PairKernel] = {}
         self._previous: np.ndarray | None = None
 
-    def _kernel(self, columns: int, dtype) -> _PairKernel:
-        """The kernel for `columns` vectors of dtype, made once: every handle and term call shares its buffers."""
-        key = (columns, np.dtype(dtype))
-        if key not in self._kernels:
-            self._kernels[key] = _PairKernel(self, columns, dtype)
-        return self._kernels[key]
-
-    def term(self, x: np.ndarray, pair: int) -> tuple[np.ndarray, np.ndarray]:
-        """(rho_i x, Bell_i rho_i x) for x shaped layout.dims plus optional trailing columns."""
-        columns = x.reshape(self.layout.dims + (-1,))
-        kernel = self._kernel(columns.shape[-1], np.result_type(self.rho_fused, x))
-        kernel.load(columns)
-        product, half = kernel.product(pair)
-        bell = np.zeros_like(product)
-        bell[:, :, 0, 0] = bell[:, :, 1, 1] = half
-        return tuple(kernel.to_layout(part, pair).reshape(x.shape) for part in (product, bell))
+    @functools.cached_property
+    def _kernel(self) -> _PairKernel:
+        """The one-column kernel at rho_fused's dtype, made once: every handle and slope shares its buffers."""
+        return _PairKernel(self, 1, self.rho_fused.dtype)
 
     def dense_pieces(self) -> tuple[np.ndarray, np.ndarray]:
         """(const, linear) as dim x dim arrays; ValueError above DENSE_DIM_LIMIT, before any allocation.
@@ -399,22 +394,23 @@ class ProbeAssembly:
         return HermitianOperator(self.layout, const + alpha * linear)
 
     def handle(self, alpha: float) -> LinearMapHandle:
-        """probe(alpha) as a LinearMapHandle; each apply returns a new array, in layout order."""
-        acc = np.empty_like(self._kernel(1, self.rho_fused.dtype).work)
+        """probe(alpha) as a LinearMapHandle on the assembly's kernel; each apply returns a new array, in layout order.
+
+        The kernel has rho_fused's dtype: a complex vector on a real probe raises TypeError.
+        """
         return LinearMapHandle(
             dim=self.layout.total_dim,
-            apply=functools.partial(self._apply, alpha, acc),
+            apply=functools.partial(self._apply, alpha),
             norm_bound=self.norm_bound,
             is_real=self.is_real,
         )
 
-    def _apply(self, alpha: float, acc: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        # a method, not a closure that calls itself: that cycle kept each assembly alive until the
-        # cyclic garbage collector ran, and peak RSS grew by about 0.5 MB per threshold
-        if self.is_real and np.iscomplexobj(vec):  # as two real vectors, on the real buffers
-            return self._apply(alpha, acc, vec.real) + 1j * self._apply(alpha, acc, vec.imag)
-        kernel = self._kernel(1, self.rho_fused.dtype)
+    def _apply(self, alpha: float, vec: np.ndarray) -> np.ndarray:
+        # nothing the assembly holds refers back to it, the kernel included, so an assembly is freed with its
+        # last handle: a cycle kept each one alive until the cyclic collector ran, +0.5 MB peak RSS per threshold
+        kernel = self._kernel
         kernel.load(vec.reshape(self.layout.dims + (1,)))
+        acc = kernel.acc
         acc.fill(0.0)
         for i, order in enumerate(kernel.orders):
             product, half = kernel.product(i)
@@ -429,10 +425,12 @@ class ProbeAssembly:
 
         ValueError for alpha outside [0, 1] or NaN, where norm_bound fails; SolverConvergenceError if ARPACK fails.
         """
-        lam, self._previous = eig_min_iterative(self.handle(_check_alpha(alpha)), v0=self._previous)
-        v = self._previous.reshape(self.layout.dims)
-        slope = sum(np.vdot(v, self.term(v, i)[0]).real for i in range(len(self.pairs)))
-        return lam, float(slope), self._previous
+        # the kernel is made before ARPACK's workspace: made inside the first solve, after it, its buffers
+        # raised peak RSS by 1.5 MB on a 5184-row complex probe
+        handle, kernel = self.handle(_check_alpha(alpha)), self._kernel
+        lam, self._previous = eig_min_iterative(handle, v0=self._previous)
+        kernel.load(self._previous.reshape(self.layout.dims + (1,)))
+        return lam, kernel.slope(), self._previous
 
     def pencil_tops(self) -> list[tuple[float, float]]:
         """[]: no explicit pieces, so linalg.pencil_bracket gives [0, 1]."""
@@ -610,11 +608,9 @@ def _find_product_kernel_vector(state: DensityOperator):
     rho = state.matrix
     tensor = rho.reshape(d_a, d_b, d_a, d_b)
     diag = np.real(np.diagonal(rho))
-    order = np.argsort(diag)
-    for flat in order[: d_a * d_b]:
-        if diag[flat] > tol:
-            break
-        i, j = divmod(int(flat), d_b)
+    flat = int(np.argsort(diag)[0])  # argsort's pick among tied entries, which argmin need not share
+    if diag[flat] <= tol:
+        i, j = divmod(flat, d_b)
         phi = np.zeros(d_a, dtype=complex)
         psi = np.zeros(d_b, dtype=complex)
         phi[i] = 1.0

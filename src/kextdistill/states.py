@@ -126,12 +126,12 @@ def werner(params: WernerParams) -> DensityOperator:
 def werner_params_of(state: DensityOperator) -> WernerParams:
     """The parameters of a Werner state, with gamma read as rho[01,10] / rho[01,01].
 
-    Raises ValueError unless the state is d x d and equals
+    Raises ValueError unless the state is d x d with d >= 2 and equals
     (I + gamma*V)/(d^2 + gamma*d) entrywise to 1e-10.
     """
     subs = state.layout.subsystems
-    if len(subs) != 2 or subs[0][1] != subs[1][1]:
-        raise ValueError("a Werner state lives on d x d")
+    if len(subs) != 2 or subs[0][1] != subs[1][1] or subs[0][1] < 2:
+        raise ValueError("a Werner state lives on d x d, d >= 2")
     d = subs[0][1]
     rho = state.matrix
     # |01> sits at index 1 and |10> at index d; every Werner state has rho[01,01] > 0

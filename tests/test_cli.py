@@ -102,6 +102,23 @@ def test_threshold_schur_weyl_backend_needs_a_werner_state(tmp_path, capsys):
     assert "8064" in capsys.readouterr().err
 
 
+def test_threshold_and_sweep_on_a_one_by_one_state_file(tmp_path, capsys):
+    # no Werner state, so auto takes dense and an explicit schur_weyl exits 2
+    path = tmp_path / "one.state"
+    save_state(path, from_matrix(np.eye(1), layout(("A", 1), ("B", 1))))
+    assert run_cli(["threshold", "--file", str(path), "--k", "3"]) == 0
+    out = parse_output(capsys.readouterr().out)
+    assert out["backend"] == "dense"
+    assert abs(float(out["alpha_star"]) - maxmixed_bound(3)) < 1e-8
+    assert run_cli(["threshold", "--file", str(path), "--backend", "schur_weyl"]) == 2
+    assert "not a Werner state" in capsys.readouterr().err
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"family = file\nfile = {path}\noutput = {tmp_path / 'one.csv'}\n")
+    assert run_cli(["sweep", "--config", str(cfg)]) == 0
+    row = (tmp_path / "one.csv").read_text().splitlines()[2].split(",")
+    assert abs(float(row[1]) - maxmixed_bound(1)) < 1e-8 and row[2] == "dense"
+
+
 def test_threshold_invalid_arguments(capsys):
     assert run_cli(["threshold", "--d", "2", "--gamma", "1.5"]) == 2
     capsys.readouterr()
@@ -482,8 +499,7 @@ def test_validate_fresh_checkout_passes():
 
 
 def test_validate_reports_margins():
-    results = {r.name: r for r in validate.run_checks(fast=False)}
-    details = results["k_monotonicity"].details
+    details = validate.check_k_monotonicity().details
     assert "margins" in details and len(details["margins"]) == 2
     assert all(m > -1e-6 for m in details["margins"])
 

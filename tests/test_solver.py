@@ -41,6 +41,7 @@ from kextdistill.states import (
     maximally_mixed,
     projectors,
     werner,
+    werner_params_of,
 )
 
 
@@ -268,15 +269,17 @@ def test_dense_and_handle_agree(side, n):
         handle = assembly.handle(0.7)
         assert isinstance(handle, LinearMapHandle)
         dim = assembly.layout.total_dim
-        vectors = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim)]
-        if assembly.is_real:  # ARPACK's vectors on a real probe
-            vectors.append(rng.standard_normal(dim))
-        for v in vectors:
-            applied = handle.apply(v)
-            assert applied.dtype == np.result_type(assembly.rho_fused, v)
-            assert np.abs(tensordot_apply(assembly, 0.7, v) - applied).max() < 1e-10, (k, dim)
-            if dim <= 1536:
-                assert np.abs(assembly.dense(0.7).entries @ v - applied).max() < 1e-10, (k, dim)
+        complex_v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        # a vector of the probe's own dtype, as ARPACK passes it; a complex vector on a real probe is refused
+        v = complex_v.real if assembly.is_real else complex_v
+        if assembly.is_real:
+            with pytest.raises(TypeError):
+                handle.apply(complex_v)
+        applied = handle.apply(v)
+        assert applied.dtype == assembly.rho_fused.dtype
+        assert np.abs(tensordot_apply(assembly, 0.7, v) - applied).max() < 1e-10, (k, dim)
+        if dim <= 1536:
+            assert np.abs(assembly.dense(0.7).entries @ v - applied).max() < 1e-10, (k, dim)
 
 
 def test_dense_pieces_hold_little_besides_the_pieces():
@@ -391,15 +394,42 @@ def test_threshold_certificate_is_a_negative_eigenvector(problem):
 @pytest.mark.parametrize("state", [werner(WernerParams(d=3, gamma=-0.5)), rank5_2x3_state()], ids=["werner", "complex"])
 def test_dense_lambda_and_slope_match_the_reference_probe(state, side):
     # the dense backend solves its pieces in place as one block; the reference is
-    # eig_min_dense of ProbeAssembly.dense and the slope v^dag L v through the term kernel
+    # eig_min_dense of ProbeAssembly.dense and the slope v^dag L v, L = dense_pieces()[1]
     problem = KExtProblem(state=state, k=1, side=side, backend="dense")
     solve, assembly = problem.probe().lambda_min, ProbeAssembly(problem)
+    linear = assembly.dense_pieces()[1]
     for alpha in (0.0, 0.5, 0.9, 1.0):
-        lam, slope, vec = solve(alpha)
+        lam, slope, v = solve(alpha)
         assert abs(lam - eig_min_dense(assembly.dense(alpha))) <= 1e-12 * assembly.norm_bound
-        v = vec.reshape(assembly.layout.dims)
-        kernel_slope = sum(np.vdot(v, assembly.term(v, i)[0]).real for i in range(len(assembly.pairs)))
-        assert abs(slope - kernel_slope) <= 1e-12
+        assert abs(slope - np.vdot(v, linear @ v).real) <= 1e-12
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize(
+    "state,k",
+    [(werner(WernerParams(d=3, gamma=-0.5)), 1), (werner(WernerParams(d=3, gamma=-0.5)), 2),
+     (random_state(np.random.default_rng(4), 2, 3), 1), (random_state(np.random.default_rng(4), 2, 3), 2)],
+    ids=["werner-k1", "werner-k2", "complex-k1", "complex-k2"],
+)
+def test_iterative_slope_matches_the_dense_linear_piece(state, k, side):
+    # the iterative backend's slope is one kernel pass over the pairs; the reference is v^dag L v, L = dense_pieces()[1]
+    assembly = ProbeAssembly(KExtProblem(state=state, k=k, side=side, backend="iterative"))
+    assert assembly.layout.total_dim <= 1536 and assembly.is_real == (state.matrix.dtype == np.float64)
+    linear = assembly.dense_pieces()[1]
+    for alpha in (0.3, 0.6, 0.9):
+        _, slope, v = assembly.lambda_min(alpha)
+        assert abs(slope - np.vdot(v, linear @ v).real) <= 1e-12, alpha
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_one_by_one_state_is_no_werner_state(k):
+    # a 1 x 1 state has no rho[01,01] to read gamma from, so it is no Werner state, and auto sends it to dense
+    state = maximally_mixed(1, 1)
+    with pytest.raises(ValueError, match="d >= 2"):
+        werner_params_of(state)
+    problem = KExtProblem(state=state, k=k)
+    assert problem.werner_params is None and problem.resolved_backend() == "dense"
+    assert abs(fidelity_threshold(problem).alpha_star - maxmixed_bound(k)) <= 1e-8
 
 
 @pytest.mark.parametrize("backend", ["dense", "iterative"])
