@@ -245,6 +245,14 @@ def _solo_lowest_pair(const: np.ndarray, term: np.ndarray, alpha: float, out: np
     return float(vals[0]), vecs[:, 0].conj()
 
 
+def _term_form(w: np.ndarray, term: np.ndarray) -> float:
+    """v^dag (I_f (x) term) v for v with rows w = v.reshape(f, len(term))."""
+    # conj(w) @ term on LAPACK's BLAS, term passed as its transpose: on numpy's own BLAS, its threads
+    # spun through the next eigensolve (1296 rows, 2 cores: 120 -> 180 ms)
+    conj_w_term = scipy.linalg.blas.get_blas_funcs("gemm", (term,))(1.0, w.T, term.T, trans_a=2, trans_b=1)
+    return float(np.sum(w * conj_w_term).real)
+
+
 class BlockProbe:
     """lambda_min(alpha), slope, eigenvector and pencil tops of a probe held as blocks const + alpha I_f (x) term.
 
@@ -258,6 +266,8 @@ class BlockProbe:
     solve per solo, and one for the lowest stacked block.  The slope is p
     v^dag (I_f (x) term) v for the lowest eigenvector v of the lowest block
     and its prefactor p: a supergradient of the concave minimum.
+    rayleigh_bound(alpha) bounds lambda_min(alpha) from above with the
+    pencil vectors of pencil_tops(), at one matvec per block.
     """
 
     def __init__(self, blocks):
@@ -273,6 +283,7 @@ class BlockProbe:
         # every solo solve, real or complex, works in this one byte array: allocating an array per block
         # and sample left 3.7 MB more resident after a 17-point fig1 sweep
         self._buffer = np.empty(max((const.nbytes for const, *_ in self.solos), default=0), dtype=np.uint8)
+        self._pencil_vectors = None  # (per stack, per solo) from pencil_tops
 
     def _work(self, const: np.ndarray) -> np.ndarray:
         return self._buffer[: const.nbytes].view(const.dtype).reshape(const.shape)
@@ -292,11 +303,7 @@ class BlockProbe:
                 best, vec, stacked, solo = pref * lam, v, None, (term, pref)
         if solo is not None:
             term, pref = solo
-            w = vec.reshape(-1, len(term))
-            # v^dag (I_f (x) term) v from conj(w) @ term on LAPACK's BLAS, term passed as its transpose: on
-            # numpy's own BLAS, its threads spun through the next eigensolve (1296 rows, 2 cores: 120 -> 180 ms)
-            conj_w_term = scipy.linalg.blas.get_blas_funcs("gemm", (term,))(1.0, w.T, term.T, trans_a=2, trans_b=1)
-            slope = pref * float(np.sum(w * conj_w_term).real)
+            slope = pref * _term_form(vec.reshape(-1, len(term)), term)
         if stacked is not None:
             const, linear, low, high = stacked
             vals, vecs = np.linalg.eigh(const + alpha * linear)
@@ -312,23 +319,60 @@ class BlockProbe:
         block of a stack takes one LAPACK dsygv, which on these few rows took a
         fifth to a half of the time of batched numpy Cholesky, solves and
         `eigh` per stack; a solo takes `linalg.pencil_top` in the buffer, with
-        one Cholesky factor per term, shared by adjacent solos.
+        one Cholesky factor per term, shared by adjacent solos.  Each block's
+        eigenvector, scaled to x^dag (I_f (x) term) x = 1, is kept for
+        rayleigh_bound.
         """
-        tops = []
+        tops, stack_vectors, solo_vectors = [], [], []
         for const, linear, low, high in self.stacks:
-            for c, l, p in zip(const, linear, high):
+            vectors = np.empty(const.shape[:2])
+            for c, l, p, x in zip(const, linear, high, vectors):
                 # the pencil (c, l) has eigenvalues -r, ascending, with eigenvectors v^T l v = 1
                 vals, vecs, info = scipy.linalg.lapack.dsygv(c, l)
                 if info:
                     raise np.linalg.LinAlgError(f"dsygv failed on a {len(c)}-row block, info {info}")
+                x[:] = vecs[:, 0]
                 tops.append((-float(vals[0]), p / float(vecs[:, 0] @ vecs[:, 0])))
+            stack_vectors.append(vectors)
         factored = None
         for const, term, low, high in self.solos:
             if term is not factored:
                 factored, chol = term, scipy.linalg.cholesky(term, lower=True, check_finite=False)
-            r, xx = pencil_top(const, chol, len(const) // len(term), self._work(const))
-            tops.append((r, high / xx))
+            r, x = pencil_top(const, chol, len(const) // len(term), self._work(const))
+            solo_vectors.append(x)
+            tops.append((r, high / float(np.vdot(x, x).real)))
+        self._pencil_vectors = stack_vectors, solo_vectors
         return tops
+
+    def rayleigh_bound(self, alpha: float) -> tuple[float, np.ndarray]:
+        """The smallest scaled Rayleigh quotient p x^dag B(alpha) x / x^dag x over the blocks B, and its x as a unit vector.
+
+        x is the block's pencil eigenvector from the last pencil_tops(), and p
+        its high prefactor where the quotient is negative, else its low one.
+        By Rayleigh-Ritz the value is at least the block's scaled lambda_min,
+        so at least lambda_min(alpha): below -TOL_EIG it certifies alpha.  Each
+        block costs one explicit matvec; const is read, not written.
+        """
+        if self._pencil_vectors is None:
+            raise ValueError("rayleigh_bound needs the pencil vectors of pencil_tops()")
+        stack_vectors, solo_vectors = self._pencil_vectors
+        best, vec = np.inf, None
+        for (const, linear, low, high), vectors in zip(self.stacks, stack_vectors):
+            products = np.matmul(const + alpha * linear, vectors[:, :, None])[:, :, 0]
+            quotients = np.sum(vectors * products, axis=1) / np.sum(vectors * vectors, axis=1)
+            scaled = np.where(quotients < 0.0, high, low) * quotients
+            b = int(np.argmin(scaled))
+            if scaled[b] < best:
+                best, vec = scaled[b], vectors[b]
+        for (const, term, low, high), x in zip(self.solos, solo_vectors):
+            # const x on LAPACK's BLAS, as _term_form; const.T is Fortran-ordered, so gemv reads it in place
+            const_x = scipy.linalg.blas.get_blas_funcs("gemv", (const,))(1.0, const.T, x, trans=1)
+            form = np.vdot(x, const_x).real + alpha * _term_form(x.reshape(-1, len(term)), term)
+            quotient = form / np.vdot(x, x).real
+            scaled = (high if quotient < 0.0 else low) * quotient
+            if scaled < best:
+                best, vec = scaled, x
+        return float(best), vec / np.linalg.norm(vec)
 
 
 def werner_probe(gamma: float, d: int, n: int, k: int) -> BlockProbe:

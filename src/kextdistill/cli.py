@@ -81,6 +81,9 @@ class SweepConfig:
             raise ConfigError("n and k each need at least one value")
         if any(n < 1 for n in self.n_values) or any(k < 1 for k in self.k_values):
             raise ConfigError("n and k must be >= 1")
+        for key, values in (("n", self.n_values), ("k", self.k_values)):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} lists a value more than once: {','.join(map(str, values))}")
         multi = len(self.n_values) > 1 or len(self.k_values) > 1
         if self.family != "ellipse" and multi:
             if len(self.n_values) > 1 and "{n}" not in self.output:
@@ -120,6 +123,7 @@ CONFIG_KEYS = {
 
 def parse_config_text(text: str) -> SweepConfig:
     cfg = SweepConfig()
+    seen = set()
     for raw_line in text.splitlines():
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -130,6 +134,9 @@ def parse_config_text(text: str) -> SweepConfig:
         key, value = key.strip(), value.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}; known keys: {', '.join(CONFIG_KEYS)}")
+        if key in seen:
+            raise ConfigError(f"config key {key!r} given more than once")
+        seen.add(key)
         name, parse = CONFIG_KEYS[key]
         try:
             setattr(cfg, name, parse(value))

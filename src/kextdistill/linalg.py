@@ -352,10 +352,10 @@ def _reduced_pencil(const: np.ndarray, chol: np.ndarray, copies: int, out: np.nd
 
 def pencil_top(
     const: np.ndarray, chol: np.ndarray, copies: int = 1, out: np.ndarray | None = None
-) -> tuple[float, float]:
-    """Top eigenvalue r of the pencil (-const, I_copies (x) L) and x^dag x of its eigenvector x, with x^dag (I (x) L) x = 1.
+) -> tuple[float, np.ndarray]:
+    """Top eigenvalue r of the pencil (-const, I_copies (x) L) and its eigenvector x, with x^dag (I (x) L) x = 1.
 
-    chol is the lower Cholesky factor of L, and the rows of const are
+    chol is the lower Cholesky factor of L, and the rows of const and x are
     ordered (copy, row of L).  One working array of const's size (out, if
     given) holds -const; triangular solves reduce it in place to the standard
     Hermitian matrix (I (x) chol)^-1 (-const) (I (x) chol)^-dag, and LAPACK
@@ -371,7 +371,7 @@ def pencil_top(
         # multiplicity (gamma = 0, k = 5: two distinct eigenvalues); solve the whole spectrum
         vals, vecs = scipy.linalg.eigh(_reduced_pencil(const, chol, copies, out).T, overwrite_a=True, check_finite=False)
     x = scipy.linalg.solve_triangular(chol, vecs[:, -1].reshape(copies, -1).T, lower=True, trans="C")
-    return float(vals[-1]), float(np.vdot(x, x).real)
+    return float(vals[-1]), x.T.reshape(-1)
 
 
 def pencil_bracket(tops: Iterable[tuple[float, float]]) -> tuple[float, float]:
@@ -383,7 +383,9 @@ def pencil_bracket(tops: Iterable[tuple[float, float]]) -> tuple[float, float]:
     unit eigenvector x.  The block is PSD for alpha >= r, so hi = min(1,
     max r) bounds the threshold from above.  At r - delta, delta = 2 TOL_EIG
     / g, the scaled Rayleigh quotient of x is -2 TOL_EIG, so lo = max(r -
-    delta) is certified; the first sample of threshold_sup confirms it.  A
+    delta) is certified.  The first sample of threshold_sup confirms it: the
+    caller may take that sample as the Rayleigh quotient of x itself, an upper
+    bound on lambda_min, where the bracket is no wider than tol_alpha.  A
     block with g = 0 is never negative and is left out.  Returns [0, 1] if
     no block is left or a value is not finite.
     """

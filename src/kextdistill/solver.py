@@ -101,14 +101,19 @@ class ThresholdResult:
     alpha_star is the largest sampled alpha at which the probe was certified
     negative, a lower bound on the supremum that is exact (within tolerance)
     for full-rank states and a certified lower bound otherwise.  samples holds
-    every (alpha, lambda_min) the search evaluated, sorted by alpha: on dense
-    and schur_weyl often the one sample at the lower end of the pencil's
-    bracket, which certifies alpha_star, and on iterative or after a fallback
-    to [0, 1] the Newton samples.
-    certificate is the probe's unit eigenvector of lambda_residual at
-    alpha_star, ordered like ProbeAssembly(problem).layout, spectator first:
-    None on schur_weyl, whose lambda_min returns a block's vector, or when no
-    alpha was certified negative.
+    every (alpha, value) the search evaluated, sorted by alpha: on dense and
+    schur_weyl most often the one sample at the lower end of the pencil's
+    bracket, which certifies alpha_star, and on iterative, after a fallback
+    to [0, 1] or on a bracket wider than tol_alpha the Newton samples.  A
+    value is lambda_min, except for that one sample of a bracket no wider
+    than tol_alpha, which is the pencil vectors' Rayleigh bound where it is
+    below -TOL_EIG: lambda_min <= value < -TOL_EIG.
+    lambda_residual is the value that certifies alpha_star, and certificate
+    a unit vector v with v^dag P(alpha_star) v = lambda_residual, ordered
+    like ProbeAssembly(problem).layout, spectator first: the probe's
+    eigenvector where lambda_residual is lambda_min, the pencil vector where
+    it is the Rayleigh bound.  certificate is None on schur_weyl, whose
+    vectors are a block's, or when no alpha was certified negative.
     On schur_weyl, lambda_residual and every sample are on the blocks' scale,
     (d^2 + gamma d)^n times the probe eigenvalue: TOL_EIG is absolute, and at
     n = 8, d = 3 the probe-scale value is -4.4e-14 to -1.6e-10.
@@ -470,26 +475,38 @@ def fidelity_threshold(problem: KExtProblem, tol_alpha: float = DEFAULT_TOL_ALPH
     pencil (-C, L) per block of C + alpha L brackets the threshold, and the
     first sample certifies the lower end.  It is [0, 1] on iterative (no tops)
     and where a Cholesky factor of L fails (gamma = +-1, rank-deficient states).
+    Where the bracket is no wider than tol_alpha, that first sample is the
+    probe's rayleigh_bound: the pencil vectors' scaled Rayleigh quotient, an
+    upper bound on lambda_min, so that a value below -TOL_EIG certifies the
+    lower end with no eigensolve.  Otherwise, or where the bound is not below
+    -TOL_EIG, the sample solves lambda_min, so alpha_star is the same either way.
     """
     check_tol_alpha(tol_alpha)
     backend = problem.resolved_backend()
     probe = problem.probe()
     samples: list[tuple[float, float]] = []
     residual, certificate = None, None
-
-    def evaluate(alpha: float) -> tuple[float, float]:
-        nonlocal residual, certificate
-        value, slope, vec = probe.lambda_min(alpha)
-        samples.append((alpha, value))
-        if value < -TOL_EIG:
-            # threshold_sup moves its lower end here, so this sample certifies it; a block eigenvector is no probe vector
-            residual, certificate = value, None if backend == "schur_weyl" else vec
-        return value, slope
-
     try:
         bracket = pencil_bracket(probe.pencil_tops())
     except np.linalg.LinAlgError:  # L is singular to working precision
         bracket = (0.0, 1.0)
+    closed = bracket[1] - bracket[0] <= tol_alpha
+
+    def evaluate(alpha: float) -> tuple[float, float]:
+        nonlocal residual, certificate
+        value = math.inf
+        if closed and not samples:
+            # the first sample is at lo; on a closed bracket threshold_sup takes no Newton step, so reads no slope
+            value, vec = probe.rayleigh_bound(alpha)
+            slope = 0.0
+        if not value < -TOL_EIG:
+            value, slope, vec = probe.lambda_min(alpha)
+        samples.append((alpha, value))
+        if value < -TOL_EIG:
+            # threshold_sup moves its lower end here, so this sample certifies it; a block vector is no probe vector
+            residual, certificate = value, None if backend == "schur_weyl" else vec
+        return value, slope
+
     alpha_star = threshold_sup(evaluate, tol_alpha, bracket)
     if residual is None:
         residual = samples[0][1]

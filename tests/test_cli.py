@@ -78,7 +78,7 @@ def test_s3_blocks_is_an_unknown_backend(tmp_path, capsys):
     assert exc.value.code == 2
     errors = [capsys.readouterr().err]
     path = tmp_path / "s3.cfg"
-    path.write_text(BASE_CFG.format(out=tmp_path / "x.csv") + "backend = s3_blocks\n")
+    path.write_text(config_with(BASE_CFG.format(out=tmp_path / "x.csv"), ["backend = s3_blocks"]))
     assert run_cli(["sweep", "--config", str(path)]) == 2
     errors.append(capsys.readouterr().err)
     for err in errors:
@@ -223,6 +223,13 @@ def test_config_parsing_and_validation():
         parse_config_text("points only\n")
 
 
+def config_with(base: str, lines: list[str]) -> str:
+    """base with its entries for the keys of lines dropped, then lines: each key is given once, unless lines repeat it."""
+    keys = {line.partition("=")[0].strip() for line in lines}
+    kept = [entry for entry in base.splitlines() if entry.partition("=")[0].strip() not in keys]
+    return "\n".join(kept + lines) + "\n"
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -245,7 +252,7 @@ def test_config_parsing_and_validation():
     ],
 )
 def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, line):
-    text = BASE_CFG.format(out=tmp_path / "x.csv") + line + "\n"
+    text = config_with(BASE_CFG.format(out=tmp_path / "x.csv"), [line])
     with pytest.raises(ConfigError):
         parse_config_text(text)
     path = tmp_path / "bad.cfg"
@@ -253,6 +260,27 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, line):
     assert run_cli(["sweep", "--config", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["k = 1", "k = 3"],  # the later entry overrode the earlier one: k was (3,)
+        ["backend = dense", "backend = schur_weyl"],
+        ["n = 1,1"],  # the same CSV was computed and written twice
+        ["k = 1,2,1"],
+    ],
+    ids=["repeated-k", "repeated-backend", "repeated-n-value", "repeated-k-value"],
+)
+def test_config_rejects_repeated_keys_and_list_values(tmp_path, capsys, lines):
+    text = config_with(BASE_CFG.format(out=tmp_path / "x_n{n}_k{k}.csv"), lines)
+    with pytest.raises(ConfigError, match="more than once"):
+        parse_config_text(text)
+    path = tmp_path / "repeated.cfg"
+    path.write_text(text)
+    assert run_cli(["sweep", "--config", str(path)]) == 2
+    assert "more than once" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x_*.csv"))
 
 
 def test_config_keys_target_exactly_the_sweep_config_fields():
@@ -338,7 +366,7 @@ def test_failed_sweep_keeps_an_earlier_output(tmp_path, monkeypatch, error):
     ],
 )
 def test_sweep_rejects_unbuildable_problems_before_any_work(tmp_path, capsys, lines):
-    text = BASE_CFG.format(out=tmp_path / "x_n{n}_k{k}.csv") + lines
+    text = config_with(BASE_CFG.format(out=tmp_path / "x_n{n}_k{k}.csv"), lines.splitlines())
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     assert run_cli(["sweep", "--config", str(path)]) == 2
@@ -352,7 +380,7 @@ def test_sweep_rejects_an_unwritable_output_before_any_work(tmp_path, monkeypatc
     # the write used to find a missing directory after every row was computed, and exit 3
     out = tmp_path / "missing" / "x_n{n}_k{k}.csv" if where == "missing-directory" else tmp_path
     path = tmp_path / "sweep.cfg"
-    path.write_text(BASE_CFG.format(out=out) + f"family = {family}\n")
+    path.write_text(config_with(BASE_CFG.format(out=out), [f"family = {family}"]))
 
     def computed(*args, **kwargs):
         raise AssertionError("a row was computed before the output was checked")

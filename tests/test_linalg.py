@@ -514,10 +514,13 @@ def test_pencil_top_is_the_top_generalized_eigenpair(copies, real):
     const = random_hermitian(rng, layout(("x", t * copies)), real=real).entries
     linear = np.kron(np.eye(copies), term)
     vals, vecs = scipy.linalg.eigh(-const, linear)
-    r, xx = pencil_top(const, np.linalg.cholesky(term), copies)
-    x = vecs[:, -1]  # scipy normalizes x^dag L x = 1
+    r, x = pencil_top(const, np.linalg.cholesky(term), copies)
+    ref = vecs[:, -1]  # scipy normalizes x^dag L x = 1
     assert abs(r - vals[-1]) <= 1e-12 * abs(vals).max()
-    assert abs(xx - np.vdot(x, x).real) <= 1e-10 * xx
+    assert abs(np.vdot(x, x).real - np.vdot(ref, ref).real) <= 1e-10 * np.vdot(ref, ref).real
+    # x is the pencil's eigenvector in (copy, row of L) order, scaled to x^dag (I (x) L) x = 1
+    assert np.linalg.norm(-const @ x - r * linear @ x) <= 1e-12 * np.linalg.norm(const, 2) * np.linalg.norm(x)
+    assert abs(np.vdot(x, linear @ x).real - 1.0) <= 1e-12
 
 
 def test_pencil_bracket_takes_each_block_at_its_own_step():

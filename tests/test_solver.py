@@ -18,9 +18,13 @@ from kextdistill.linalg import (
     embed,
     layout,
     partial_trace,
+    pencil_bracket,
     reorder_to,
+    threshold_sup,
 )
 from kextdistill.solver import (
+    DEFAULT_TOL_ALPHA,
+    MIN_TOL_ALPHA,
     SIDES,
     TOL_EIG,
     CJOperator,
@@ -56,6 +60,39 @@ def rank5_2x3_state():
     rng = np.random.default_rng(1109)
     g = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
     return from_matrix(g @ g.conj().T, layout(("A", 2), ("B", 3)))
+
+
+# q agrees with lambda_min to second order in the bracket width, so rounding can put it a few ulps of
+# the block's norm below lambda_min; TOL_EIG is 1e-9
+RAYLEIGH_ROUNDING = 1e-12
+
+
+def pencil_start(probe, tol_alpha):
+    """(bracket, certified) as fidelity_threshold starts on probe; bracket is None where a Cholesky factor fails.
+
+    certified is (lo, q) where the search takes its one sample from the pencil
+    vectors, else None: where the pencil bracket (lo, hi) is no wider than
+    tol_alpha and q, the probe's rayleigh_bound at lo, is below -TOL_EIG.
+    """
+    try:
+        lo, hi = pencil_bracket(probe.pencil_tops())
+    except np.linalg.LinAlgError:
+        return None, None
+    if hi - lo <= tol_alpha and (q := probe.rayleigh_bound(lo)[0]) < -TOL_EIG:
+        return (lo, hi), (lo, q)
+    return (lo, hi), None
+
+
+def threshold_on_eigensolves(probe, tol_alpha, bracket):
+    """alpha* and sorted samples of threshold_sup from bracket on probe.lambda_min alone."""
+    samples = []
+
+    def solve(alpha):
+        value, slope, _ = probe.lambda_min(alpha)
+        samples.append((alpha, value))
+        return value, slope
+
+    return threshold_sup(solve, tol_alpha, bracket), tuple(sorted(samples))
 
 
 def identity_channel_cj(d=2):
@@ -360,34 +397,96 @@ def test_threshold_werner_both_signs():
 
 
 def test_threshold_result_invariants():
-    result = fidelity_threshold(KExtProblem.for_werner(d=2, gamma=-0.3, backend="dense"))
+    problem = KExtProblem.for_werner(d=2, gamma=-0.3, backend="dense")
+    result = fidelity_threshold(problem)
     alphas = [a for a, _ in result.samples]
     lams = [v for _, v in result.samples]
     assert alphas == sorted(alphas)
     assert all(b >= a - 1e-12 for a, b in zip(lams, lams[1:]))
-    assert result.lambda_residual < 0.0
+    # a plain float: the sweep CSV writes its repr
+    assert type(result.lambda_residual) is float and result.lambda_residual < -TOL_EIG
     assert result.certificate is not None
     assert result.certificate.shape == (64,)
+    # the pencil certifies alpha*: its one sample bounds lambda_min from above
+    assert result.samples == (pencil_start(problem.probe(), DEFAULT_TOL_ALPHA)[1],)
+    assert problem.probe().lambda_min(result.alpha_star)[0] <= result.lambda_residual + RAYLEIGH_ROUNDING
+
+
+@pytest.mark.parametrize("backend", ["schur_weyl", "dense"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_pencil_bound_certifies_the_alpha_star_of_the_eigensolves(d, backend):
+    # against threshold_sup on eigensolves alone from the same bracket: alpha* is bit-identical, and
+    # only a sample the eigensolve certifies too is replaced, by the pencil bound q >= lambda_min.
+    # MIN_TOL_ALPHA is below every bracket width 2 TOL_EIG / g here, and at gamma = +-1 a Cholesky
+    # factor fails on most of these probes: both keep every eigensolve sample
+    kinds = set()
+    for n, k in itertools.product((1, 2, 3), repeat=2):
+        # (3, 3) takes 0.25-0.5 s per threshold at d = 2 and 2.4-4.5 s at d = 3; dense is taken up to 512 rows
+        if (n, k) == (3, 3) or backend == "dense" and d ** (n * (k + 2)) * 2 ** (k + 2) > 512:
+            continue
+        for gamma, tol_alpha in itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0), (DEFAULT_TOL_ALPHA, MIN_TOL_ALPHA)):
+            problem = KExtProblem.for_werner(d=d, gamma=gamma, n=n, k=k, backend=backend)
+            result = fidelity_threshold(problem, tol_alpha)
+            probe = problem.probe()
+            bracket, certified = pencil_start(probe, tol_alpha)
+            alpha_star, samples = threshold_on_eigensolves(probe, tol_alpha, bracket or (0.0, 1.0))
+            assert result.alpha_star == alpha_star
+            if certified is None:
+                assert result.samples == samples
+            else:
+                assert tol_alpha == DEFAULT_TOL_ALPHA and result.samples == (certified,)
+                assert samples[0][0] == certified[0] and samples[0][1] <= certified[1] + RAYLEIGH_ROUNDING
+                lam = lambda_min_alpha(problem, result.alpha_star)
+                assert lam <= result.lambda_residual + RAYLEIGH_ROUNDING and result.lambda_residual < -TOL_EIG
+            kinds.add("singular" if bracket is None else "solved" if certified is None else "bound")
+    assert kinds == {"bound", "solved", "singular"}
+
+
+@pytest.mark.parametrize("backend", ["schur_weyl", "dense"])
+def test_a_pencil_bound_that_does_not_certify_falls_back_to_the_eigensolve(monkeypatch, backend):
+    # q is -2 TOL_EIG by construction unless lo is clipped to 0; a bound that does not certify lo
+    # must leave the sample at lo to the eigensolve, and the search to run as on eigensolves alone
+    problem = KExtProblem.for_werner(d=2, gamma=-0.5, k=1, backend=backend)
+    probe = problem.probe()
+    bracket, certified = pencil_start(probe, DEFAULT_TOL_ALPHA)
+    assert certified is not None
+    alpha_star, samples = threshold_on_eigensolves(probe, DEFAULT_TOL_ALPHA, bracket)
+    bounds, rayleigh_bound = [], blocks.BlockProbe.rayleigh_bound
+
+    def uncertified(self, alpha):
+        bounds.append(alpha)
+        return -0.5 * TOL_EIG, rayleigh_bound(self, alpha)[1]
+
+    monkeypatch.setattr(blocks.BlockProbe, "rayleigh_bound", uncertified)
+    result = fidelity_threshold(problem)
+    assert bounds == [bracket[0]]
+    assert result.alpha_star == alpha_star and result.samples == samples
 
 
 @pytest.mark.parametrize(
-    "problem",
+    "problem, solved",
     [
-        KExtProblem.for_werner(d=2, gamma=-0.3, k=1, backend="dense"),
-        KExtProblem(state=rank5_2x3_state(), k=1, side="bob", backend="dense"),
-        KExtProblem(state=rank5_2x3_state(), k=1, side="alice", backend="dense"),
-        KExtProblem(state=random_state(np.random.default_rng(4), 2, 2), k=1, backend="iterative"),
+        (KExtProblem.for_werner(d=2, gamma=-0.3, k=1, backend="dense"), False),
+        (KExtProblem(state=rank5_2x3_state(), k=1, side="bob", backend="dense"), True),
+        (KExtProblem(state=rank5_2x3_state(), k=1, side="alice", backend="dense"), True),
+        (KExtProblem(state=random_state(np.random.default_rng(4), 2, 2), k=1, backend="iterative"), True),
     ],
     ids=["dense", "dense-complex-bob", "dense-complex-alice", "iterative"],
 )
-def test_threshold_certificate_is_a_negative_eigenvector(problem):
+def test_threshold_certificate_is_a_negative_eigenvector(problem, solved):
+    # a certificate is a unit vector v with v^dag P(alpha*) v = lambda_residual < -TOL_EIG; it is an
+    # eigenvector where lambda_residual was solved, and the pencil vector where the pencil certified it
     result = fidelity_threshold(problem)
     v = result.certificate
     pv = ProbeAssembly(problem).handle(result.alpha_star).apply(v)
     lam = result.lambda_residual
     assert (result.alpha_star, lam) in result.samples
-    assert np.vdot(v, pv).real / np.vdot(v, v).real < -TOL_EIG
-    assert np.linalg.norm(pv - lam * v) <= 1e-8
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert abs(np.vdot(v, pv).real - lam) <= 1e-12 and lam < -TOL_EIG
+    if solved:
+        assert np.linalg.norm(pv - lam * v) <= 1e-8
+    else:
+        assert lambda_min_alpha(problem, result.alpha_star) <= lam + RAYLEIGH_ROUNDING
 
 
 @pytest.mark.parametrize("side", SIDES)
@@ -582,10 +681,17 @@ def test_every_backend_is_one_probe_object(backend, kind):
     # iterative holds no explicit pieces, so its search starts from [0, 1]
     assert (problem.probe().pencil_tops() == []) == (backend == "iterative")
     assert (result.samples[0][0] == 0.0) == (backend == "iterative")
+    # the pencil certifies dense and schur_weyl: that one sample bounds lambda_min from above
+    certified = pencil_start(problem.probe(), DEFAULT_TOL_ALPHA)[1]
+    assert (certified is None) == (backend == "iterative")
     # a warm-started ARPACK solve differs from a cold one within its tolerance; the block solves are exact
     tol = 1e-10 if backend == "iterative" else 0.0
     for alpha, value in result.samples:
-        assert abs(value - problem.probe().lambda_min(alpha)[0]) <= tol
+        lam = problem.probe().lambda_min(alpha)[0]
+        if (alpha, value) == certified:
+            assert lam <= value + RAYLEIGH_ROUNDING and value < -TOL_EIG
+        else:
+            assert abs(value - lam) <= tol
 
 
 def test_lambda_monotone_in_alpha():
