@@ -27,6 +27,16 @@ multi-row labels need blocks, each with its smallest and largest prefactor.
 The blocks are on the scale of I + gamma V, so their eigenvalues are
 (d^2 + gamma d)^n times the probe's.
 
+The j copies that share a label mu enter each R_i as the power
+(I + gamma Y_mu(tau_i))^(x j), which commutes with every permutation of
+those copies.  By GL(f^mu) x S_j duality such a block splits into pieces,
+one per lambda |- j for each repeated label, each with the block's
+eigenvalues repeated f^lambda times; the bases come from Jucys-Murphy
+eigenspaces, one box at a time (`gl_step`).  Only blocks that `BlockProbe`
+would solve alone, from SOLO_MIN_ROWS rows, are split: smaller ones are
+batched already.  At d = 3, n = 8, k = 1 the largest block has 512 rows and
+the largest piece 18.
+
 `s3_block_lambda_min` is the k = 1 case written from the paper's
 coefficient table (`analytic.st_coefficients`), on the same scale.  No
 backend calls it; it is the independent reference `werner_probe` is checked
@@ -122,12 +132,38 @@ def specht_dim(shape: tuple[int, ...]) -> int:
     return math.factorial(sum(shape)) // math.prod(hooks)
 
 
+def unitary_dim(shape: tuple[int, ...], f: int) -> int:
+    """Dimension of the GL(f) irrep of this shape (hook-content formula); 0 beyond f rows."""
+    if len(shape) > f:
+        return 0
+    columns = [sum(1 for row in shape if row > j) for j in range(shape[0])] if shape else []
+    boxes = [(row - j + columns[j] - i - 1, j - i) for i, row in enumerate(shape) for j in range(row)]
+    return math.prod(f + c for _, c in boxes) // math.prod(h for h, _ in boxes)
+
+
 @functools.lru_cache(maxsize=None)
 def largest_block(d: int, n: int, k: int) -> int:
-    """Rows of the largest block of the n-copy, k-extension probe of a d x d Werner state."""
+    """Rows of the largest block or piece `werner_blocks` yields for the n-copy, k-extension probe of a d x d Werner state.
+
+    A block of fewer than SOLO_MIN_ROWS rows stays whole; a larger one
+    splits into pieces of prod_mu unitary_dim(lambda_mu, f^mu) * f^nu rows,
+    lambda_mu |- j_mu for the j_mu copies labelled mu (one piece, the block
+    itself, where no label repeats).  The largest piece takes the widest
+    lambda for each label's copy count, chosen over all ways to give at most
+    n copies to the multi-row labels.  No array is formed.
+    """
     m = k + 2
-    widest = max(specht_dim(mu) for mu in partitions(m, d))
-    return widest**n * max(specht_dim(nu) for nu in partitions(m, 2))
+    dims = [specht_dim(mu) for mu in partitions(m, d) if 1 < len(mu) < m]
+    nus = [specht_dim(nu) for nu in partitions(m, 2)]
+    widest = [1] + [0] * n  # widest[t]: the most rows of a copies' factor over t multi-row copies
+    for f in dims:
+        power = [max(unitary_dim(lam, f) for lam in partitions(j, f)) for j in range(n + 1)]
+        widest = [max(widest[t - j] * power[j] for j in range(t + 1)) for t in range(n + 1)]
+    whole = {1}  # the copies' factors of the blocks that stay whole, each copy at least doubling it
+    for _ in range(n):
+        whole |= {w * f for w in whole for f in dims if w * f * min(nus) < SOLO_MIN_ROWS}
+    kept = [w * f for w in whole for f in nus if w * f < SOLO_MIN_ROWS]
+    return max(max(widest) * max(nus), *kept)
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,39 +230,132 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
-def werner_blocks(gamma: float, d: int, n: int, k: int):
-    """Yield (mus, nu, const, term) for every block const + alpha I_{dim nu} (x) term of the Werner probe, on the I + gamma V scale.
+def _without_last_box(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """shape minus the last box of its last row: the shape of the row-reading tableau's first |shape| - 1 entries."""
+    return shape[:-1] + ((shape[-1] - 1,) if shape[-1] > 1 else ())
 
-    mus is a multiset of multi-row copy labels (a sorted tuple of at most n
-    partitions of k + 2 with at most d rows, neither one row nor one column),
-    nu a partition of k + 2 with at most 2 rows.  The other n - len(mus)
+
+@functools.lru_cache(maxsize=None)
+def gl_step(f: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The isometry V with U_shape = (U_parent (x) I_f) V, parent = shape minus its last box; read-only.
+
+    U_shape, f^j x unitary_dim(shape, f) with j = |shape|, is an orthonormal
+    basis of one copy of the GL(f) irrep of this shape in (R^f)^(x j): the
+    joint eigenspace of the Jucys-Murphy elements X_b = sum_{a<b} (a b),
+    b = 2..j, at the contents of the shape's row-reading tableau.  So it lies
+    in span(U_parent) (x) R^f, where X_j, restricted, is `_jucys_murphy(f,
+    parent)`; V spans that matrix's eigenspace at the content of the last
+    box (Okounkov-Vershik, Selecta Math. 1996).  No f^j-row array is formed.
+    """
+    if sum(shape) == 1:
+        return _identity(f)
+    vals, vecs = np.linalg.eigh(_jucys_murphy(f, _without_last_box(shape)))
+    step = np.ascontiguousarray(vecs[:, np.abs(vals - (shape[-1] - len(shape))) < 0.5])
+    step.setflags(write=False)
+    return step
+
+
+@functools.lru_cache(maxsize=None)
+def _jucys_murphy(f: int, shape: tuple[int, ...]) -> np.ndarray:
+    """X_{j+1} on span(U_shape) (x) R^f, j = |shape|, in the basis U_shape (x) I_f.
+
+    X_{j+1} = s X_j s + s with s = (j j+1).  On span(U_parent) (x) R^f (x) R^f
+    the product X_j (x) I_f is this function's value for the parent, s swaps
+    the last two factors, and U_shape (x) I_f = (U_parent (x) I_f (x) I_f)(V (x) I_f).
+    """
+    if not shape:
+        return np.zeros((f, f))
+    previous = _jucys_murphy(f, _without_last_box(shape))
+    w = _kron(gl_step(f, shape), _identity(f))
+    rows, cols = len(previous) // f, w.shape[1]
+    swapped = w.reshape(rows, f, f, cols).transpose(0, 2, 1, 3).reshape(-1, cols)
+    x = swapped.T @ (previous @ swapped.reshape(rows * f, -1)).reshape(-1, cols) + w.T @ swapped
+    return 0.5 * (x + x.T)
+
+
+def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_kron of a[i] and b[i] for every i of two equally long stacks of matrices."""
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), a.shape[1] * b.shape[1], -1)
+
+
+def _gl_power(stack: np.ndarray, shape: tuple[int, ...], memo: dict) -> np.ndarray:
+    """pi_shape(A) = U_shape^T A^(x j) U_shape for each A of a stack, one copy at a time; memoised in memo by shape.
+
+    pi_shape(A) = V^T (pi_parent(A) (x) A) V, with V = gl_step(f, shape).
+    """
+    if sum(shape) == 1:
+        return stack
+    if shape not in memo:
+        step = gl_step(stack.shape[1], shape)
+        memo[shape] = step.T @ _kron_stack(_gl_power(stack, _without_last_box(shape), memo), stack) @ step
+    return memo[shape]
+
+
+def werner_blocks(gamma: float, d: int, n: int, k: int):
+    """Yield (mus, lams, nu, const, term) for every block or piece const + alpha I_{dim nu} (x) term of the Werner probe.
+
+    Every block and piece is on the I + gamma V scale.  mus is a multiset of
+    multi-row copy labels (a sorted tuple of at most n partitions of k + 2
+    with at most d rows, neither one row nor one column), nu a partition of
+    k + 2 with at most 2 rows.  The other n - len(mus)
     copies carry one-dimensional labels, each multiplying the block by
     1 + gamma for (k + 2) or 1 - gamma for (1^(k+2)) when d >= k + 2.
     Rows are ordered (nu, copies).  term is sum_i R_i, one array shared by
-    the blocks of one copy multiset.
+    the blocks of one copy multiset, and by the pieces of one lams.
+
+    A block of SOLO_MIN_ROWS rows or more in which a label repeats is split.
+    The j copies that carry one label mu enter R_i as A_i^(x j), with
+    A_i = I + gamma Y_mu(tau_i), which commutes with every permutation of
+    those copies.  So the block is the direct sum, over one lambda |- j per
+    distinct label, of pieces with A_i^(x j) replaced by
+    pi_lambda(A_i) = U_lambda^T A_i^(x j) U_lambda (see `gl_step`), each
+    repeated f^lambda times.  lams holds those lambda, in the order of the
+    distinct labels of mus, and is None for a whole block.  A lambda with
+    more rows than the rank of A_i, which is below f^mu only at gamma = +-1,
+    gives a zero piece and is left out.
     """
     m = k + 2
     shapes = [mu for mu in partitions(m, d) if 1 < len(mu) < m]
-    pair = {mu: [_identity(len(y)) + gamma * y for y in young_transpositions(mu)] for mu in shapes}
+    # pair[mu][i] = A_i = I + gamma Y_mu(tau_i), i = 0..k, one stack per label
+    pair = {mu: _identity(specht_dim(mu)) + gamma * np.array(young_transpositions(mu)) for mu in shapes}
+    rank = {mu: len(a[0]) if abs(gamma) < 1.0 else int(np.linalg.matrix_rank(a[0])) for mu, a in pair.items()}
+    # the factor of the i-th term on the nu side, (I - Y_nu(tau_i)) / 2
+    halves = {nu: [0.5 * (_identity(len(y)) - y) for y in young_transpositions(nu)] for nu in partitions(m, 2)}
+    smallest_nu = min(len(half[0]) for half in halves.values())
+    powers: dict = {mu: {} for mu in shapes}  # memo of _gl_power per label
+    wholes = {(): np.ones((k + 1, 1, 1))}  # R_i stacked over i for the multisets of whole blocks
     for mus in itertools.chain.from_iterable(
         itertools.combinations_with_replacement(shapes, j) for j in range(n + 1)
     ):
-        terms = [functools.reduce(_kron, [pair[mu][i] for mu in mus], np.ones((1, 1))) for i in range(k + 1)]
-        term_sum = sum(terms)
-        for nu in partitions(m, 2):
-            ys = young_transpositions(nu)
-            eye = _identity(len(ys[0]))
-            const = np.zeros((len(term_sum) * len(eye),) * 2)
-            for r, y in zip(terms, ys):
-                const -= _kron(0.5 * (eye - y), r)
-            yield mus, nu, const, term_sum
+        labels = sorted(set(mus), key=mus.index)
+        repeats, copies = len(labels) < len(mus), math.prod(len(pair[mu][0]) for mu in mus)
+        if mus and (not repeats or copies * smallest_nu < SOLO_MIN_ROWS):
+            # some block of mus stays whole; so does one of mus[:-1], which came first
+            wholes[mus] = _kron_stack(wholes[mus[:-1]], pair[mus[-1]])
+        pieces = {}  # lams -> (R_i stacked over i, sum_i R_i) of this copy multiset
+        for nu, half in halves.items():
+            if repeats and copies * len(half[0]) >= SOLO_MIN_ROWS:
+                choices = itertools.product(*(partitions(mus.count(mu), rank[mu]) for mu in labels))
+            else:
+                choices = [None]
+            for lams in choices:
+                if lams not in pieces:
+                    terms = wholes[mus] if lams is None else functools.reduce(
+                        _kron_stack, (_gl_power(pair[mu], lam, powers[mu]) for mu, lam in zip(labels, lams)), wholes[()]
+                    )
+                    pieces[lams] = terms, terms.sum(axis=0)
+                terms, term_sum = pieces[lams]
+                const = np.zeros((len(term_sum) * len(half[0]),) * 2)
+                for r, h in zip(terms, half):
+                    const -= _kron(h, r)
+                yield mus, lams, nu, const, term_sum
 
 
-# blocks from this many rows get one scipy lowest-eigenpair solve each; smaller ones share one
-# batched numpy solve per size.  numpy and scipy load separate OpenBLAS libraries, each with
-# its own thread pool; on 2 cores, mixing them cost time once numpy's batches reached 32 rows:
-# the 21-point d = 3, n = 3, k = 2 curve took 0.45-0.70 s at 32 against 1.3-1.6 s at 64, and
-# one n = 8, k = 1 threshold 0.15 s at 32 or 64 against 0.40 s at 256.  From 26 rows numpy's
+# blocks from this many rows get one scipy lowest-eigenpair solve each, and werner_blocks splits
+# them where a copy label repeats; smaller ones share one batched numpy solve per size.  numpy
+# and scipy load separate OpenBLAS libraries, each with its own thread pool.  On 2 cores, with
+# single-copy d = 3 Werner curves, which nothing splits: 21 points at k = 4 took 0.26 s at 26 or
+# 64 against 0.52 s at 256, and 5 points at k = 5 0.60 s against 1.38 s.  From 26 rows numpy's
 # eigh (with vectors, as the stacks' pencil and lowest block need) switches to divide and
 # conquer, which took 15 ms per 26- to 31-row block on 2 threads against 0.1 ms on one.
 SOLO_MIN_ROWS = 26
@@ -383,5 +512,5 @@ def werner_probe(gamma: float, d: int, n: int, k: int) -> BlockProbe:
     one_dim = (1.0 + gamma, 1.0 - gamma) if d >= k + 2 else (1.0 + gamma,)
     return BlockProbe(
         (const, term, min(one_dim) ** (n - len(mus)), max(one_dim) ** (n - len(mus)))
-        for mus, _, const, term in werner_blocks(gamma, d, n, k)
+        for mus, _, _, const, term in werner_blocks(gamma, d, n, k)
     )

@@ -14,7 +14,6 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg as spla
 
 TOL_HERM = 1e-12      # max entrywise |H - H^dag| accepted as Hermitian
 REAL_IMAG_TOL = 1e-14  # max imaginary part for the real fast path
@@ -306,6 +305,8 @@ def eig_min_iterative(handle: LinearMapHandle, v0: np.ndarray | None = None) -> 
     converge, SolverConvergenceError is raised instead of returning a stale
     iterate.
     """
+    import scipy.sparse.linalg as spla  # here, its one user: importing the package does not load ARPACK (3.6 MB RSS)
+
     n = handle.dim
     sigma = handle.norm_bound
 

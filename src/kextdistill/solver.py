@@ -159,7 +159,7 @@ class KExtProblem:
                 f"this problem has {self.total_dim}"
             )
         if self.backend == "schur_weyl" and (rows := self.largest_werner_block()) > DENSE_DIM_LIMIT:
-            raise ValueError(f"schur_weyl limited to blocks of {DENSE_DIM_LIMIT} rows, this problem's largest has {rows}")
+            raise ValueError(f"schur_weyl limited to pieces of {DENSE_DIM_LIMIT} rows, this problem's largest has {rows}")
 
     @classmethod
     def for_werner(
@@ -200,7 +200,7 @@ class KExtProblem:
             return None
 
     def largest_werner_block(self) -> int:
-        """Rows of the largest Schur-Weyl block of this problem; ValueError unless the state is a Werner state."""
+        """Rows of the largest Schur-Weyl block or piece of this problem; ValueError unless the state is a Werner state."""
         if self.werner_params is None:
             raise ValueError("state is not a Werner state")
         return blocks.largest_block(self.werner_params.d, self.n, self.k)
@@ -208,7 +208,7 @@ class KExtProblem:
     def resolved_backend(self) -> str:
         """The backend a solve uses.
 
-        `auto` takes schur_weyl for a Werner state whose largest block fits
+        `auto` takes schur_weyl for a Werner state whose largest piece fits
         DENSE_DIM_LIMIT, and otherwise decides from the probe dimension and
         the state's spectrum.
         """

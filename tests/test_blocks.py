@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import warnings
@@ -12,10 +13,12 @@ from kextdistill.analytic import alpha_max_k1, maxmixed_bound
 from kextdistill.blocks import (
     SOLO_MIN_ROWS,
     BlockProbe,
+    gl_step,
     largest_block,
     partitions,
     s3_block_lambda_min,
     specht_dim,
+    unitary_dim,
     werner_blocks,
     werner_probe,
     young_orthogonal_form,
@@ -163,13 +166,27 @@ def test_young_orthogonal_form_is_a_representation(m):
             assert all(y[0, 0] == -1.0 for y in adjacent)
 
 
-def unitary_dim(shape, d):
-    """Dimension of the U(d) irrep of this shape (hook-content formula); 0 beyond d rows."""
-    if len(shape) > d:
-        return 0
-    columns = [sum(1 for row in shape if row > j) for j in range(shape[0])]
-    boxes = [(row - j + columns[j] - i - 1, j - i) for i, row in enumerate(shape) for j in range(row)]
-    return math.prod(d + c for _, c in boxes) // math.prod(h for h, _ in boxes)
+def whole_werner_blocks(gamma, d, n, k):
+    """(mus, nu, const, term) of every unsplit Schur-Weyl block: the reference for the pieces of werner_blocks.
+
+    R_i = (x)_c (I + gamma Y_mu_c(tau_i)) over every copy, term = sum_i R_i and
+    const = -sum_i (I - Y_nu(tau_i)) / 2 (x) R_i, rows ordered (nu, copies).
+    """
+    m = k + 2
+    shapes = [mu for mu in partitions(m, d) if 1 < len(mu) < m]
+    for j in range(n + 1):
+        for mus in itertools.combinations_with_replacement(shapes, j):
+            pairs = [[np.eye(specht_dim(mu)) + gamma * y for y in young_transpositions(mu)] for mu in mus]
+            terms = [functools.reduce(np.kron, [pair[i] for pair in pairs], np.ones((1, 1))) for i in range(k + 1)]
+            for nu in partitions(m, 2):
+                ys = young_transpositions(nu)
+                const = -sum(np.kron(0.5 * (np.eye(len(y)) - y), r) for r, y in zip(terms, ys))
+                yield mus, nu, const, sum(terms)
+
+
+def piece_multiplicity(lams):
+    """f^lambda over the copy groups of a piece: how often its spectrum repeats in its block."""
+    return 1 if lams is None else math.prod(specht_dim(lam) for lam in lams)
 
 
 def block_multiplicity(mus, nu, d, n):
@@ -198,18 +215,32 @@ def test_block_spectra_are_the_probe_spectrum(d, n, k):
     for alpha in (0.25, 0.8):
         probe = np.linalg.eigvalsh(assembly.dense(alpha).entries)
         union = []
-        for mus, nu, const, term in werner_blocks(gamma, d, n, k):
+        for mus, lams, nu, const, term in werner_blocks(gamma, d, n, k):
             assert all(1 < len(mu) < k + 2 for mu in mus)
             linear = np.kron(np.eye(len(const) // len(term)), term)
             values = np.linalg.eigvalsh(const + alpha * linear) / scale
             for labels, a, b in full_labels(mus, d, n, k):
                 pref = (1 + gamma) ** a * (1 - gamma) ** b
-                union.extend(np.repeat(pref * values, block_multiplicity(labels, nu, d, n)))
+                union.extend(np.repeat(pref * values, block_multiplicity(labels, nu, d, n) * piece_multiplicity(lams)))
         assert len(union) == len(probe)
         assert np.abs(np.sort(union) - probe).max() < 1e-13
 
 
-@pytest.mark.parametrize("d, n, k", [(2, 3, 3), (3, 2, 3), (3, 3, 2), (4, 2, 2), (3, 1, 7)])
+# (d, n, k): rows of the largest whole block, and of the largest block or piece werner_blocks yields
+LARGEST = {
+    (2, 3, 3): (625, 300),
+    (3, 2, 3): (180, 150),
+    (3, 3, 2): (81, 54),
+    (4, 2, 2): (27, 27),  # no label repeats in a block of 26 rows or more
+    (3, 1, 7): (8064, 8064),  # one copy: nothing to split
+    (3, 8, 1): (512, 18),
+    (3, 3, 3): (1080, 750),
+    (3, 4, 3): (6480, 3000),
+    (3, 8, 2): (19683, 900),
+}
+
+
+@pytest.mark.parametrize("d, n, k", list(LARGEST))
 def test_block_dimensions_add_up_to_the_probe(d, n, k):
     m = k + 2
     sizes = {mu: specht_dim(mu) for mu in partitions(m, m)}
@@ -218,9 +249,69 @@ def test_block_dimensions_add_up_to_the_probe(d, n, k):
         for nu in partitions(m, 2):
             total += block_multiplicity(mus, nu, d, n) * math.prod(sizes[mu] for mu in mus) * sizes[nu]
     assert total == KExtProblem.for_werner(d=d, gamma=0.1, n=n, k=k).total_dim
-    assert largest_block(d, n, k) == max(sizes[mu] for mu in partitions(m, d)) ** n * max(
-        sizes[nu] for nu in partitions(m, 2)
-    )
+    whole, piece = LARGEST[d, n, k]
+    assert max(sizes[mu] for mu in partitions(m, d)) ** n * max(sizes[nu] for nu in partitions(m, 2)) == whole
+    assert largest_block(d, n, k) == piece
+    if whole <= 625:
+        assert max(len(const) for *_, const, _ in werner_blocks(0.1, d, n, k)) == piece
+
+
+def test_auto_takes_schur_weyl_where_the_largest_piece_fits():
+    # the largest blocks at (4, 3) and (8, 2) pass the cap, their pieces do not
+    for n, k in ((4, 3), (8, 2)):
+        problem = KExtProblem.for_werner(d=3, gamma=0.5, n=n, k=k)
+        assert problem.resolved_backend() == "schur_weyl"
+        assert KExtProblem.for_werner(d=3, gamma=0.5, n=n, k=k, backend="schur_weyl").backend == "schur_weyl"
+
+
+def jucys_murphy_basis(f, lam):
+    """U_lam from the chain of gl_step isometries, U_lam = (U_parent (x) I_f) V, as an f^j-row array."""
+    if sum(lam) == 1:
+        return np.eye(f)
+    return np.kron(jucys_murphy_basis(f, blocks_mod._without_last_box(lam)), np.eye(f)) @ gl_step(f, lam)
+
+
+def row_reading_contents(lam):
+    """Contents (column - row) of the entries 1..j of the row-reading tableau of lam."""
+    return [c - r for r, row in enumerate(lam) for c in range(row)]
+
+
+@pytest.mark.parametrize("f, j", [(2, 2), (2, 4), (2, 6), (3, 3), (3, 5), (4, 4)])
+def test_jucys_murphy_basis_spans_one_copy_of_each_gl_irrep(f, j):
+    # U is orthonormal, as wide as the hook-content dimension, and X_b U = c_b U for X_b = sum_{a<b} (a b)
+    for lam in partitions(j, f):
+        u = jucys_murphy_basis(f, lam)
+        assert u.shape == (f**j, unitary_dim(lam, f))
+        assert np.abs(u.T @ u - np.eye(u.shape[1])).max() < 1e-12
+        tensor = u.reshape((f,) * j + (-1,))
+        for b, content in enumerate(row_reading_contents(lam)):
+            x_u = sum(np.swapaxes(tensor, a, b).reshape(u.shape) for a in range(b))
+            assert np.abs(x_u - content * u).max() < 1e-11, (lam, b)
+    # the copies of every irrep fill the tensor power: sum_lam f^lam dim_lam = f^j
+    assert sum(specht_dim(lam) * unitary_dim(lam, f) for lam in partitions(j, f)) == f**j
+
+
+@pytest.mark.parametrize("d, n, k", [(3, 8, 1), (3, 4, 1), (3, 3, 2), (2, 4, 2), (4, 3, 2)])
+@pytest.mark.parametrize("gamma", [-1.0, -0.35, 0.5, 1.0])
+def test_pieces_repeat_the_spectra_of_their_blocks(d, n, k, gamma):
+    # each block's spectrum is the union of its pieces' spectra, each repeated f^lambda times; at gamma = +-1
+    # the pieces left out are zero, so the block's spectrum is the union and that many zeros
+    pieces = {}
+    for alpha in (0.25, 0.8):
+        for mus, lams, nu, const, term in werner_blocks(gamma, d, n, k):
+            assert np.abs(term).max() > 1e-12, (mus, lams, nu)  # no zero piece is yielded
+            linear = np.kron(np.eye(len(const) // len(term)), term)
+            pieces.setdefault((mus, nu), []).append((lams, np.linalg.eigvalsh(const + alpha * linear)))
+        split = 0
+        for mus, nu, const, term in whole_werner_blocks(gamma, d, n, k):
+            block = np.linalg.eigvalsh(const + alpha * np.kron(np.eye(len(const) // len(term)), term))
+            found = pieces.pop((mus, nu))
+            split += any(len(values) < len(block) for _, values in found)
+            union = np.concatenate([np.repeat(values, piece_multiplicity(lams)) for lams, values in found])
+            assert len(union) <= len(block) and (len(union) == len(block) or abs(gamma) == 1.0)
+            union = np.sort(np.concatenate([union, np.zeros(len(block) - len(union))]))
+            assert np.abs(union - block).max() <= 1e-12 * np.abs(block).max(), (mus, nu)
+        assert not pieces and split > 0
 
 
 @pytest.mark.parametrize("d, n, k", [(2, 1, 3), (3, 2, 2), (3, 1, 4), (3, 8, 1)])
@@ -249,7 +340,7 @@ def test_werner_slope_matches_the_lowest_reference_block(d, n, k, gamma, alphas)
     for alpha in alphas:
         value, slope, _ = probe.lambda_min(alpha)
         candidates = []
-        for mus, nu, const, term in werner_blocks(gamma, d, n, k):
+        for mus, nu, const, term in whole_werner_blocks(gamma, d, n, k):
             linear = np.kron(np.eye(len(const) // len(term)), term)
             vals, vecs = np.linalg.eigh(const + alpha * linear)
             for _, a, b in full_labels(mus, d, n, k):
@@ -289,7 +380,9 @@ def test_werner_slope_takes_one_product_per_sample(d, n, k, monkeypatch):
         products.clear()
         probe.lambda_min(float(alpha))
         counts.append(len(products))
-    assert max(counts) == 1, counts
+    # at (3, 8, 1) every piece has at most 18 rows and is stacked, so no sample runs the solo gemm
+    assert bool(probe.solos) == ((d, n, k) == (3, 2, 3))
+    assert max(counts) == (1 if probe.solos else 0), counts
 
 
 @pytest.mark.parametrize("side", ["bob", "alice"])
@@ -377,13 +470,13 @@ def test_schur_weyl_solo_blocks_keep_only_the_term_sum():
     solos = probe.solos
     assert solos and all(len(const) > len(term) for const, term, *_ in solos)
     # the solos of one copy multiset share one term array
-    multisets = [mus for mus, _, const, _ in werner_blocks(-0.35, 3, 1, 4) if len(const) >= SOLO_MIN_ROWS]
+    multisets = [mus for mus, _, _, const, _ in werner_blocks(-0.35, 3, 1, 4) if len(const) >= SOLO_MIN_ROWS]
     assert len(multisets) == len(solos) and len(set(multisets)) < len(solos)
     for (mus_a, (_, term_a, *_)), (mus_b, (_, term_b, *_)) in itertools.combinations(zip(multisets, solos), 2):
         assert (term_a is term_b) == (mus_a == mus_b)
     for alpha in (0.3, 0.8):
         best = math.inf
-        for mus, nu, const, term in werner_blocks(-0.35, 3, 1, 4):
+        for mus, _, nu, const, term in werner_blocks(-0.35, 3, 1, 4):
             # d < k + 2: the one copy with a one-dimensional label carries (k + 2), a factor 1 + gamma
             pref = 1.0 if mus else 0.65
             linear = np.kron(np.eye(len(const) // len(term)), term)
