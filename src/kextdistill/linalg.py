@@ -17,7 +17,8 @@ import scipy.linalg
 
 TOL_HERM = 1e-12      # max entrywise |H - H^dag| accepted as Hermitian
 REAL_IMAG_TOL = 1e-14  # max imaginary part for the real fast path
-ITER_EIG_TOL = 1e-11  # absolute residual |Hv - theta v| at which an iterative solve stops
+ITER_EIG_TOL = 1e-11  # absolute residual |Hv - theta v| of a full iterative solve: every sample that may set hi
+LOOSE_EIG_SHARE = 1e-2  # a loose solve's residual, as a share of |the previous sample's value|; 1e-1 took more samples
 TOL_EIG = 1e-9          # threshold predicate of every search: lambda_min < -TOL_EIG
 DENSE_DIM_LIMIT = 4096  # largest probe dimension the dense backend accepts; auto goes iterative from here
 EIG_SEED = 20260810     # start vector for iterative solves; fixed for reproducible curves
@@ -283,18 +284,22 @@ def eig_min_dense_vec(h: HermitianOperator | np.ndarray) -> tuple[float, np.ndar
     return float(vals[0]), vecs[:, 0]
 
 
-def eig_min_iterative(handle: LinearMapHandle, v0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """(lambda_min, eigenvector) of a self-adjoint matrix-free operator, by ARPACK Lanczos.
+def eig_min_iterative(
+    handle: LinearMapHandle, v0: np.ndarray | None = None, residual: float = ITER_EIG_TOL
+) -> tuple[float, np.ndarray]:
+    """(lambda_min, eigenvector) of a self-adjoint matrix-free operator, by ARPACK Lanczos, to an absolute residual.
 
     ARPACK stops once the residual of its Ritz value theta is at most
     tol * |theta|, which near a threshold, where theta -> 0, asks for a
     residual at machine precision.  So the solve runs on H - sigma I with
-    sigma = handle.norm_bound, at ARPACK tol = ITER_EIG_TOL / sigma, and adds
+    sigma = handle.norm_bound, at ARPACK tol = residual / sigma, and adds
     sigma back.  The shifted Ritz value has modulus at most 2 sigma, and about
-    sigma near lambda_min = 0, so ITER_EIG_TOL is an absolute residual, met to
+    sigma near lambda_min = 0, so residual is an absolute residual, met to
     within a factor 2.  Lanczos is shift-invariant, so only the stopping test
     changes.  The returned Ritz value is a Rayleigh quotient, an upper bound
-    on lambda_min up to rounding of about eps * sigma.
+    on lambda_min up to rounding of about eps * sigma.  A residual looser
+    than ITER_EIG_TOL stops earlier; the vector is then no eigenvector, but
+    its Rayleigh quotient still bounds lambda_min from above.
 
     The start vector is drawn from EIG_SEED, with v0 (a warm start, such as
     the eigenvector of a nearby operator) added to it when given.  The seeded
@@ -322,7 +327,7 @@ def eig_min_iterative(handle: LinearMapHandle, v0: np.ndarray | None = None) -> 
     if v0 is not None:
         start = v0 / np.linalg.norm(v0) + WARM_START_SEED_WEIGHT * start
     try:
-        vals, vecs = spla.eigsh(op, k=1, which="SA", tol=ITER_EIG_TOL / sigma, v0=start)
+        vals, vecs = spla.eigsh(op, k=1, which="SA", tol=residual / sigma, v0=start)
     except spla.ArpackNoConvergence as exc:
         raise SolverConvergenceError(f"ARPACK did not converge on dimension {n}") from exc
     return float(vals[0]) + sigma, vecs[:, 0]
@@ -398,18 +403,29 @@ def pencil_bracket(tops: Iterable[tuple[float, float]]) -> tuple[float, float]:
     return float(max(lo, 0.0)), float(max(hi, 0.0))
 
 
+def _sampled(f: Callable[..., tuple], alpha: float) -> tuple[float, float, bool]:
+    """f(alpha) as (value, slope, exact); a bare (value, slope) is exact."""
+    value, slope, *exact = f(alpha)
+    return value, slope, all(exact)
+
+
 def threshold_sup(
-    f: Callable[[float], tuple[float, float]], tol_alpha: float, bracket: tuple[float, float] = (0.0, 1.0)
+    f: Callable[[float], tuple], tol_alpha: float, bracket: tuple[float, float] = (0.0, 1.0)
 ) -> float:
     """Largest sampled alpha in [0, 1] with f(alpha) below -TOL_EIG, to bracket width tol_alpha.
 
-    f(alpha) returns (value, slope).  value must be concave and nondecreasing
-    in alpha, as lambda_min(C + alpha L) with L PSD is, and slope must be a
-    supergradient there, as v^dag L v for a lowest eigenvector v is.  The
-    tangent from the lower end lo then never passes the root, so a tangent
-    step lands on a new certified lower end.  Concavity also caps the slope by
-    the chord from the previous lower end, which ends a stall on a slope that
-    is too steep.
+    f(alpha) returns (value, slope), or (value, slope, exact).  value must be
+    concave and nondecreasing in alpha, as lambda_min(C + alpha L) with L PSD
+    is, and slope must be a supergradient there, as v^dag L v for a lowest
+    eigenvector v is.  The tangent from the lower end lo then never passes the
+    root, so a tangent step lands on a new certified lower end.  exact False
+    marks a value that is only an upper bound, such as the Rayleigh quotient q
+    of an unconverged vector v, with slope v^dag L v: that line, v^dag (C +
+    alpha L) v, bounds lambda_min from above at every alpha, so its step
+    still lands on a certified point.  Concavity also caps the slope by the
+    chord from the previous lower end, which ends a stall on a slope that is
+    too steep.  The cap is taken only where both ends are exact: a chord
+    through an upper bound bounds nothing.
 
     The search starts from bracket = (lo, hi): the caller's claim that f is
     below -TOL_EIG at lo and not below it from hi on, such as pencil_bracket
@@ -428,10 +444,10 @@ def threshold_sup(
     below -TOL_EIG; hi is never sampled.
     """
     lo, hi = bracket
-    value, slope = f(lo)
+    value, slope, exact = _sampled(f, lo)
     if not value < -TOL_EIG and lo > 0.0:
         lo, hi = 0.0, 1.0
-        value, slope = f(lo)
+        value, slope, exact = _sampled(f, lo)
     if not value < -TOL_EIG:
         return 0.0
     last_step = step_before = math.inf
@@ -441,10 +457,12 @@ def threshold_sup(
             step = max((-TOL_EIG - value) / slope - 0.25 * tol_alpha, tol_alpha)
             if lo + step < hi and step <= 0.5 * step_before:
                 alpha, closing = lo + step, step == tol_alpha
-        sample, sample_slope = f(alpha)
+        sample, sample_slope, sample_exact = _sampled(f, alpha)
         step_before, last_step = last_step, alpha - lo
         if sample < -TOL_EIG:
-            lo, value, slope = alpha, sample, min(sample_slope, (sample - value) / last_step)
+            if exact and sample_exact:
+                sample_slope = min(sample_slope, (sample - value) / last_step)
+            lo, value, slope, exact = alpha, sample, sample_slope, sample_exact
         else:
             hi = alpha
             if closing:

@@ -30,6 +30,8 @@ from .linalg import TOL_EIG  # the one certification tolerance; perfbench/checks
 # names in this module, so they stay bound here by from-import.
 from .linalg import (
     DENSE_DIM_LIMIT,
+    ITER_EIG_TOL,
+    LOOSE_EIG_SHARE,
     HermitianOperator,
     LinearMapHandle,
     SystemLayout,
@@ -107,12 +109,15 @@ class ThresholdResult:
     to [0, 1] or on a bracket wider than tol_alpha the Newton samples.  A
     value is lambda_min, except for that one sample of a bracket no wider
     than tol_alpha, which is the pencil vectors' Rayleigh bound where it is
-    below -TOL_EIG: lambda_min <= value < -TOL_EIG.
+    below -TOL_EIG: lambda_min <= value < -TOL_EIG.  On iterative, a value
+    is lambda_min only where the sample was a full solve; elsewhere it is the
+    Rayleigh quotient of a loosely solved vector, an upper bound, and then
+    lambda_min <= value < -TOL_EIG too.
     lambda_residual is the value that certifies alpha_star, and certificate
     a unit vector v with v^dag P(alpha_star) v = lambda_residual, ordered
     like ProbeAssembly(problem).layout, spectator first: the probe's
-    eigenvector where lambda_residual is lambda_min, the pencil vector where
-    it is the Rayleigh bound.  certificate is None on schur_weyl, whose
+    eigenvector where lambda_residual is lambda_min, the pencil vector or the
+    loose vector where it is a Rayleigh bound.  certificate is None on schur_weyl, whose
     vectors are a block's, or when no alpha was certified negative.
     On schur_weyl, lambda_residual and every sample are on the blocks' scale,
     (d^2 + gamma d)^n times the probe eigenvalue: TOL_EIG is absolute, and at
@@ -257,8 +262,9 @@ class _PairKernel:
     with half = b (r_00 + r_11) on its (s, x_i) = 00 and 11 slices, b the
     entry of Phi+ Phi+^dag (1/sqrt(2) squared, just below 1/2): that operator
     times r is half on both slices and 0 on 01 and 10.  Both arrays are
-    views of the buffers, valid until the next product().  slope() sums
-    x^dag rho_i x over the pairs, the probe's alpha-slope at a unit x.  The
+    views of the buffers, valid until the next product().  rayleigh(alpha)
+    gives x^dag P(alpha) x and the alpha-slope x^dag (sum_i rho_i) x of the
+    loaded x from one product() per pair.  The
     gemm is scipy's, writing into the product buffer, as in blocks.BlockProbe:
     numpy and scipy load separate OpenBLAS libraries, each with its own thread
     pool, and ARPACK runs on scipy's.
@@ -302,9 +308,18 @@ class _PairKernel:
         half *= self._weight
         return product, half
 
-    def slope(self) -> float:
-        """x^dag (sum_i rho_i) x for the loaded x, summed over columns; product(i) gathers x in pair i's order, like r."""
-        return float(sum(np.vdot(view[1], self.product(i)[0]).real for i, view in enumerate(self._views)))
+    def rayleigh(self, alpha: float) -> tuple[float, float]:
+        """(x^dag P(alpha) x, x^dag (sum_i rho_i) x) for the loaded x, summed over columns.
+
+        product(i) gathers x in pair i's order, like r; the Bell term of pair i
+        is half on x's (s, x_i) = 00 and 11 slices.
+        """
+        slope = bell = 0.0
+        for i, (_, gathered, _, _) in enumerate(self._views):
+            product, half = self.product(i)
+            slope += np.vdot(gathered, product).real
+            bell += np.vdot(gathered[:, :, 0, 0], half).real + np.vdot(gathered[:, :, 1, 1], half).real
+        return float(alpha * slope - bell), float(slope)
 
     @functools.cached_property
     def acc(self) -> np.ndarray:
@@ -428,14 +443,36 @@ class ProbeAssembly:
     def lambda_min(self, alpha: float) -> tuple[float, float, np.ndarray]:
         """(lambda_min, slope v^dag L v, eigenvector v) on handle(alpha), started from the last v, the first from EIG_SEED.
 
+        A full solve, to ITER_EIG_TOL; lambda_min is ARPACK's Ritz value.
         ValueError for alpha outside [0, 1] or NaN, where norm_bound fails; SolverConvergenceError if ARPACK fails.
         """
+        lam, _, slope = self._solve(alpha, ITER_EIG_TOL)
+        return lam, slope, self._previous
+
+    def lambda_bound(self, alpha: float, residual: float) -> tuple[float, float, np.ndarray]:
+        """(q, slope v^dag L v, v): an ARPACK solve stopped at `residual`, started like lambda_min.
+
+        q = v^dag P(alpha) v is the unit vector v's Rayleigh quotient, computed
+        in the slope's kernel pass, not ARPACK's Ritz value: an upper bound on
+        lambda_min(alpha), so q < -TOL_EIG certifies alpha with v.
+        """
+        _, q, slope = self._solve(alpha, residual)
+        return q, slope, self._previous
+
+    def rayleigh_bound(self, alpha: float) -> tuple[float, np.ndarray]:
+        """(q, v): the last solve's v and its Rayleigh quotient v^dag P(alpha) v, an upper bound on lambda_min; no eigensolve."""
+        kernel = self._kernel
+        kernel.load(self._previous.reshape(self.layout.dims + (1,)))
+        return kernel.rayleigh(_check_alpha(alpha))[0], self._previous
+
+    def _solve(self, alpha: float, residual: float) -> tuple[float, float, float]:
+        """(Ritz value, q, slope) of an ARPACK solve to residual, whose vector becomes the next warm start."""
         # the kernel is made before ARPACK's workspace: made inside the first solve, after it, its buffers
         # raised peak RSS by 1.5 MB on a 5184-row complex probe
         handle, kernel = self.handle(_check_alpha(alpha)), self._kernel
-        lam, self._previous = eig_min_iterative(handle, v0=self._previous)
+        ritz, self._previous = eig_min_iterative(handle, v0=self._previous, residual=residual)
         kernel.load(self._previous.reshape(self.layout.dims + (1,)))
-        return lam, kernel.slope(), self._previous
+        return (ritz, *kernel.rayleigh(alpha))
 
     def pencil_tops(self) -> list[tuple[float, float]]:
         """[]: no explicit pieces, so linalg.pencil_bracket gives [0, 1]."""
@@ -480,11 +517,23 @@ def fidelity_threshold(problem: KExtProblem, tol_alpha: float = DEFAULT_TOL_ALPH
     upper bound on lambda_min, so that a value below -TOL_EIG certifies the
     lower end with no eigensolve.  Otherwise, or where the bound is not below
     -TOL_EIG, the sample solves lambda_min, so alpha_star is the same either way.
+
+    On iterative, any vector v's line v^dag P(alpha) v bounds lambda_min from
+    above at every alpha.  A sample that the last sample's line certifies,
+    which every plain Newton target is, needs no converged eigenpair: ARPACK
+    stops there at a residual of LOOSE_EIG_SHARE times the last value's
+    modulus (ITER_EIG_TOL at least), and the sample is the Rayleigh quotient
+    q of its vector.  Where the last two slopes' curvature predicts that
+    lambda_min at alpha + tol_alpha is not below -TOL_EIG, alpha is taken as
+    the last vector's q with no eigensolve, and the search goes on to its
+    closing sample.  Every other sample, and every q that is not below
+    -TOL_EIG, is a full solve to ITER_EIG_TOL: every lower end is an explicit
+    negative Rayleigh quotient, and every upper end a full solve.
     """
     check_tol_alpha(tol_alpha)
     backend = problem.resolved_backend()
     probe = problem.probe()
-    samples: list[tuple[float, float]] = []
+    samples: list[tuple[float, float, float]] = []  # (alpha, value, slope), in the order taken
     residual, certificate = None, None
     try:
         bracket = pencil_bracket(probe.pencil_tops())
@@ -492,27 +541,47 @@ def fidelity_threshold(problem: KExtProblem, tol_alpha: float = DEFAULT_TOL_ALPH
         bracket = (0.0, 1.0)
     closed = bracket[1] - bracket[0] <= tol_alpha
 
-    def evaluate(alpha: float) -> tuple[float, float]:
+    def loose(alpha: float) -> tuple[float, float, np.ndarray] | None:
+        """(q, slope, v) short of a full solve where the last sample's line certifies alpha, else None."""
+        last_alpha, last_value, last_slope = samples[-1]
+        if not last_value + last_slope * (alpha - last_alpha) < -TOL_EIG:
+            return None
+        if len(samples) > 1 and alpha > last_alpha:
+            # past the lower end: lambda_min at the closing sample alpha + tol_alpha, on the curvature of the last
+            # two slopes; at a Newton target, (curvature / 2) (step + tol_alpha)^2 <= 0.75 tol_alpha last_slope
+            before_alpha, _, before_slope = samples[-2]
+            reach = alpha + tol_alpha - last_alpha
+            curvature = (before_slope - last_slope) / (last_alpha - before_alpha)
+            if last_value + last_slope * reach - 0.5 * curvature * reach**2 >= -TOL_EIG:
+                q, vec = probe.rayleigh_bound(alpha)
+                return q, last_slope, vec
+        return probe.lambda_bound(alpha, max(ITER_EIG_TOL, LOOSE_EIG_SHARE * abs(last_value)))
+
+    def evaluate(alpha: float) -> tuple[float, float, bool]:
         nonlocal residual, certificate
-        value = math.inf
+        value, exact = math.inf, False
         if closed and not samples:
             # the first sample is at lo; on a closed bracket threshold_sup takes no Newton step, so reads no slope
             value, vec = probe.rayleigh_bound(alpha)
             slope = 0.0
+        elif backend == "iterative" and samples:
+            value, slope, vec = loose(alpha) or (math.inf, 0.0, None)
         if not value < -TOL_EIG:
+            # a full solve, warm-started from a loose sample's vector: only a full solve sets hi
             value, slope, vec = probe.lambda_min(alpha)
-        samples.append((alpha, value))
+            exact = True
+        samples.append((alpha, value, slope))
         if value < -TOL_EIG:
             # threshold_sup moves its lower end here, so this sample certifies it; a block vector is no probe vector
             residual, certificate = value, None if backend == "schur_weyl" else vec
-        return value, slope
+        return value, slope, exact
 
     alpha_star = threshold_sup(evaluate, tol_alpha, bracket)
     if residual is None:
         residual = samples[0][1]
     return ThresholdResult(
         alpha_star=alpha_star,
-        samples=tuple(sorted(samples)),
+        samples=tuple(sorted((alpha, value) for alpha, value, _ in samples)),
         full_rank=problem.state.is_full_rank(),
         backend=backend,
         lambda_residual=residual,

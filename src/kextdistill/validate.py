@@ -150,8 +150,14 @@ def check_schur_weyl_vs_s3() -> CheckResult:
 
 
 def check_iterative_vs_dense() -> CheckResult:
+    """ARPACK against dense solves: lambda_min on an alpha grid, and alpha* against the dense backend's.
+
+    Each iterative alpha* must also be certified and tight by dense solves,
+    lambda_min(alpha*) < -TOL_EIG and lambda_min(min(1, alpha* + tol_alpha))
+    >= -TOL_EIG, so that neither rests on the search's own ARPACK samples.
+    """
     rng = np.random.default_rng(11)
-    worst, worst_lambda = 0.0, 0.0
+    worst, worst_lambda, unsound = 0.0, 0.0, []
     # Werner at dim 256, where lambda_min crosses 0 at alpha* = 0.75, a complex state at dim 64,
     # and two copies of a full-rank Werner state at dim 512, which auto sends to ARPACK
     problems = (
@@ -166,9 +172,16 @@ def check_iterative_vs_dense() -> CheckResult:
         for a in (0.25, 0.5, 0.75, 1.0):
             gap = solve_iterative(a)[0] - solve_dense(a)[0]
             worst_lambda = max(worst_lambda, abs(gap))
-        worst = max(worst, abs(fidelity_threshold(iterative).alpha_star - fidelity_threshold(dense).alpha_star))
-    passed = worst <= 1e-6 and worst_lambda <= 1e-9
-    return CheckResult("iterative_vs_dense", passed, worst, 1e-6, {"lambda_gap": worst_lambda, "lambda_tol": 1e-9})
+        alpha_star = fidelity_threshold(iterative).alpha_star
+        worst = max(worst, abs(alpha_star - fidelity_threshold(dense).alpha_star))
+        above = min(1.0, alpha_star + solver.DEFAULT_TOL_ALPHA)
+        certified = alpha_star == 0.0 or solve_dense(alpha_star)[0] < -solver.TOL_EIG
+        tight = above == alpha_star or solve_dense(above)[0] >= -solver.TOL_EIG
+        if not (certified and tight):
+            unsound.append(alpha_star)
+    passed = worst <= 1e-6 and worst_lambda <= 1e-9 and not unsound
+    details = {"lambda_gap": worst_lambda, "lambda_tol": 1e-9, "unsound_alpha_stars": unsound}
+    return CheckResult("iterative_vs_dense", passed, worst, 1e-6, details)
 
 
 def check_schur_weyl_vs_probe() -> CheckResult:

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from kextdistill.linalg import HermitianOperator
+from kextdistill.solver import ProbeAssembly
 from kextdistill.states import bell_state
 
 
@@ -51,3 +54,35 @@ def _probe_operator(alpha):
 @pytest.fixture(scope="session")
 def probe_operator():
     return _probe_operator
+
+
+class ProbeLog:
+    """What every ProbeAssembly did: matvecs, its handles' kernel applications, and full, the alpha of each lambda_min."""
+
+    def __init__(self):
+        self.matvecs = 0
+        self.full: list[float] = []
+
+
+@pytest.fixture
+def probe_log(monkeypatch):
+    """A ProbeLog of every ProbeAssembly in the test: lambda_min is the full solve, lambda_bound and rayleigh_bound are not."""
+    log = ProbeLog()
+    handle, lambda_min = ProbeAssembly.handle, ProbeAssembly.lambda_min
+
+    def counted_handle(self, alpha):
+        made = handle(self, alpha)
+
+        def apply(vec):
+            log.matvecs += 1
+            return made.apply(vec)
+
+        return dataclasses.replace(made, apply=apply)
+
+    def logged_lambda_min(self, alpha):
+        log.full.append(alpha)
+        return lambda_min(self, alpha)
+
+    monkeypatch.setattr(ProbeAssembly, "handle", counted_handle)
+    monkeypatch.setattr(ProbeAssembly, "lambda_min", logged_lambda_min)
+    return log

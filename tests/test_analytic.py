@@ -20,7 +20,7 @@ from kextdistill.analytic import (
     st_coefficients,
 )
 from kextdistill.linalg import eig_min_dense, embed, layout, permutation_matrix
-from kextdistill.states import WernerParams, gamma_from_p, werner
+from kextdistill.states import WernerParams, from_matrix, gamma_from_p, werner
 
 SIGMA = (
     np.eye(2),
@@ -321,6 +321,35 @@ def test_mnp_threshold_takes_tangent_steps(monkeypatch):
     monkeypatch.setattr(analytic, "_min_over_ellipse", counted)
     assert abs(mnp_threshold_numeric(werner(WernerParams(d=3, p=0.2))) - mnp_alpha_max(0.2, 3)) < 1e-6
     assert len(scans) <= 10  # bisection takes 25
+
+
+def mnp_pencil_threshold(state):
+    """0.5 + 0.25 sqrt(1 + 3 m^2), m the largest |mu| of the pencil (K1 - K2, K1 + K2) on range(K1 + K2)."""
+    k1, k2 = analytic._z_pieces(state)
+    w, u = np.linalg.eigh(k1 + k2)
+    keep = w > 1e-12 * w[-1]
+    basis = u[:, keep] / np.sqrt(w[keep])  # basis^dag (K1 + K2) basis = I
+    m = np.abs(np.linalg.eigvalsh(basis.conj().T @ (k1 - k2) @ basis)).max()
+    return 0.5 + 0.25 * math.sqrt(1.0 + 3.0 * m * m)
+
+
+def random_dxd_state(d, rank, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d * d, rank)) + 1j * rng.standard_normal((d * d, rank))
+    return from_matrix(g @ g.conj().T, layout(("A", d), ("B", d)))
+
+
+@pytest.mark.parametrize(
+    "state",
+    [random_dxd_state(d, rank, 10 * d + rank) for d in (2, 3) for rank in (1, 2, d * d)]
+    + [werner(WernerParams(d=d, p=p)) for d in (2, 3) for p in (0.0, 1.0)],
+    ids=[f"random-d{d}-rank{rank}" for d in (2, 3) for rank in (1, 2, d * d)]
+    + [f"werner-d{d}-p{p}" for d in (2, 3) for p in (0, 1)],
+)
+def test_mnp_threshold_is_the_pencil_identity(state):
+    # the scan's certified alpha* lies within its tolerance below the closed form of the pencil (K1 - K2, K1 + K2)
+    identity = mnp_pencil_threshold(state)
+    assert identity - analytic.MNP_TOL_ALPHA <= mnp_threshold_numeric(state) <= identity + 1e-12
 
 
 def test_mnp_inner_scan_sign():

@@ -8,7 +8,7 @@ import kextdistill.analytic
 from kextdistill import cli, solver, validate
 from kextdistill.analytic import alpha_max_k1, maxmixed_bound
 from kextdistill.cli import ConfigError, load_recipe, parse_config_text, run_sweep
-from kextdistill.linalg import SolverConvergenceError, layout
+from kextdistill.linalg import ITER_EIG_TOL, SolverConvergenceError, layout
 from kextdistill.solver import KExtProblem, fidelity_threshold, lambda_min_alpha
 from kextdistill.states import WernerParams, from_matrix, save_state, werner
 
@@ -535,12 +535,28 @@ def test_validate_reports_margins():
 def test_validate_compares_the_iterative_solve_with_dense(monkeypatch):
     eig_min_iterative = solver.eig_min_iterative
 
-    def shifted(handle, v0=None):
-        value, vector = eig_min_iterative(handle, v0)
+    def shifted(handle, v0=None, residual=ITER_EIG_TOL):
+        value, vector = eig_min_iterative(handle, v0, residual)
         return value + 1e-6, vector
 
     monkeypatch.setattr(solver, "eig_min_iterative", shifted)
     assert not validate.check_iterative_vs_dense().passed
+
+
+@pytest.mark.parametrize("shift", [2.0, -2.0])
+def test_validate_certifies_the_iterative_alpha_star_by_dense_solves(monkeypatch, shift):
+    # alpha* moved by two tol_alpha on both backends keeps their gap, but moved up the dense probe no longer
+    # certifies it, and moved down the dense probe is still negative at alpha* + tol_alpha
+    threshold = validate.fidelity_threshold
+
+    def moved(problem, *args, **kwargs):
+        result = threshold(problem, *args, **kwargs)
+        return dataclasses.replace(result, alpha_star=result.alpha_star + shift * solver.DEFAULT_TOL_ALPHA)
+
+    monkeypatch.setattr(validate, "fidelity_threshold", moved)
+    result = validate.check_iterative_vs_dense()
+    assert not result.passed and result.residual <= result.tolerance
+    assert len(result.details["unsound_alpha_stars"]) == 3
 
 
 def test_validate_compares_the_schur_weyl_blocks_with_the_probe(monkeypatch):

@@ -62,6 +62,14 @@ def rank5_2x3_state():
     return from_matrix(g @ g.conj().T, layout(("A", 2), ("B", 3)))
 
 
+def reference_2x3_state(rank):
+    """perfbench's complex reference state of this rank on 2 x 3, in its own frame (drawn from seed 1109)."""
+    rng = np.random.default_rng([1109, rank])
+    g = rng.standard_normal((6, rank)) + 1j * rng.standard_normal((6, rank))
+    mat = g @ g.conj().T
+    return from_matrix(0.5 * (mat + mat.conj().T), layout(("A", 2), ("B", 3)))
+
+
 # q agrees with lambda_min to second order in the bracket width, so rounding can put it a few ulps of
 # the block's norm below lambda_min; TOL_EIG is 1e-9
 RAYLEIGH_ROUNDING = 1e-12
@@ -473,10 +481,13 @@ def test_a_pencil_bound_that_does_not_certify_falls_back_to_the_eigensolve(monke
     ],
     ids=["dense", "dense-complex-bob", "dense-complex-alice", "iterative"],
 )
-def test_threshold_certificate_is_a_negative_eigenvector(problem, solved):
+def test_threshold_certificate_is_a_negative_eigenvector(problem, solved, probe_log):
     # a certificate is a unit vector v with v^dag P(alpha*) v = lambda_residual < -TOL_EIG; it is an
-    # eigenvector where lambda_residual was solved, and the pencil vector where the pencil certified it
+    # eigenvector where lambda_residual was solved, and the pencil vector where the pencil certified it.
+    # On iterative, alpha* is solved where it came from a full solve, and is a loose vector's quotient elsewhere
     result = fidelity_threshold(problem)
+    if problem.backend == "iterative":
+        solved = result.alpha_star in probe_log.full
     v = result.certificate
     pv = ProbeAssembly(problem).handle(result.alpha_star).apply(v)
     lam = result.lambda_residual
@@ -565,6 +576,65 @@ def test_iterative_solves_are_bit_identical():
     problem = KExtProblem.for_werner(d=2, gamma=0.0, k=3, backend="iterative")
     values = {lambda_min_alpha(problem, 0.624999999) for _ in range(6)}
     assert len(values) == 1
+
+
+@pytest.mark.parametrize(
+    "state, k, side",
+    [
+        (reference_2x3_state(6), 2, "bob"),  # dim 864
+        (reference_2x3_state(6), 2, "alice"),  # dim 384
+        (rank5_2x3_state(), 1, "bob"),
+        (rank5_2x3_state(), 2, "bob"),
+        (random_state(np.random.default_rng(4), 2, 2), 2, "bob"),
+    ],
+    ids=["rank6-k2-bob", "rank6-k2-alice", "rank5-k1", "rank5-k2", "random-2x2-k2"],
+)
+def test_iterative_samples_bound_the_dense_lambda_min(state, k, side, probe_log):
+    # a loose sample is the Rayleigh quotient of an unconverged vector, so it may lie above lambda_min but
+    # never below it; a full solve is lambda_min, and only a full solve may set the upper end
+    problem = KExtProblem(state=state, k=k, side=side, backend="iterative")
+    result = fidelity_threshold(problem)
+    full = set(probe_log.full)
+    assembly = ProbeAssembly(problem)
+    exact = dataclasses.replace(problem, backend="dense").probe().lambda_min
+    for alpha, value in result.samples:
+        lam = exact(alpha)[0]
+        assert value >= lam - 1e-12 * assembly.norm_bound, alpha
+        if alpha in full:
+            assert abs(value - lam) <= 1e-10, alpha
+        else:
+            assert value < -TOL_EIG, alpha
+    assert len(full) < len(result.samples)
+    # certified and tight by dense solves
+    assert exact(result.alpha_star)[0] < -TOL_EIG
+    above = min(1.0, result.alpha_star + DEFAULT_TOL_ALPHA)
+    assert above == result.alpha_star or exact(above)[0] >= -TOL_EIG
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_iterative_threshold_matvecs(side, probe_log):
+    # every sample a full solve took 757 (bob) and 687 (alice) matvecs; with loose samples only the first and
+    # the closing sample solve to ITER_EIG_TOL: 327 and 297.  A chord cap through loose values took 2628 on alice
+    fidelity_threshold(KExtProblem(state=reference_2x3_state(6), k=2, side=side, backend="iterative"))
+    assert probe_log.matvecs <= 450
+    assert len(probe_log.full) <= 3
+
+
+def test_an_uncertified_loose_sample_is_solved_again(monkeypatch, probe_log):
+    # a loose q that does not certify its alpha is solved again to ITER_EIG_TOL before the search uses it,
+    # so it cannot set the upper end: alpha* is still certified and tight
+    lambda_bound, loose = ProbeAssembly.lambda_bound, []
+
+    def uncertified(self, alpha, residual):
+        loose.append(alpha)
+        return -0.5 * TOL_EIG, *lambda_bound(self, alpha, residual)[1:]
+
+    monkeypatch.setattr(ProbeAssembly, "lambda_bound", uncertified)
+    problem = KExtProblem(state=reference_2x3_state(6), k=2, side="alice", backend="iterative")
+    result = fidelity_threshold(problem)
+    assert loose and set(loose) <= set(probe_log.full)
+    exact = dataclasses.replace(problem, backend="dense").probe().lambda_min
+    assert exact(result.alpha_star)[0] < -TOL_EIG <= exact(result.alpha_star + DEFAULT_TOL_ALPHA)[0]
 
 
 @pytest.mark.parametrize("d_b,rank", [(2, 1), (2, 4), (3, 1), (3, 6)])
@@ -674,10 +744,11 @@ def test_threshold_tolerance_validation():
 @pytest.mark.parametrize(
     "backend, kind", [("dense", blocks.BlockProbe), ("iterative", ProbeAssembly), ("schur_weyl", blocks.BlockProbe)]
 )
-def test_every_backend_is_one_probe_object(backend, kind):
+def test_every_backend_is_one_probe_object(backend, kind, probe_log):
     problem = KExtProblem.for_werner(d=2, gamma=-0.5, k=2, backend=backend)
     assert type(problem.probe()) is kind
     result = fidelity_threshold(problem)
+    full = set(probe_log.full)
     # iterative holds no explicit pieces, so its search starts from [0, 1]
     assert (problem.probe().pencil_tops() == []) == (backend == "iterative")
     assert (result.samples[0][0] == 0.0) == (backend == "iterative")
@@ -689,6 +760,9 @@ def test_every_backend_is_one_probe_object(backend, kind):
     for alpha, value in result.samples:
         lam = problem.probe().lambda_min(alpha)[0]
         if (alpha, value) == certified:
+            assert lam <= value + RAYLEIGH_ROUNDING and value < -TOL_EIG
+        elif backend == "iterative" and alpha not in full:
+            # a loose sample is the Rayleigh quotient of an unconverged vector: an upper bound that certifies alpha
             assert lam <= value + RAYLEIGH_ROUNDING and value < -TOL_EIG
         else:
             assert abs(value - lam) <= tol
