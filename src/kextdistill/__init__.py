@@ -6,14 +6,15 @@ negative eigenvalue; this package assembles those probes (dense or
 matrix-free), finds the fidelity threshold, evaluates maps through their
 Choi states, builds the measure-and-prepare strategies that reach unit
 fidelity on rank-deficient states, and carries the closed-form Werner-state
-results.  `BlockProbe` solves a probe held as blocks: the dense probe as one
-block, and the Schur-Weyl blocks of any Werner probe at any n and k
+results.  `BlockProbe` solves a probe held as blocks: the dense probe of
+any state as one block per (spin, pair-permutation irrep) (`pair_spin_probe`),
+and the Schur-Weyl blocks of any Werner probe at any n and k
 (`werner_probe`), on the scale of I + gamma V, which is (d^2 + gamma d)^n
 times the probe.  `s3_block_lambda_min` is the k = 1 reference the blocks
 are checked against.  Helpers that only the tests call live in `tests/`.
 """
 
-from .blocks import BlockProbe, s3_block_lambda_min, werner_probe
+from .blocks import BlockProbe, pair_spin_probe, s3_block_lambda_min, werner_probe
 from .linalg import (
     HermitianOperator,
     LinearMapHandle,

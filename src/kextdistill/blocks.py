@@ -1,8 +1,10 @@
-"""Probes held as blocks, and the symmetric-group blocks of Werner-state probes.
+"""Probes held as blocks: the symmetry blocks of any state's probe, and of Werner-state probes.
 
-`BlockProbe` solves any probe given as blocks const + alpha I_f (x) term:
-the `dense` probe as one block, and, built by `werner_probe`, the probe of
-any Werner state at any number of copies n and extensions k.  Each probe
+`BlockProbe` solves any probe given as blocks const + alpha I_f (x) term.
+`pair_spin_probe` builds the `dense` probe of any state, one block per
+spin J of the output qubits' SU(2) and irrep lambda of the permutations of
+the k + 1 extension pairs (`pair_spin_sectors`).  `werner_probe` builds the
+probe of any Werner state at any number of copies n and extensions k.  Each probe
 term rho_{S,X_i} x (alpha I - Phi+)_{s,x_i} of a Werner state rho
 proportional to I + gamma V, with every x qubit rotated by iY (which turns
 Phi+ into psi- and keeps the spectrum), is the group-algebra element
@@ -54,6 +56,7 @@ import scipy.linalg
 
 from .analytic import st_coefficients
 from .linalg import eig_min_dense_vec, pencil_top
+from .states import bell_state
 
 
 def _qubit_factors(gamma: float, alpha: float):
@@ -396,19 +399,27 @@ class BlockProbe:
     v^dag (I_f (x) term) v for the lowest eigenvector v of the lowest block
     and its prefactor p: a supergradient of the concave minimum.
     rayleigh_bound(alpha) bounds lambda_min(alpha) from above with the
-    pencil vectors of pencil_tops(), at one matvec per block.
+    pencil vectors of pencil_tops(), at one matvec per block.  Both return
+    lift(i, x) for the vector x of the i-th block yielded, where a lift is
+    given (the dense probe's, into the probe's layout), and x itself
+    otherwise.
     """
 
-    def __init__(self, blocks):
+    def __init__(self, blocks, lift=None):
         by_size: dict[int, list] = {}
-        self.solos = []
-        for const, term, low, high in blocks:
+        origins: dict[int, list[int]] = {}
+        self.solos, self._solo_origins = [], []
+        for index, (const, term, low, high) in enumerate(blocks):
             if len(const) < SOLO_MIN_ROWS and not np.iscomplexobj(const):
                 linear = _kron(_identity(len(const) // len(term)), term)
                 by_size.setdefault(len(const), []).append((const, linear, low, high))
+                origins.setdefault(len(const), []).append(index)
             else:
                 self.solos.append((const, term, low, high))
+                self._solo_origins.append(index)
         self.stacks = [tuple(map(np.array, zip(*by_size[size]))) for size in sorted(by_size)]
+        self._stack_origins = [origins[size] for size in sorted(by_size)]
+        self._lift = lift
         # every solo solve, real or complex, works in this one byte array: allocating an array per block
         # and sample left 3.7 MB more resident after a 17-point fig1 sweep
         self._buffer = np.empty(max((const.nbytes for const, *_ in self.solos), default=0), dtype=np.uint8)
@@ -417,19 +428,23 @@ class BlockProbe:
     def _work(self, const: np.ndarray) -> np.ndarray:
         return self._buffer[: const.nbytes].view(const.dtype).reshape(const.shape)
 
+    def _lifted(self, origin: int, vec: np.ndarray) -> np.ndarray:
+        """The probe's vector of block origin's vector vec: lift(origin, vec), or vec itself without a lift."""
+        return vec if self._lift is None else self._lift(origin, vec)
+
     def lambda_min(self, alpha: float) -> tuple[float, float, np.ndarray]:
-        best, slope, vec, stacked, solo = np.inf, 0.0, None, None, None
-        for const, linear, low, high in self.stacks:
+        best, slope, vec, stacked, solo, origin = np.inf, 0.0, None, None, None, None
+        for (const, linear, low, high), origins in zip(self.stacks, self._stack_origins):
             lowest = np.linalg.eigvalsh(const + alpha * linear)[:, 0]
             scaled = np.where(lowest < 0.0, high, low) * lowest
             b = int(np.argmin(scaled))
             if scaled[b] < best:
-                best, stacked = scaled[b], (const[b], linear[b], low[b], high[b])
-        for const, term, low, high in self.solos:
+                best, stacked, origin = scaled[b], (const[b], linear[b], low[b], high[b]), origins[b]
+        for (const, term, low, high), index in zip(self.solos, self._solo_origins):
             lam, v = _solo_lowest_pair(const, term, alpha, self._work(const))
             pref = high if lam < 0.0 else low
             if pref * lam < best:
-                best, vec, stacked, solo = pref * lam, v, None, (term, pref)
+                best, vec, stacked, solo, origin = pref * lam, v, None, (term, pref), index
         if solo is not None:
             term, pref = solo
             slope = pref * _term_form(vec.reshape(-1, len(term)), term)
@@ -438,7 +453,7 @@ class BlockProbe:
             vals, vecs = np.linalg.eigh(const + alpha * linear)
             pref, vec = (high if vals[0] < 0.0 else low), vecs[:, 0]
             best, slope = pref * vals[0], pref * (vec @ linear @ vec)
-        return float(best), float(slope), vec
+        return float(best), float(slope), self._lifted(origin, vec)
 
     def pencil_tops(self) -> list[tuple[float, float]]:
         """(r, g) of every block, as `linalg.pencil_bracket` takes them; LinAlgError if a linear part is singular.
@@ -485,23 +500,23 @@ class BlockProbe:
         if self._pencil_vectors is None:
             raise ValueError("rayleigh_bound needs the pencil vectors of pencil_tops()")
         stack_vectors, solo_vectors = self._pencil_vectors
-        best, vec = np.inf, None
-        for (const, linear, low, high), vectors in zip(self.stacks, stack_vectors):
+        best, vec, origin = np.inf, None, None
+        for (const, linear, low, high), vectors, origins in zip(self.stacks, stack_vectors, self._stack_origins):
             products = np.matmul(const + alpha * linear, vectors[:, :, None])[:, :, 0]
             quotients = np.sum(vectors * products, axis=1) / np.sum(vectors * vectors, axis=1)
             scaled = np.where(quotients < 0.0, high, low) * quotients
             b = int(np.argmin(scaled))
             if scaled[b] < best:
-                best, vec = scaled[b], vectors[b]
-        for (const, term, low, high), x in zip(self.solos, solo_vectors):
+                best, vec, origin = scaled[b], vectors[b], origins[b]
+        for (const, term, low, high), x, index in zip(self.solos, solo_vectors, self._solo_origins):
             # const x on LAPACK's BLAS, as _term_form; const.T is Fortran-ordered, so gemv reads it in place
             const_x = scipy.linalg.blas.get_blas_funcs("gemv", (const,))(1.0, const.T, x, trans=1)
             form = np.vdot(x, const_x).real + alpha * _term_form(x.reshape(-1, len(term)), term)
             quotient = form / np.vdot(x, x).real
             scaled = (high if quotient < 0.0 else low) * quotient
             if scaled < best:
-                best, vec = scaled, x
-        return float(best), vec / np.linalg.norm(vec)
+                best, vec, origin = scaled, x, index
+        return float(best), self._lifted(origin, vec / np.linalg.norm(vec))
 
 
 def werner_probe(gamma: float, d: int, n: int, k: int) -> BlockProbe:
@@ -514,3 +529,256 @@ def werner_probe(gamma: float, d: int, n: int, k: int) -> BlockProbe:
         (const, term, min(one_dim) ** (n - len(mus)), max(one_dim) ** (n - len(mus)))
         for mus, _, _, const, term in werner_blocks(gamma, d, n, k)
     )
+
+
+# ---------------------------------------------------------------------------
+# blocks of any state's probe: permutations of the extension pairs x the output qubits' SU(2)
+
+
+def _product(a: np.ndarray, b: np.ndarray, transpose_a: bool = False) -> np.ndarray:
+    """a @ b, or a^T @ b, C-ordered, for C-ordered a and b, on scipy's BLAS.
+
+    A C-ordered matrix is its Fortran-ordered transpose, so gemm forms the
+    transposed product b^T op(a)^T with no copy.  numpy's own BLAS would
+    start its own thread pool on these few hundred rows (+5 MB peak RSS).
+    """
+    gemm = scipy.linalg.blas.get_blas_funcs("gemm", (a, b))
+    return gemm(1.0, b.T, a.T, trans_b=int(transpose_a)).T
+
+
+@functools.lru_cache(maxsize=None)
+def spin_basis(k: int, two_j: int) -> np.ndarray:
+    """Q_J: a real isometry from the qubits (s, x0..xk), s first, onto the highest-weight vectors of spin J = two_j / 2; read-only.
+
+    The probe commutes with U_s (x) conj(U)_x0 (x) ... (x) conj(U)_xk, since
+    (U (x) conj(U)) Phi+ = Phi+.  Its generators are J_a = (sigma_a^(s) -
+    sum_i conj(sigma_a)^(x_i)) / 2: J_z is diagonal, and J_+ = sigma_+^(s) -
+    sum_i sigma_-^(x_i) is real.  The columns span the kernel of J_+ on the
+    J_z = J states, where J_- J_+ has eigenvalues J'(J'+1) - J(J+1), 0 for
+    J' = J and at least 2 above.  Their number is m_J = f^nu, nu = ((k+2)/2 +
+    J, (k+2)/2 - J).
+    """
+    qubits = k + 2
+    states = np.arange(2**qubits)
+    bits = (states[:, None] >> np.arange(qubits - 1, -1, -1)) & 1
+    twice_jz = (1 - 2 * bits[:, 0]) - np.sum(1 - 2 * bits[:, 1:], axis=1)
+    columns, rows = np.flatnonzero(twice_jz == two_j), np.flatnonzero(twice_jz == two_j + 2)
+    row_of = {int(state): i for i, state in enumerate(rows)}
+    raising = np.zeros((len(rows), len(columns)))
+    for c, state in enumerate(columns):
+        for t, sign in enumerate([1.0] + [-1.0] * (qubits - 1)):
+            if bits[state, t] == (1 if t == 0 else 0):  # sigma_+ = |0><1| on s, sigma_- = |1><0| on each x
+                raising[row_of[int(state ^ (1 << (qubits - 1 - t)))], c] += sign
+    vals, vecs = scipy.linalg.eigh(raising.T @ raising)
+    basis = np.zeros((len(states), int(np.sum(vals < 0.5))))
+    basis[columns] = vecs[:, vals < 0.5]
+    basis.setflags(write=False)
+    return basis
+
+
+def _qubit_swap(spin: np.ndarray, k: int, a: int, b: int) -> np.ndarray:
+    """The columns of spin with the qubits x_a and x_b exchanged."""
+    tensor = spin.reshape((2,) * (k + 2) + (-1,))
+    return np.ascontiguousarray(np.swapaxes(tensor, 1 + a, 1 + b)).reshape(spin.shape)
+
+
+def _spin_bell(spin: np.ndarray, k: int, i: int, entry: float) -> np.ndarray:
+    """Phi_i^J = Q_J^T Phi+_{s,x_i} Q_J, entry being Phi+'s entries on (s, x_i) = 00 and 11."""
+    tensor = spin.reshape((2,) * (k + 2) + (-1,))
+    slices = [(bit,) + (slice(None),) * i + (bit,) for bit in (0, 1)]  # (s, x_i) = 00 and 11
+    half = entry * (tensor[slices[0]] + tensor[slices[1]])
+    product = np.zeros_like(tensor)
+    for where in slices:
+        product[where] = half
+    return spin.T @ product.reshape(spin.shape)
+
+
+def _pair_split(vectors: np.ndarray, tensor: tuple[int, ...], i: int) -> np.ndarray:
+    """Columns with rows (m, X0..Xk) as a matrix with rows (m, X_j for j != i) and columns (X_i, column)."""
+    moved = np.moveaxis(vectors.reshape(tensor + (-1,)), 1 + i, -2)
+    return np.ascontiguousarray(moved).reshape(-1, tensor[1 + i] * vectors.shape[1])
+
+
+def _pair_transposition(vectors: np.ndarray, rotation: np.ndarray, tensor: tuple[int, ...], a: int, b: int) -> np.ndarray:
+    """The pair transposition (a b) on V_J applied to columns with rows (m, X0..Xk): rotation on m, X_a and X_b exchanged."""
+    out = _product(rotation, vectors.reshape(tensor[0], -1)).reshape(tensor + (-1,))
+    return np.ascontiguousarray(np.swapaxes(out, 1 + a, 1 + b)).reshape(len(vectors), -1)
+
+
+def _pair_bases(spin: np.ndarray, tensor: tuple[int, ...], k: int) -> dict:
+    """{lambda: basis} over lambda |- k + 1 with a nonzero basis: V_J's Jucys-Murphy eigenspace at lambda's row-reading tableau.
+
+    Built one box at a time, for every tableau prefix of one size at once.
+    Box j's element X_j = sum_{a<j} (a j) is solved on the span of its
+    parent's basis, whose children are the parent with box j ending its
+    last row or starting a new one, at content (row length - 1) - row.  Box
+    1's eigenspaces are written down from those of its two factors, so the
+    largest eigensolve is box 2's, on one of them.  LAPACK's divide and
+    conquer (evd) took a quarter of the time of the default (evr) on these
+    clustered integer spectra.
+    """
+    d = tensor[1]
+    rotations = {(a, b): spin.T @ _qubit_swap(spin, k, a, b) for b in range(k + 1) for a in range(b)}
+    # box 1: (0 1) = R (x) P_X0X1 has eigenvalue +1 on (R = +1, P symmetric) + (R = -1, P antisymmetric), -1 on the
+    # other two, so these eigenspaces need no eigensolve of V_J's size
+    signs, rotation_vectors = scipy.linalg.eigh(rotations[0, 1])
+    pairs = [(a, b) for a in range(d) for b in range(a, d)]
+    halves = {1.0: np.zeros((d * d, len(pairs))), -1.0: np.zeros((d * d, len(pairs) - d))}
+    for c, (a, b) in enumerate(pairs):
+        halves[1.0][[a * d + b, b * d + a], c] = math.sqrt(0.5) if a < b else (1.0, 1.0)
+    for c, (a, b) in enumerate((a, b) for a, b in pairs if a < b):
+        halves[-1.0][[a * d + b, b * d + a], c] = (math.sqrt(0.5), -math.sqrt(0.5))
+    rest = _identity(d ** (k - 1))
+    level = {}
+    for shape, sign in (((2,), 1.0), ((1, 1), -1.0)):
+        parts = [_kron(_kron(rotation_vectors[:, signs * s > 0], halves[s * sign]), rest) for s in (1.0, -1.0)]
+        if sum(part.shape[1] for part in parts):
+            level[shape] = np.ascontiguousarray(np.concatenate(parts, axis=1))
+    for box in range(2, k + 1):
+        following = {}
+        for parent, previous in level.items():
+            jucys = sum(_pair_transposition(previous, rotations[a, box], tensor, a, box) for a in range(box))
+            vals, vecs = scipy.linalg.eigh(
+                _product(previous, jucys, transpose_a=True), driver="evd", overwrite_a=True, check_finite=False
+            )
+            extend = [parent[:-1] + (parent[-1] + 1,)] if len(parent) == 1 or parent[-1] < parent[-2] else []
+            for shape in extend + [parent + (1,)]:
+                step = np.ascontiguousarray(vecs[:, np.abs(vals - (shape[-1] - len(shape))) < 0.5])
+                if step.shape[1]:
+                    following[shape] = _product(previous, step)
+        level = following
+    return level
+
+
+@functools.lru_cache(maxsize=None)
+def pair_spin_sectors(d: int, k: int) -> tuple:
+    """(two_j, lam, basis, const_form, term_form) for every (J, lambda) block of the probe with extended-party dimension d.
+
+    The probe commutes with the spin generators of `spin_basis`, so on the
+    highest-weight vectors of spin J it is sum_i rho_i (x) (alpha I -
+    Phi_i^J) on V_J = (X0..Xk) (x) R^(m_J), each eigenvalue repeated 2J + 1
+    times.  A permutation of the k + 1 extension pairs acts on V_J as the
+    permutation of the X factors times Q_J^T P Q_J on the qubits.  basis,
+    rows (m, X0..Xk), spans the joint eigenspace of its Jucys-Murphy elements
+    X_j = sum_{a<j} (a j) at the contents of lambda's row-reading tableau,
+    found one box at a time: each X_j is solved on the span of the previous
+    box's eigenvectors.  So it holds one vector of every copy of the irrep
+    lambda in V_J, and the probe restricted to I_S (x) basis has every
+    eigenvalue of that part of the probe, each f^lambda (2J + 1) times.
+
+    The forms do not depend on the state: with A_i = basis split by pair i
+    (`_pair_split`) and B_i the same of Phi_i^J basis, const_form = sum_i A_i^T
+    B_i and term_form = sum_i A_i^T A_i, entries (x, a, x', b) stored as
+    ((x, x'), (a, b)).  A state's block entries are then sum_{x, x'} rho[s, x,
+    s', x'] form[(x, x'), (a, b)] (`pair_spin_blocks`).  Only lambda with a
+    nonzero basis appear.  Made once per (d, k): the largest eigensolve is on
+    an eigenspace of (0 1), of at most m_J d^(k+1) rows.
+    """
+    sectors, entry = [], bell_state("phi_plus", 2).matrix[0, 0]  # (1/sqrt(2))^2, as the probe's other builders take it
+    for nu in partitions(k + 2, 2):
+        two_j = nu[0] - (nu[1] if len(nu) > 1 else 0)
+        spin = spin_basis(k, two_j)
+        m = spin.shape[1]
+        tensor = (m,) + (d,) * (k + 1)
+        rows = m * d ** (k + 1)
+        bases = _pair_bases(spin, tensor, k)
+        bells = [_spin_bell(spin, k, i, entry) for i in range(k + 1)]
+        for lam in (lam for lam in partitions(k + 1, k + 1) if lam in bases):
+            vectors = bases[lam]
+            r = vectors.shape[1]
+            const = np.zeros((d * r, d * r))
+            term = np.zeros((d * r, d * r))
+            for i, bell in enumerate(bells):
+                split = _pair_split(vectors, tensor, i)
+                term += _product(split, split, transpose_a=True)
+                bell_split = _pair_split(_product(bell, vectors.reshape(m, -1)).reshape(rows, r), tensor, i)
+                const += _product(split, bell_split, transpose_a=True)
+            forms = []
+            for form in (const, term):
+                form = (0.5 * (form + form.T)).reshape(d, r, d, r).transpose(0, 2, 1, 3)
+                forms.append(np.ascontiguousarray(form).reshape(d * d, r * r))
+                forms[-1].setflags(write=False)
+            vectors.setflags(write=False)
+            sectors.append((two_j, lam, vectors, *forms))
+    return tuple(sectors)
+
+
+@functools.lru_cache(maxsize=None)
+def _character(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    """The character of the symmetric-group irrep shape at a permutation with these cycle lengths (the rest fixed)."""
+    adjacent = young_orthogonal_form(shape)
+    product, start = _identity(len(adjacent[0]) if adjacent else 1), 0
+    for length in cycles:
+        for j in range(start, start + length - 1):  # (start .. start+length-1) = s_start s_start+1 ...
+            product = product @ adjacent[j]
+        start += length
+    return round(float(np.trace(product)))
+
+
+@functools.lru_cache(maxsize=None)
+def pair_spin_rows(d_s: int, d: int, k: int) -> int:
+    """Rows of the largest matrix `pair_spin_probe` forms, from dimensions alone: no array of the probe's size.
+
+    That is each spin sector's bases, m_J d^(k+1) rows, and each block,
+    max(d_s, d) r_{J,lambda} rows for its forms and its state entries.  r_{J,lambda}, the multiplicity of lambda in
+    V_J, is the character inner product sum over cycle types c of k + 1 of
+    chi_lambda(c) d^len(c) chi_nu(c) / z_c, where nu is J's two-row label of
+    S_(k+2), whose last letter, s, every pair permutation fixes.
+    """
+    rows = 0
+    types = partitions(k + 1, k + 1)
+    centralizer = {c: math.prod(length ** c.count(length) * math.factorial(c.count(length)) for length in set(c)) for c in types}
+    order = math.factorial(k + 1)
+    for nu in partitions(k + 2, 2):
+        rows = max(rows, specht_dim(nu) * d ** (k + 1))
+        for lam in types:
+            count = sum(order // centralizer[c] * _character(lam, c) * d ** len(c) * _character(nu, c) for c in types)
+            rows = max(rows, max(d_s, d) * count // order)
+    return rows
+
+
+def pair_spin_blocks(rho: np.ndarray, d_s: int, d: int, k: int):
+    """Yield (two_j, lam, const, term): block (J, lambda) of the probe sum_i rho_{S,X_i} (x) (alpha I - Phi+)_{s,x_i}.
+
+    rho is the d_s d x d_s d state on (S, X), the fused state of
+    `solver.ProbeAssembly`.  The block is W^dag P(alpha) W = const + alpha
+    term with W = I_S (x) Q_J basis, rows (S, basis column), on the probe's
+    scale, in the order of `pair_spin_sectors`.  Its entries are one scipy
+    gemm of rho, real and imaginary parts stacked, against the sector's
+    cached forms.  Every block's eigenvalues are the probe's, each repeated
+    f^lambda (2J + 1) times, and together they are the whole spectrum.
+    """
+    pairs = rho.reshape(d_s, d, d_s, d).transpose(0, 2, 1, 3).reshape(d_s * d_s, d * d)
+    stacked = np.concatenate([pairs.real, pairs.imag]) if np.iscomplexobj(rho) else np.ascontiguousarray(pairs)
+
+    def entries(form: np.ndarray, r: int) -> np.ndarray:
+        product = _product(stacked, form)
+        if np.iscomplexobj(rho):
+            product = product[: d_s * d_s] + 1j * product[d_s * d_s :]
+        return np.ascontiguousarray(product.reshape(d_s, d_s, r, r).transpose(0, 2, 1, 3)).reshape(d_s * r, -1)
+
+    for two_j, lam, vectors, const_form, term_form in pair_spin_sectors(d, k):
+        r = vectors.shape[1]
+        yield two_j, lam, -entries(const_form, r), entries(term_form, r)
+
+
+def pair_spin_probe(rho: np.ndarray, d_s: int, d: int, k: int) -> BlockProbe:
+    """The dense backend's probe: `pair_spin_blocks` as a BlockProbe (low = high = 1), every block kept.
+
+    That includes J = (k+2)/2, whose Bell term is 0: its block alpha term is
+    never negative, but it can hold lambda_min near alpha = 1.  Vectors are
+    lifted through W into `solver.ProbeAssembly`'s layout (S, X0..Xk, s,
+    x0..xk): a block vector u, rows (S, column), becomes sum_b u[S, b] Q_J
+    basis[:, b].
+    """
+    sectors = pair_spin_sectors(d, k)
+
+    def lift(index: int, vec: np.ndarray) -> np.ndarray:
+        two_j, _, vectors, _, _ = sectors[index]
+        spin = spin_basis(k, two_j)
+        # (m, X, S) from the block's (S, column), then (qubits, X, S) -> (S, X, qubits)
+        mixed = _product(vectors, np.ascontiguousarray(vec.reshape(d_s, -1).T))
+        full = _product(spin, mixed.reshape(spin.shape[1], -1))
+        return np.ascontiguousarray(full.reshape(len(spin), -1, d_s).transpose(2, 1, 0)).reshape(-1)
+
+    return BlockProbe([(const, term, 1.0, 1.0) for *_, const, term in pair_spin_blocks(rho, d_s, d, k)], lift)

@@ -61,11 +61,6 @@ SIDES = ("bob", "alice")
 # per side, the spectator S and the extended party X as indices into the state's (A, B)
 PARTY_ORDER = {"bob": (0, 1), "alice": (1, 0)}
 BACKENDS = ("auto", "dense", "iterative", "schur_weyl")
-# auto: dense below this probe dimension; at 384, ARPACK lost to dense on 5 of 5 full-rank states, by 1.1-4.5x (2 cores)
-AUTO_ITERATIVE_MIN_DIM = 512
-# auto, below DENSE_DIM_LIMIT: iterative only if (lambda_min(rho) / lambda_max(rho))^n is at
-# least this; below it the probe has a cluster of eigenvalues near 0 where Lanczos stalls
-AUTO_ITERATIVE_MIN_CONDITION = 3e-3
 
 
 class SingularOutputError(RuntimeError):
@@ -117,8 +112,10 @@ class ThresholdResult:
     a unit vector v with v^dag P(alpha_star) v = lambda_residual, ordered
     like ProbeAssembly(problem).layout, spectator first: the probe's
     eigenvector where lambda_residual is lambda_min, the pencil vector or the
-    loose vector where it is a Rayleigh bound.  certificate is None on schur_weyl, whose
-    vectors are a block's, or when no alpha was certified negative.
+    loose vector where it is a Rayleigh bound.  On dense it is the winning
+    block's vector lifted into that layout by blocks.pair_spin_probe.
+    certificate is None on schur_weyl, whose vectors are a block's, or when
+    no alpha was certified negative.
     On schur_weyl, lambda_residual and every sample are on the blocks' scale,
     (d^2 + gamma d)^n times the probe eigenvalue: TOL_EIG is absolute, and at
     n = 8, d = 3 the probe-scale value is -4.4e-14 to -1.6e-10.
@@ -158,11 +155,8 @@ class KExtProblem:
             raise ValueError(f"side must be one of {SIDES}")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
-        if self.backend == "dense" and self.total_dim > DENSE_DIM_LIMIT:
-            raise ValueError(
-                f"dense backend limited to dimension {DENSE_DIM_LIMIT}, "
-                f"this problem has {self.total_dim}"
-            )
+        if self.backend == "dense" and (rows := self.largest_dense_block()) > DENSE_DIM_LIMIT:
+            raise ValueError(f"dense limited to matrices of {DENSE_DIM_LIMIT} rows, this problem's largest has {rows}")
         if self.backend == "schur_weyl" and (rows := self.largest_werner_block()) > DENSE_DIM_LIMIT:
             raise ValueError(f"schur_weyl limited to pieces of {DENSE_DIM_LIMIT} rows, this problem's largest has {rows}")
 
@@ -210,33 +204,35 @@ class KExtProblem:
             raise ValueError("state is not a Werner state")
         return blocks.largest_block(self.werner_params.d, self.n, self.k)
 
+    def largest_dense_block(self) -> int:
+        """Rows of the largest matrix the dense probe (`blocks.pair_spin_probe`) forms, from dimensions alone."""
+        d_s, d_x = (d**self.n for d in self.input_dims)
+        return blocks.pair_spin_rows(d_s, d_x, self.k)
+
     def resolved_backend(self) -> str:
         """The backend a solve uses.
 
         `auto` takes schur_weyl for a Werner state whose largest piece fits
-        DENSE_DIM_LIMIT, and otherwise decides from the probe dimension and
-        the state's spectrum.
+        DENSE_DIM_LIMIT, then dense for any state whose largest dense matrix
+        fits it, and iterative past both caps.
         """
         if self.backend != "auto":
             return self.backend
         if self.werner_params is not None and self.largest_werner_block() <= DENSE_DIM_LIMIT:
             return "schur_weyl"
-        if self.total_dim >= DENSE_DIM_LIMIT:
-            return "iterative"
-        if self.total_dim < AUTO_ITERATIVE_MIN_DIM:
-            return "dense"
-        spectrum = self.state.spectrum
-        condition = max(float(spectrum[0] / spectrum[-1]), 0.0) ** self.n
-        return "iterative" if condition >= AUTO_ITERATIVE_MIN_CONDITION else "dense"
+        return "dense" if self.largest_dense_block() <= DENSE_DIM_LIMIT else "iterative"
 
     def probe(self) -> blocks.BlockProbe | ProbeAssembly:
         """A new probe of the resolved backend, with lambda_min(alpha) -> (value, slope, vector) and pencil_tops().
 
-        dense: its dense pieces as one blocks.BlockProbe block; schur_weyl: blocks.werner_probe; iterative: ProbeAssembly.
+        dense: blocks.pair_spin_probe, one block per (spin J, pair-permutation irrep lambda), whose vectors it lifts
+        into ProbeAssembly's layout; schur_weyl: blocks.werner_probe; iterative: ProbeAssembly.
         """
         backend = self.resolved_backend()
         if backend == "dense":
-            return blocks.BlockProbe([(*ProbeAssembly(self).dense_pieces(), 1.0, 1.0)])
+            d_s, d_x = (d**self.n for d in self.input_dims)
+            rho = _fuse_copies(self.state.matrix.T, self.state.layout.dims, self.n, PARTY_ORDER[self.side])
+            return blocks.pair_spin_probe(rho, d_s, d_x, self.k)
         if backend == "schur_weyl":
             params = self.werner_params  # rho_BA = rho_AB, so either side
             return blocks.werner_probe(params.gamma, params.d, self.n, self.k)
@@ -572,7 +568,8 @@ def fidelity_threshold(problem: KExtProblem, tol_alpha: float = DEFAULT_TOL_ALPH
             exact = True
         samples.append((alpha, value, slope))
         if value < -TOL_EIG:
-            # threshold_sup moves its lower end here, so this sample certifies it; a block vector is no probe vector
+            # threshold_sup moves its lower end here, so this sample certifies it; a Werner block vector is no probe
+            # vector, while the dense probe lifts its block vectors into the probe's layout
             residual, certificate = value, None if backend == "schur_weyl" else vec
         return value, slope, exact
 

@@ -152,14 +152,16 @@ def check_schur_weyl_vs_s3() -> CheckResult:
 def check_iterative_vs_dense() -> CheckResult:
     """ARPACK against dense solves: lambda_min on an alpha grid, and alpha* against the dense backend's.
 
-    Each iterative alpha* must also be certified and tight by dense solves,
-    lambda_min(alpha*) < -TOL_EIG and lambda_min(min(1, alpha* + tol_alpha))
-    >= -TOL_EIG, so that neither rests on the search's own ARPACK samples.
+    The dense solves are eig_min_dense of ProbeAssembly.dense, the reference
+    probe that no backend samples.  Each iterative alpha* must also be
+    certified and tight by them, lambda_min(alpha*) < -TOL_EIG and
+    lambda_min(min(1, alpha* + tol_alpha)) >= -TOL_EIG, so that neither rests
+    on the search's own ARPACK samples.
     """
     rng = np.random.default_rng(11)
     worst, worst_lambda, unsound = 0.0, 0.0, []
     # Werner at dim 256, where lambda_min crosses 0 at alpha* = 0.75, a complex state at dim 64,
-    # and two copies of a full-rank Werner state at dim 512, which auto sends to ARPACK
+    # and two copies of a full-rank Werner state at dim 512
     problems = (
         KExtProblem.for_werner(d=2, gamma=-0.5, k=2),
         KExtProblem(state=_random_state(rng, 2, 2), k=1),
@@ -167,16 +169,19 @@ def check_iterative_vs_dense() -> CheckResult:
     )
     for prob in problems:
         iterative, dense = replace(prob, backend="iterative"), replace(prob, backend="dense")
-        # one probe per backend, so the dense probe is assembled once for the whole grid
-        solve_iterative, solve_dense = iterative.probe().lambda_min, dense.probe().lambda_min
+        # one probe and one assembly, so the reference pieces are assembled once for the whole grid
+        solve_iterative, assembly = iterative.probe().lambda_min, solver.ProbeAssembly(prob)
+
+        def solve_dense(alpha: float) -> float:
+            return eig_min_dense(assembly.dense(alpha))
+
         for a in (0.25, 0.5, 0.75, 1.0):
-            gap = solve_iterative(a)[0] - solve_dense(a)[0]
-            worst_lambda = max(worst_lambda, abs(gap))
+            worst_lambda = max(worst_lambda, abs(solve_iterative(a)[0] - solve_dense(a)))
         alpha_star = fidelity_threshold(iterative).alpha_star
         worst = max(worst, abs(alpha_star - fidelity_threshold(dense).alpha_star))
         above = min(1.0, alpha_star + solver.DEFAULT_TOL_ALPHA)
-        certified = alpha_star == 0.0 or solve_dense(alpha_star)[0] < -solver.TOL_EIG
-        tight = above == alpha_star or solve_dense(above)[0] >= -solver.TOL_EIG
+        certified = alpha_star == 0.0 or solve_dense(alpha_star) < -solver.TOL_EIG
+        tight = above == alpha_star or solve_dense(above) >= -solver.TOL_EIG
         if not (certified and tight):
             unsound.append(alpha_star)
     passed = worst <= 1e-6 and worst_lambda <= 1e-9 and not unsound
@@ -225,6 +230,40 @@ def check_schur_weyl_vs_probe() -> CheckResult:
     passed = worst <= 1e-6 and worst_lambda <= 1e-10
     details = {"lambda_gap": worst_lambda, "lambda_tol": 1e-10, "reference_alpha_stars": references}
     return CheckResult("schur_weyl_vs_probe", passed, worst, 1e-6, details)
+
+
+def check_pair_spin_blocks() -> CheckResult:
+    """The dense backend's pair x spin blocks against the reference probe, and a k = 3 alpha* against ARPACK.
+
+    At k = 2, on both sides of a complex 2 x 3 state and a rank-3 one, the
+    blocks' lambda_min matches eig_min_dense of ProbeAssembly.dense on an
+    alpha grid, as a share of the probe's norm bound.  At k = 3 (bob, 5184
+    dimensions, past the reference pieces' cap) the blocks' alpha* must be
+    certified by its lifted certificate, one ProbeAssembly.handle matvec:
+    v^dag P(alpha*) v < -TOL_EIG for a unit v.  And it must be tight by a
+    cold ARPACK solve: lambda_min(alpha* + tol_alpha) >= -TOL_EIG.
+    """
+    rng = np.random.default_rng(26)
+    states = [_random_state(rng, 2, 3)]
+    g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    states.append(from_matrix(g @ g.conj().T, layout(("A", 2), ("B", 3))))
+    worst = 0.0
+    for state in states:
+        for side in solver.SIDES:
+            problem = KExtProblem(state=state, k=2, side=side, backend="dense")
+            solve, assembly = problem.probe().lambda_min, solver.ProbeAssembly(problem)
+            for a in (0.25, 0.5, 0.75, 0.95, 1.0):
+                worst = max(worst, abs(solve(a)[0] - eig_min_dense(assembly.dense(a))) / assembly.norm_bound)
+    problem = KExtProblem(state=states[0], k=3)
+    result = fidelity_threshold(problem)
+    assembly = solver.ProbeAssembly(problem)
+    v = result.certificate
+    quotient = float(np.vdot(v, assembly.handle(result.alpha_star).apply(v)).real) / float(np.vdot(v, v).real)
+    above = min(1.0, result.alpha_star + solver.DEFAULT_TOL_ALPHA)
+    lam_above = assembly.lambda_min(above)[0]
+    sound = result.backend == "dense" and quotient < -solver.TOL_EIG and lam_above >= -solver.TOL_EIG
+    details = {"alpha_star_k3": result.alpha_star, "certificate_quotient": quotient, "arpack_lambda_above": lam_above}
+    return CheckResult("pair_spin_blocks", worst <= 1e-12 and sound, worst, 1e-12, details)
 
 
 def check_pencil_vs_newton() -> CheckResult:
@@ -388,6 +427,7 @@ ALL_CHECKS = (
     check_schur_weyl_vs_s3,
     check_iterative_vs_dense,
     check_schur_weyl_vs_probe,
+    check_pair_spin_blocks,
     check_pencil_vs_newton,
     check_many_copy_growth,
     check_lambda_monotone_alpha,

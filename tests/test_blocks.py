@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import time
 import warnings
 from collections import Counter
 
@@ -515,7 +516,9 @@ def test_dense_pencil_bracket_is_closed_by_newton_steps():
     result = fidelity_threshold(problem, tol_alpha)
     newton = newton_from_unit_interval(problem, tol_alpha)
     assert result.backend == "dense" and result.samples[0][0] > 0.0  # no restart on [0, 1]
-    assert newton <= result.alpha_star <= newton + tol_alpha
+    # both searches end within tol_alpha below the -TOL_EIG crossing; here the bracket's lower end is certified
+    # and its closing sample is not, so alpha* is that lower end, 5.3e-9 below Newton's
+    assert abs(result.alpha_star - newton) <= tol_alpha
     assert lambda_min_alpha(problem, result.alpha_star) < -TOL_EIG
     assert lambda_min_alpha(problem, min(1.0, result.alpha_star + tol_alpha)) >= -TOL_EIG
 
@@ -589,5 +592,113 @@ def test_small_complex_dense_probe_is_solved_as_a_complex_solo():
     for state, stacks in ((complex_state, 0), (real_state, 1)):
         const, linear = solver.ProbeAssembly(KExtProblem(state=state, k=1)).dense_pieces()
         assert len(const) == 16 and len(BlockProbe([(const, linear, 1.0, 1.0)]).stacks) == stacks
-    assert complex_result.alpha_star == 0.749999993318122
+    # the dense probe's blocks are complex too, so solos; from the pair x spin blocks' bracket, where one dense
+    # block gave 0.749999993318122
+    assert not KExtProblem(state=complex_state, k=1, backend="dense").probe().stacks
+    assert complex_result.alpha_star == 0.7499999969422549
     assert abs(real_result.alpha_star - 0.7499999969999673) <= 1e-12
+
+
+
+# ---------------------------------------------------------------------------
+# the dense backend's blocks: extension-pair permutations x the output qubits' SU(2)
+
+
+def random_state_of(rows, rank, dims, seed, real=False, eps=0.0):
+    """A random state on dims of this rank, mixed with eps I; real entries if real."""
+    from kextdistill.linalg import layout
+    from kextdistill.states import from_matrix
+
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((rows, rank)) + (0.0 if real else 1j * rng.standard_normal((rows, rank)))
+    rho = g @ g.conj().T
+    rho = (1.0 - eps) * rho / np.trace(rho).real + eps * np.eye(rows) / rows
+    return from_matrix(0.5 * (rho + rho.conj().T), layout(("A", dims[0]), ("B", dims[1])))
+
+
+def reference_2x3(rank, eps=0.0):
+    """perfbench's complex reference state of this rank on 2 x 3 (drawn from seed [1109, rank]), mixed with eps I/6."""
+    return random_state_of(6, rank, (2, 3), [1109, rank], eps=eps)
+
+
+# (state, n, k, side): real and complex states, both sides, n = 1 and 2, k = 1 to 3 wherever
+# ProbeAssembly.dense fits, and rank-deficient states
+PAIR_SPIN_CASES = {
+    "complex-k1-bob": (reference_2x3(6), 1, 1, "bob"),
+    "complex-k2-bob": (reference_2x3(6), 1, 2, "bob"),
+    "complex-k2-alice": (reference_2x3(6), 1, 2, "alice"),
+    "complex-k3-alice": (reference_2x3(6), 1, 3, "alice"),
+    "rank3-k2-bob": (reference_2x3(3), 1, 2, "bob"),
+    "rank1-k3-bob": (random_state_of(4, 1, (2, 2), 5), 1, 3, "bob"),
+    "real-k1-bob": (random_state_of(4, 4, (2, 2), 26, real=True), 1, 1, "bob"),
+    "real-k3-alice": (random_state_of(6, 6, (2, 3), 26, real=True), 1, 3, "alice"),
+    "real-n2-k1-alice": (random_state_of(4, 4, (2, 2), 27, real=True), 2, 1, "alice"),
+    "complex-n2-k1-bob": (random_state_of(4, 3, (2, 2), 28), 2, 1, "bob"),
+}
+
+
+@pytest.mark.parametrize("case", PAIR_SPIN_CASES)
+def test_pair_spin_blocks_repeat_to_the_probe_spectrum(case):
+    # each block's eigenvalues repeated f^lambda (2J + 1) times are the whole spectrum of the reference probe
+    state, n, k, side = PAIR_SPIN_CASES[case]
+    problem = KExtProblem(state=state, n=n, k=k, side=side, backend="dense")
+    assembly = solver.ProbeAssembly(problem)
+    d_s, d_x = (d**n for d in problem.input_dims)
+    built = list(blocks_mod.pair_spin_blocks(assembly.rho_fused, d_s, d_x, k))
+    assert {(two_j, lam) for two_j, lam, *_ in built} <= {
+        (nu[0] - sum(nu[1:]), lam) for nu in partitions(k + 2, 2) for lam in partitions(k + 1, k + 1)
+    }
+    assert all(np.iscomplexobj(const) == (not assembly.is_real) for *_, const, _ in built)
+    assert problem.largest_dense_block() >= max(len(const) for *_, const, _ in built)
+    probe = problem.probe()
+    tol = 1e-12 * assembly.norm_bound
+    for alpha in (0.5, 0.95, 1.0):
+        spectrum = np.sort(np.concatenate([
+            np.repeat(np.linalg.eigvalsh(const + alpha * term), specht_dim(lam) * (two_j + 1))
+            for two_j, lam, const, term in built
+        ]))
+        reference = np.linalg.eigvalsh(assembly.dense(alpha).entries)
+        assert len(spectrum) == len(reference) and np.abs(spectrum - reference).max() <= tol, alpha
+        lam, slope, v = probe.lambda_min(alpha)
+        assert abs(lam - reference[0]) <= tol
+        # the lifted vector is a unit eigenvector of the probe, in ProbeAssembly's layout
+        pv = assembly.handle(alpha).apply(v)
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12 and np.linalg.norm(pv - lam * v) <= 1e-10
+
+
+@pytest.mark.parametrize("d_s, d, k", [(2, 3, 1), (3, 2, 2), (2, 3, 3), (3, 2, 4), (4, 4, 1), (1, 1, 3)])
+def test_pair_spin_rows_count_the_blocks_from_dimensions_alone(d_s, d, k):
+    # the character count of each (J, lambda) multiplicity against the Jucys-Murphy bases themselves
+    sectors = blocks_mod.pair_spin_sectors(d, k)
+    rows = {two_j: blocks_mod.spin_basis(k, two_j).shape[1] * d ** (k + 1) for two_j, *_ in sectors}
+    assert sum(specht_dim(lam) * basis.shape[1] for _, lam, basis, *_ in sectors) == sum(rows.values())
+    largest = max(max(rows.values()), *(max(d_s, d) * basis.shape[1] for _, _, basis, *_ in sectors))
+    assert blocks_mod.pair_spin_rows(d_s, d, k) == largest
+    for _, _, basis, *_ in sectors:
+        assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["complex-k2-bob", "rank1-k3-bob", "real-n2-k1-alice"])
+def test_dense_certificate_is_a_lifted_probe_vector(case):
+    # v^dag P(alpha*) v = lambda_residual through the matrix-free handle, for a unit v in ProbeAssembly's layout
+    state, n, k, side = PAIR_SPIN_CASES[case]
+    problem = KExtProblem(state=state, n=n, k=k, side=side)
+    result = fidelity_threshold(problem)
+    assert result.backend == "dense" and result.alpha_star > 0.0
+    v = result.certificate
+    pv = solver.ProbeAssembly(problem).handle(result.alpha_star).apply(v)
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert abs(np.vdot(v, pv).real - result.lambda_residual) <= 1e-12 and result.lambda_residual < -TOL_EIG
+
+
+def test_near_singular_state_past_the_old_dense_cap_is_solved_on_blocks():
+    # the rank-3 reference state mixed with 1e-4 I/6 at k = 3, bob (5184 dimensions): ARPACK needed 57.1 s at
+    # 1e-3 I/6 and gave no result in about 8 minutes at 1e-4; on the blocks it takes well under a second
+    problem = KExtProblem(state=reference_2x3(3, eps=1e-4), k=3)
+    start = time.perf_counter()
+    result = fidelity_threshold(problem)
+    assert time.perf_counter() - start <= 10.0
+    assert result.backend == "dense" and 0.0 < result.alpha_star < 1.0
+    v = result.certificate
+    quotient = np.vdot(v, solver.ProbeAssembly(problem).handle(result.alpha_star).apply(v)).real
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12 and quotient < -TOL_EIG

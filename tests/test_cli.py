@@ -362,7 +362,7 @@ def test_failed_sweep_keeps_an_earlier_output(tmp_path, monkeypatch, error):
     [
         "backend = s3_blocks\nk = 1,2\n",  # no longer a backend
         "backend = schur_weyl\nd = 3\nk = 1,7\n",  # k = 7 has a block of 8064 rows
-        "backend = dense\nd = 3\nn = 1,3\n",  # n = 3 exceeds the dense dimension limit
+        "backend = dense\nd = 3\nn = 1,3\n",  # n = 3: a dense matrix of 19683 rows, past the cap
     ],
 )
 def test_sweep_rejects_unbuildable_problems_before_any_work(tmp_path, capsys, lines):
@@ -522,8 +522,8 @@ def test_validate_fresh_checkout_passes():
     results = validate.run_checks()
     failed = [r.name for r in results if not r.passed]
     assert failed == []
-    assert len(results) == 20
-    assert {"schur_weyl_vs_probe", "schur_weyl_vs_s3", "pencil_vs_newton"} <= {r.name for r in results}
+    assert len(results) == 21
+    assert {"schur_weyl_vs_probe", "schur_weyl_vs_s3", "pencil_vs_newton", "pair_spin_blocks"} <= {r.name for r in results}
 
 
 def test_validate_reports_margins():
@@ -574,6 +574,34 @@ def test_validate_compares_the_schur_weyl_blocks_with_the_probe(monkeypatch):
     assert len(intact.details["reference_alpha_stars"]) == 5
     assert mutated.details["reference_alpha_stars"] == intact.details["reference_alpha_stars"]
     assert not validate.check_schur_weyl_vs_s3().passed
+
+
+def test_validate_compares_the_pair_spin_blocks_with_the_probe(monkeypatch):
+    pair_spin_probe = kextdistill.blocks.pair_spin_probe
+
+    def shifted(rho, d_s, d, k):
+        probe = pair_spin_probe(rho, d_s, d, k)
+        # every block's const moved by 1e-9 I: lambda_min and every pencil top move with it
+        probe.solos = [(const - 1e-9 * np.eye(len(const)), *rest) for const, *rest in probe.solos]
+        return probe
+
+    monkeypatch.setattr(kextdistill.blocks, "pair_spin_probe", shifted)
+    result = validate.check_pair_spin_blocks()
+    assert not result.passed and result.residual > result.tolerance
+
+
+def test_validate_certifies_the_pair_spin_alpha_star_by_arpack(monkeypatch):
+    # alpha* moved up by two tol_alpha: its certificate no longer certifies it, and ARPACK finds it not tight
+    threshold = validate.fidelity_threshold
+
+    def moved(problem, *args, **kwargs):
+        result = threshold(problem, *args, **kwargs)
+        return dataclasses.replace(result, alpha_star=result.alpha_star + 2.0 * solver.DEFAULT_TOL_ALPHA)
+
+    monkeypatch.setattr(validate, "fidelity_threshold", moved)
+    result = validate.check_pair_spin_blocks()
+    assert not result.passed and result.residual <= result.tolerance
+    assert result.details["certificate_quotient"] >= -solver.TOL_EIG
 
 
 def test_validate_compares_the_pencil_bracket_with_newton(monkeypatch):

@@ -134,7 +134,9 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         KExtProblem(state=state, side="carol")
     with pytest.raises(ValueError):
-        KExtProblem.for_werner(d=3, gamma=0.0, n=2, k=2, backend="dense")  # 104976 dims
+        KExtProblem.for_werner(d=3, gamma=0.0, n=2, k=2, backend="dense")  # 104976 dims, a dense matrix of 6561 rows
+    with pytest.raises(ValueError, match="dense limited to matrices of 4096 rows"):
+        KExtProblem(state=mixed_2x3(6), k=5, backend="dense")  # 186624 dims, a dense matrix of 10206 rows
 
 
 @pytest.mark.parametrize("n,k", [(1, 2.0), (1.5, 1), (np.float64(2.0), 1), (1, "2")])
@@ -169,27 +171,34 @@ def test_backend_resolution():
         (KExtProblem.for_werner(d=3, gamma=-0.5, k=2, side="alice"), "schur_weyl"),
         (KExtProblem.for_werner(d=3, gamma=0.0, n=2), "schur_weyl"),  # dim 5832
         (KExtProblem.for_werner(d=3, gamma=0.5, k=6), "schur_weyl"),  # largest block 1960 rows
-        # beyond the cap auto keeps the dimension rule: d = 3, k = 7 has a block of 8064 rows
+        # past the Schur-Weyl cap the dense cap decides: d = 3, k = 7 has a block of 8064 rows, and a dense matrix of
+        # 3^8 * 42 = 275562 rows
         (KExtProblem.for_werner(d=3, gamma=0.5, k=7), "iterative"),
-        # the same Werner states in a U_A x V_B frame are not of Werner form: the dimension and kappa rules
+        # the same Werner states in a U_A x V_B frame are not of Werner form: dense wherever its largest matrix fits
+        # the cap, whatever the probe dimension and the state's spectrum
         (KExtProblem(state=framed_werner(2, 0.5), k=1), "dense"),  # dim 64
-        # each side of the small-dimension crossover, on well-conditioned states
         (KExtProblem(state=maximally_mixed(2, 3), k=2, side="alice"), "dense"),  # dim 384
-        (KExtProblem(state=framed_werner(2, 0.5), n=2, k=1), "iterative"),  # dim 512, kappa^2 1/9
-        (KExtProblem(state=framed_werner(3, -0.5), k=2), "iterative"),  # dim 1296, kappa 1/3
-        # below the condition cut the probe has a cluster near 0 that stalls ARPACK
-        (KExtProblem(state=mixed_2x3(5), k=2), "dense"),  # dim 864, kappa 0
-        (KExtProblem(state=mixed_2x3(3, eps=1e-4), k=2), "dense"),  # dim 864, kappa ~3e-5
-        (KExtProblem(state=mixed_2x3(3, eps=3e-2), k=2), "iterative"),  # dim 864, kappa 8e-3
-        # the cut is on kappa^n: two copies of the same state fall below it
-        (KExtProblem(state=mixed_2x3(3, eps=3e-2), n=2, k=1), "dense"),  # dim 2592, kappa^2 7e-5
-        # from the dense cap up every state goes to ARPACK
-        (KExtProblem(state=framed_werner(2, -1.0), k=4), "iterative"),  # dim 4096, kappa 0
-        (KExtProblem(state=mixed_2x3(5), k=3), "iterative"),  # dim 5184, kappa 0
-        (KExtProblem(state=framed_werner(3, 0.3), n=2), "iterative"),  # dim 5832
+        (KExtProblem(state=framed_werner(2, 0.5), n=2, k=1), "dense"),  # dim 512
+        (KExtProblem(state=framed_werner(3, -0.5), k=2), "dense"),  # dim 1296
+        (KExtProblem(state=mixed_2x3(5), k=2), "dense"),  # dim 864, rank 5
+        (KExtProblem(state=mixed_2x3(3, eps=1e-4), k=2), "dense"),  # dim 864, near-singular
+        (KExtProblem(state=mixed_2x3(3, eps=3e-2), n=2, k=1), "dense"),  # dim 2592
+        (KExtProblem(state=framed_werner(2, -1.0), k=4), "dense"),  # dim 4096, rank 1; 288 rows
+        (KExtProblem(state=mixed_2x3(5), k=3), "dense"),  # dim 5184, rank 5; 405 rows
+        (KExtProblem(state=framed_werner(3, 0.3), n=2), "dense"),  # dim 5832; 729 rows
+        (KExtProblem(state=mixed_2x3(6), k=6, side="alice"), "dense"),  # dim 98304; 3584 rows
+        # past the dense cap only ARPACK is left
+        (KExtProblem(state=mixed_2x3(6), k=5), "iterative"),  # dim 186624; 10206 rows
+        (KExtProblem(state=framed_werner(2, 0.5), k=7), "iterative"),  # dim 262144; 12288 rows
     ]
     for problem, expected in cases:
         assert problem.resolved_backend() == expected, (problem.total_dim, expected)
+    for problem, rows in (
+        (KExtProblem(state=mixed_2x3(6), k=3), 405),  # the bases at J = 1/2, 5 * 3^4 rows
+        (KExtProblem(state=mixed_2x3(6), k=4, side="alice"), 288),  # 9 * 2^5 rows, at J = 1
+        (KExtProblem(state=mixed_2x3(6), k=5), 10206),  # 14 * 3^6 rows, at J = 1/2
+    ):
+        assert problem.largest_dense_block() == rows
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +605,8 @@ def test_iterative_samples_bound_the_dense_lambda_min(state, k, side, probe_log)
     result = fidelity_threshold(problem)
     full = set(probe_log.full)
     assembly = ProbeAssembly(problem)
-    exact = dataclasses.replace(problem, backend="dense").probe().lambda_min
+    # the reference probe, not the dense backend's blocks: eig_min_dense of ProbeAssembly.dense
+    exact = lambda alpha: (eig_min_dense(assembly.dense(alpha)),)
     for alpha, value in result.samples:
         lam = exact(alpha)[0]
         assert value >= lam - 1e-12 * assembly.norm_bound, alpha
@@ -633,8 +643,9 @@ def test_an_uncertified_loose_sample_is_solved_again(monkeypatch, probe_log):
     problem = KExtProblem(state=reference_2x3_state(6), k=2, side="alice", backend="iterative")
     result = fidelity_threshold(problem)
     assert loose and set(loose) <= set(probe_log.full)
-    exact = dataclasses.replace(problem, backend="dense").probe().lambda_min
-    assert exact(result.alpha_star)[0] < -TOL_EIG <= exact(result.alpha_star + DEFAULT_TOL_ALPHA)[0]
+    assembly = ProbeAssembly(problem)
+    exact = lambda alpha: eig_min_dense(assembly.dense(alpha))
+    assert exact(result.alpha_star) < -TOL_EIG <= exact(result.alpha_star + DEFAULT_TOL_ALPHA)
 
 
 @pytest.mark.parametrize("d_b,rank", [(2, 1), (2, 4), (3, 1), (3, 6)])
@@ -688,13 +699,14 @@ def test_threshold_matches_bisection_and_is_certified(problem, reference_bisecti
     # bisection short
     tol_alpha = 1e-3
     alpha_star = fidelity_threshold(problem, tol_alpha=tol_alpha).alpha_star
-    exact = dataclasses.replace(problem, backend="dense").probe().lambda_min
-    bisection = reference_bisection(lambda alpha: exact(alpha)[0] < -TOL_EIG, tol_alpha)
+    assembly = ProbeAssembly(problem)
+    exact = lambda alpha: eig_min_dense(assembly.dense(alpha))  # the reference probe, which no backend samples
+    bisection = reference_bisection(lambda alpha: exact(alpha) < -TOL_EIG, tol_alpha)
     assert abs(alpha_star - bisection) <= tol_alpha
     if alpha_star > 0.0:
-        assert exact(alpha_star)[0] < -TOL_EIG
+        assert exact(alpha_star) < -TOL_EIG
     above = min(1.0, alpha_star + tol_alpha)
-    assert above == alpha_star or exact(above)[0] >= -TOL_EIG
+    assert above == alpha_star or exact(above) >= -TOL_EIG
 
 
 @st.composite
