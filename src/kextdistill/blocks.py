@@ -705,36 +705,69 @@ def pair_spin_sectors(d: int, k: int) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _character(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    """The character of the symmetric-group irrep shape at a permutation with these cycle lengths (the rest fixed)."""
-    adjacent = young_orthogonal_form(shape)
-    product, start = _identity(len(adjacent[0]) if adjacent else 1), 0
-    for length in cycles:
-        for j in range(start, start + length - 1):  # (start .. start+length-1) = s_start s_start+1 ...
-            product = product @ adjacent[j]
-        start += length
-    return round(float(np.trace(product)))
+    """The character of the symmetric-group irrep shape at a permutation of cycle type cycles, a partition of |shape|.
+
+    The Murnaghan-Nakayama rule on beta-numbers b_i = shape_i + (rows - 1 -
+    i): removing a border strip of the first cycle's length moves one b to b
+    - length, with sign (-1)^(the b strictly between).  Memoized on (shape,
+    cycles), so no matrix of the irrep is formed.
+    """
+    if not cycles:
+        return 1
+    length, rest = cycles[0], cycles[1:]
+    beta = [part + len(shape) - 1 - i for i, part in enumerate(shape)]
+    total = 0
+    for b in beta:
+        if b >= length and b - length not in beta:
+            moved = sorted((b - length if other == b else other for other in beta), reverse=True)
+            smaller = tuple(p for p in (x - (len(moved) - 1 - i) for i, x in enumerate(moved)) if p > 0)
+            total += (-1) ** sum(b - length < other < b for other in beta) * _character(smaller, rest)
+    return total
 
 
 @functools.lru_cache(maxsize=None)
-def pair_spin_rows(d_s: int, d: int, k: int) -> int:
-    """Rows of the largest matrix `pair_spin_probe` forms, from dimensions alone: no array of the probe's size.
+def pair_spin_multiplicities(d: int, k: int) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """(two_j, lam, r) for every (J, lambda) block of `pair_spin_sectors(d, k)`, from characters alone.
 
-    That is each spin sector's bases, m_J d^(k+1) rows, and each block,
-    max(d_s, d) r_{J,lambda} rows for its forms and its state entries.  r_{J,lambda}, the multiplicity of lambda in
-    V_J, is the character inner product sum over cycle types c of k + 1 of
-    chi_lambda(c) d^len(c) chi_nu(c) / z_c, where nu is J's two-row label of
-    S_(k+2), whose last letter, s, every pair permutation fixes.
+    r, the multiplicity of lambda in V_J and the block's columns per
+    spectator row, is the character inner product sum over cycle types c of
+    k + 1 of chi_lambda(c) d^len(c) chi_nu(c + (1,)) / z_c, where nu is J's
+    two-row label of S_(k+2), whose last letter, s, every pair permutation
+    fixes.  Only r > 0 appear, in the order of `pair_spin_sectors`.
     """
-    rows = 0
     types = partitions(k + 1, k + 1)
     centralizer = {c: math.prod(length ** c.count(length) * math.factorial(c.count(length)) for length in set(c)) for c in types}
     order = math.factorial(k + 1)
+    sizes = []
     for nu in partitions(k + 2, 2):
-        rows = max(rows, specht_dim(nu) * d ** (k + 1))
         for lam in types:
-            count = sum(order // centralizer[c] * _character(lam, c) * d ** len(c) * _character(nu, c) for c in types)
-            rows = max(rows, max(d_s, d) * count // order)
-    return rows
+            count = sum(order // centralizer[c] * _character(lam, c) * d ** len(c) * _character(nu, c + (1,)) for c in types)
+            if count:
+                sizes.append((nu[0] - (nu[1] if len(nu) > 1 else 0), lam, count // order))
+    return tuple(sizes)
+
+
+@functools.lru_cache(maxsize=None)
+def pair_spin_bytes(d_s: int, d: int, k: int, itemsize: int, limit: float = math.inf) -> int:
+    """Peak bytes of `pair_spin_probe` and its threshold in a fresh process, estimated from dimensions alone.
+
+    itemsize is the state's, 8 or 16.  The estimate adds three parts:
+    building a spin sector's Jucys-Murphy bases (`_pair_bases`), about 5
+    float64 arrays of its m_J d^(k+1) rows squared; the cached forms, 2
+    float64 (d r)^2 per block, and the blocks, 2 (d_s r)^2 entries of
+    itemsize, all held at once; and 4 more arrays the size of the largest
+    form or block, to form and solve it.  It came within -18 % to +42 % of
+    the peak RSS growth of one threshold in a fresh process, 11-1063 MiB on
+    twelve problems (2 cores), and above the tracemalloc peak of a build and
+    threshold.  Where the bases' build alone passes limit, that part is
+    returned, with no character sum.
+    """
+    build = 5 * 8 * (max(specht_dim(nu) for nu in partitions(k + 2, 2)) * d ** (k + 1)) ** 2
+    if build > limit:
+        return build
+    sizes = [r for *_, r in pair_spin_multiplicities(d, k)]
+    held = sum(2 * 8 * (d * r) ** 2 + 2 * itemsize * (d_s * r) ** 2 for r in sizes)
+    return build + held + 4 * max(max(8 * (d * r) ** 2, itemsize * (d_s * r) ** 2) for r in sizes)
 
 
 def pair_spin_blocks(rho: np.ndarray, d_s: int, d: int, k: int):

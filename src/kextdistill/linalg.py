@@ -20,7 +20,7 @@ REAL_IMAG_TOL = 1e-14  # max imaginary part for the real fast path
 ITER_EIG_TOL = 1e-11  # absolute residual |Hv - theta v| of a full iterative solve: every sample that may set hi
 LOOSE_EIG_SHARE = 1e-2  # a loose solve's residual, as a share of |the previous sample's value|; 1e-1 took more samples
 TOL_EIG = 1e-9          # threshold predicate of every search: lambda_min < -TOL_EIG
-DENSE_DIM_LIMIT = 4096  # rows of the largest block matrix dense and schur_weyl form, and of ProbeAssembly's pieces
+DENSE_DIM_LIMIT = 4096  # rows of the largest piece schur_weyl forms and of ProbeAssembly's pieces; sets solver.DENSE_BYTES_LIMIT
 EIG_SEED = 20260810     # start vector for iterative solves; fixed for reproducible curves
 WARM_START_SEED_WEIGHT = 0.01  # share of the seeded start vector kept in a warm start
 PENCIL_SOLVE_COLUMNS = 256  # columns per triangular solve in pencil_top

@@ -516,9 +516,7 @@ def test_dense_pencil_bracket_is_closed_by_newton_steps():
     result = fidelity_threshold(problem, tol_alpha)
     newton = newton_from_unit_interval(problem, tol_alpha)
     assert result.backend == "dense" and result.samples[0][0] > 0.0  # no restart on [0, 1]
-    # both searches end within tol_alpha below the -TOL_EIG crossing; here the bracket's lower end is certified
-    # and its closing sample is not, so alpha* is that lower end, 5.3e-9 below Newton's
-    assert abs(result.alpha_star - newton) <= tol_alpha
+    assert newton <= result.alpha_star <= newton + tol_alpha
     assert lambda_min_alpha(problem, result.alpha_star) < -TOL_EIG
     assert lambda_min_alpha(problem, min(1.0, result.alpha_star + tol_alpha)) >= -TOL_EIG
 
@@ -643,13 +641,15 @@ def test_pair_spin_blocks_repeat_to_the_probe_spectrum(case):
     state, n, k, side = PAIR_SPIN_CASES[case]
     problem = KExtProblem(state=state, n=n, k=k, side=side, backend="dense")
     assembly = solver.ProbeAssembly(problem)
-    d_s, d_x = (d**n for d in problem.input_dims)
+    d_s, d_x = problem.fused_dims
     built = list(blocks_mod.pair_spin_blocks(assembly.rho_fused, d_s, d_x, k))
     assert {(two_j, lam) for two_j, lam, *_ in built} <= {
         (nu[0] - sum(nu[1:]), lam) for nu in partitions(k + 2, 2) for lam in partitions(k + 1, k + 1)
     }
     assert all(np.iscomplexobj(const) == (not assembly.is_real) for *_, const, _ in built)
-    assert problem.largest_dense_block() >= max(len(const) for *_, const, _ in built)
+    assert [(two_j, lam, len(const) // d_s) for two_j, lam, const, _ in built] == list(
+        blocks_mod.pair_spin_multiplicities(d_x, k)
+    )
     probe = problem.probe()
     tol = 1e-12 * assembly.norm_bound
     for alpha in (0.5, 0.95, 1.0):
@@ -666,16 +666,65 @@ def test_pair_spin_blocks_repeat_to_the_probe_spectrum(case):
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12 and np.linalg.norm(pv - lam * v) <= 1e-10
 
 
-@pytest.mark.parametrize("d_s, d, k", [(2, 3, 1), (3, 2, 2), (2, 3, 3), (3, 2, 4), (4, 4, 1), (1, 1, 3)])
-def test_pair_spin_rows_count_the_blocks_from_dimensions_alone(d_s, d, k):
+@pytest.mark.parametrize("d, k", [(3, 1), (2, 2), (3, 3), (2, 4), (4, 1), (1, 3)])
+def test_pair_spin_multiplicities_count_the_blocks_from_dimensions_alone(d, k):
     # the character count of each (J, lambda) multiplicity against the Jucys-Murphy bases themselves
     sectors = blocks_mod.pair_spin_sectors(d, k)
     rows = {two_j: blocks_mod.spin_basis(k, two_j).shape[1] * d ** (k + 1) for two_j, *_ in sectors}
     assert sum(specht_dim(lam) * basis.shape[1] for _, lam, basis, *_ in sectors) == sum(rows.values())
-    largest = max(max(rows.values()), *(max(d_s, d) * basis.shape[1] for _, _, basis, *_ in sectors))
-    assert blocks_mod.pair_spin_rows(d_s, d, k) == largest
+    counted = [(two_j, lam, basis.shape[1]) for two_j, lam, basis, *_ in sectors]
+    assert list(blocks_mod.pair_spin_multiplicities(d, k)) == counted
     for _, _, basis, *_ in sectors:
         assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_characters_are_the_traces_of_young_orthogonal_form(m):
+    # the Murnaghan-Nakayama characters against the irrep's matrices: a cycle (a .. b) is s_a s_a+1 ... s_b-1
+    for shape in partitions(m, m):
+        adjacent = young_orthogonal_form(shape)
+        for cycles in partitions(m, m):
+            product, start = np.eye(specht_dim(shape)), 0
+            for length in cycles:
+                for j in range(start, start + length - 1):
+                    product = product @ adjacent[j]
+                start += length
+            assert blocks_mod._character(shape, cycles) == round(np.trace(product)), (shape, cycles)
+
+
+@pytest.mark.parametrize("case", ["complex-k2-bob", "complex-k3-alice", "real-k3-alice", "complex-n2-k1-bob"])
+def test_pair_spin_bytes_bounds_the_traced_peak_of_a_fresh_threshold(case):
+    # the estimate against every numpy and Python allocation of a build from empty caches and one threshold, on
+    # problems whose arrays outweigh the interpreter's own allocations (peaks of 0.3-0.7 MiB)
+    import tracemalloc
+
+    state, n, k, side = PAIR_SPIN_CASES[case]
+    problem = KExtProblem(state=state, n=n, k=k, side=side)
+    blocks_mod.pair_spin_sectors.cache_clear()
+    blocks_mod.spin_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        assert fidelity_threshold(problem).backend == "dense"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= problem.dense_bytes() <= 3 * peak + 2**20
+
+
+def test_backend_resolution_past_the_dense_budget_needs_no_character_sum():
+    # a 2 x 2 state at k = 10 (dim 1.7e7): building its J = 1 bases alone, 5 float64 arrays of 297 * 2^11 rows
+    # squared, is past the budget
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    from kextdistill.linalg import layout
+    from kextdistill.states import from_matrix
+
+    problem = KExtProblem(state=from_matrix(rho, layout(("A", 2), ("B", 2))), k=10)
+    start = time.perf_counter()
+    assert problem.resolved_backend() == "iterative"
+    assert problem.dense_bytes() == 5 * 8 * (297 * 2**11) ** 2
+    assert time.perf_counter() - start <= 0.5
+    with pytest.raises(ValueError, match="dense limited"):
+        KExtProblem(state=problem.state, k=10, backend="dense")
 
 
 @pytest.mark.parametrize("case", ["complex-k2-bob", "rank1-k3-bob", "real-n2-k1-alice"])

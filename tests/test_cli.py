@@ -362,7 +362,7 @@ def test_failed_sweep_keeps_an_earlier_output(tmp_path, monkeypatch, error):
     [
         "backend = s3_blocks\nk = 1,2\n",  # no longer a backend
         "backend = schur_weyl\nd = 3\nk = 1,7\n",  # k = 7 has a block of 8064 rows
-        "backend = dense\nd = 3\nn = 1,3\n",  # n = 3: a dense matrix of 19683 rows, past the cap
+        "backend = dense\nd = 3\nn = 1,3\n",  # n = 3: forms of 19683 rows, past the 1 GiB budget
     ],
 )
 def test_sweep_rejects_unbuildable_problems_before_any_work(tmp_path, capsys, lines):

@@ -134,9 +134,9 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         KExtProblem(state=state, side="carol")
     with pytest.raises(ValueError):
-        KExtProblem.for_werner(d=3, gamma=0.0, n=2, k=2, backend="dense")  # 104976 dims, a dense matrix of 6561 rows
-    with pytest.raises(ValueError, match="dense limited to matrices of 4096 rows"):
-        KExtProblem(state=mixed_2x3(6), k=5, backend="dense")  # 186624 dims, a dense matrix of 10206 rows
+        KExtProblem.for_werner(d=3, gamma=0.0, n=2, k=2, backend="dense")  # 104976 dims, blocks of 6561 rows
+    with pytest.raises(ValueError, match="dense limited to 1024 MiB"):
+        KExtProblem(state=mixed_2x3(6), k=5, backend="dense")  # 186624 dims, bases of 10206 rows: about 3.9 GiB
 
 
 @pytest.mark.parametrize("n,k", [(1, 2.0), (1.5, 1), (np.float64(2.0), 1), (1, "2")])
@@ -171,11 +171,11 @@ def test_backend_resolution():
         (KExtProblem.for_werner(d=3, gamma=-0.5, k=2, side="alice"), "schur_weyl"),
         (KExtProblem.for_werner(d=3, gamma=0.0, n=2), "schur_weyl"),  # dim 5832
         (KExtProblem.for_werner(d=3, gamma=0.5, k=6), "schur_weyl"),  # largest block 1960 rows
-        # past the Schur-Weyl cap the dense cap decides: d = 3, k = 7 has a block of 8064 rows, and a dense matrix of
+        # past the Schur-Weyl cap the dense budget decides: d = 3, k = 7 has a block of 8064 rows, and dense bases of
         # 3^8 * 42 = 275562 rows
         (KExtProblem.for_werner(d=3, gamma=0.5, k=7), "iterative"),
-        # the same Werner states in a U_A x V_B frame are not of Werner form: dense wherever its largest matrix fits
-        # the cap, whatever the probe dimension and the state's spectrum
+        # the same Werner states in a U_A x V_B frame are not of Werner form: dense wherever its estimated peak fits
+        # the 1 GiB budget, whatever the probe dimension and the state's spectrum
         (KExtProblem(state=framed_werner(2, 0.5), k=1), "dense"),  # dim 64
         (KExtProblem(state=maximally_mixed(2, 3), k=2, side="alice"), "dense"),  # dim 384
         (KExtProblem(state=framed_werner(2, 0.5), n=2, k=1), "dense"),  # dim 512
@@ -183,22 +183,20 @@ def test_backend_resolution():
         (KExtProblem(state=mixed_2x3(5), k=2), "dense"),  # dim 864, rank 5
         (KExtProblem(state=mixed_2x3(3, eps=1e-4), k=2), "dense"),  # dim 864, near-singular
         (KExtProblem(state=mixed_2x3(3, eps=3e-2), n=2, k=1), "dense"),  # dim 2592
-        (KExtProblem(state=framed_werner(2, -1.0), k=4), "dense"),  # dim 4096, rank 1; 288 rows
-        (KExtProblem(state=mixed_2x3(5), k=3), "dense"),  # dim 5184, rank 5; 405 rows
-        (KExtProblem(state=framed_werner(3, 0.3), n=2), "dense"),  # dim 5832; 729 rows
-        (KExtProblem(state=mixed_2x3(6), k=6, side="alice"), "dense"),  # dim 98304; 3584 rows
-        # past the dense cap only ARPACK is left
-        (KExtProblem(state=mixed_2x3(6), k=5), "iterative"),  # dim 186624; 10206 rows
-        (KExtProblem(state=framed_werner(2, 0.5), k=7), "iterative"),  # dim 262144; 12288 rows
+        (KExtProblem(state=framed_werner(2, -1.0), k=4), "dense"),  # dim 4096, rank 1; about 4 MiB
+        (KExtProblem(state=mixed_2x3(5), k=3), "dense"),  # dim 5184, rank 5; about 11 MiB
+        (KExtProblem(state=framed_werner(3, 0.3), n=2), "dense"),  # dim 5832; about 94 MiB
+        (KExtProblem(state=mixed_2x3(6), k=6, side="alice"), "dense"),  # dim 98304; about 494 MiB (509 measured)
+        (KExtProblem(state=mixed_2x3(6), n=2, k=3, side="alice"), "dense"),  # dim 73728; about 543 MiB (470)
+        # past the budget only ARPACK is left
+        (KExtProblem(state=mixed_2x3(6), k=5), "iterative"),  # dim 186624; bases of 10206 rows
+        (KExtProblem(state=framed_werner(2, 0.5), k=7), "iterative"),  # dim 262144; bases of 12288 rows
+        (KExtProblem(state=maximally_mixed(2, 4), n=2, k=1), "iterative"),  # dim 8192; about 1203 MiB
     ]
     for problem, expected in cases:
         assert problem.resolved_backend() == expected, (problem.total_dim, expected)
-    for problem, rows in (
-        (KExtProblem(state=mixed_2x3(6), k=3), 405),  # the bases at J = 1/2, 5 * 3^4 rows
-        (KExtProblem(state=mixed_2x3(6), k=4, side="alice"), 288),  # 9 * 2^5 rows, at J = 1
-        (KExtProblem(state=mixed_2x3(6), k=5), 10206),  # 14 * 3^6 rows, at J = 1/2
-    ):
-        assert problem.largest_dense_block() == rows
+    # past the budget the bases' build alone, 5 float64 arrays of 14 * 3^6 rows squared, decides
+    assert KExtProblem(state=mixed_2x3(6), k=5).dense_bytes() == 5 * 8 * 10206**2
 
 
 # ---------------------------------------------------------------------------
