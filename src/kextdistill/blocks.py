@@ -39,6 +39,12 @@ would solve alone, from SOLO_MIN_ROWS rows, are split: smaller ones are
 batched already.  At d = 3, n = 8, k = 1 the largest block has 512 rows and
 the largest piece 18.
 
+Every block is a polynomial in gamma of degree len(mus) <= n, and nothing
+else in it depends on gamma.  `werner_polynomial` holds the coefficients of
+the blocks below SOLO_MIN_ROWS rows, made once per (d, n, k), so each point
+of a sweep evaluates them with one product; the larger blocks are built at
+each gamma by the same recursion (`_werner_terms`).
+
 `s3_block_lambda_min` is the k = 1 case written from the paper's
 coefficient table (`analytic.st_coefficients`), on the same scale.  No
 backend calls it; it is the independent reference `werner_probe` is checked
@@ -128,6 +134,7 @@ def partitions(m: int, max_rows: int) -> tuple[tuple[int, ...], ...]:
     return tuple(grow(m, m, max_rows))
 
 
+@functools.lru_cache(maxsize=None)
 def specht_dim(shape: tuple[int, ...]) -> int:
     """f^shape, the dimension of the symmetric-group irrep (hook length formula)."""
     columns = [sum(1 for row in shape if row > j) for j in range(shape[0])]
@@ -135,6 +142,7 @@ def specht_dim(shape: tuple[int, ...]) -> int:
     return math.factorial(sum(shape)) // math.prod(hooks)
 
 
+@functools.lru_cache(maxsize=None)
 def unitary_dim(shape: tuple[int, ...], f: int) -> int:
     """Dimension of the GL(f) irrep of this shape (hook-content formula); 0 beyond f rows."""
     if len(shape) > f:
@@ -229,8 +237,9 @@ def _identity(size: int) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices, without its overhead for general shapes."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+    """np.kron over the last two axes, broadcast over the leading ones, without np.kron's overhead for general shapes."""
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (product.shape[-4] * product.shape[-3], -1))
 
 
 def _without_last_box(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -276,22 +285,222 @@ def _jucys_murphy(f: int, shape: tuple[int, ...]) -> np.ndarray:
     return 0.5 * (x + x.T)
 
 
-def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_kron of a[i] and b[i] for every i of two equally long stacks of matrices."""
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), a.shape[1] * b.shape[1], -1)
+def _kron_poly(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """_kron of two polynomials in gamma, coefficients lowest first on a leading axis: the product's, by convolution."""
+    products = _kron(p[:, None], q[None])
+    if len(q) == 1:
+        return products[:, 0]
+    out = np.zeros((len(p) + len(q) - 1,) + products.shape[2:])
+    for j in range(len(q)):
+        out[j : j + len(p)] += products[:, j]
+    return out
 
 
-def _gl_power(stack: np.ndarray, shape: tuple[int, ...], memo: dict) -> np.ndarray:
-    """pi_shape(A) = U_shape^T A^(x j) U_shape for each A of a stack, one copy at a time; memoised in memo by shape.
+def _gl_power(pair: np.ndarray, shape: tuple[int, ...], memo: dict) -> np.ndarray:
+    """pi_shape(A) = U_shape^T A^(x j) U_shape for the polynomials A of pair, one copy at a time; memoised in memo by shape.
 
-    pi_shape(A) = V^T (pi_parent(A) (x) A) V, with V = gl_step(f, shape).
+    pi_shape(A) = V^T (pi_parent(A) (x) A) V, with V = gl_step(f, shape), on each coefficient.
     """
     if sum(shape) == 1:
-        return stack
+        return pair
     if shape not in memo:
-        step = gl_step(stack.shape[1], shape)
-        memo[shape] = step.T @ _kron_stack(_gl_power(stack, _without_last_box(shape), memo), stack) @ step
+        step = gl_step(pair.shape[-1], shape)
+        memo[shape] = step.T @ _kron_poly(_gl_power(pair, _without_last_box(shape), memo), pair) @ step
     return memo[shape]
+
+
+def _whole(pair: dict, mus: tuple, memo: dict) -> np.ndarray:
+    """R_i = (x)_c A_i over the copies labelled mus, stacked over i, one copy at a time; memoised in memo by multiset."""
+    if mus not in memo:
+        memo[mus] = _kron_poly(_whole(pair, mus[:-1], memo), pair[mus[-1]])
+    return memo[mus]
+
+
+def _werner_layout(d: int, n: int, k: int) -> tuple[tuple, ...]:
+    """(mus, lams, nu, t) of every block and piece of `werner_blocks` at |gamma| < 1, in its order; term has t rows.
+
+    A block of SOLO_MIN_ROWS rows or more in which a label repeats is split
+    into one piece per choice of lambda |- j with at most f^mu rows for the j
+    copies of each label mu.
+    """
+    m = k + 2
+    shapes = [mu for mu in partitions(m, d) if 1 < len(mu) < m]
+    layout = []
+    for mus in itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(shapes, j) for j in range(n + 1)
+    ):
+        labels, copies = tuple(dict.fromkeys(mus)), math.prod(specht_dim(mu) for mu in mus)
+        for nu in partitions(m, 2):
+            if len(labels) < len(mus) and copies * specht_dim(nu) >= SOLO_MIN_ROWS:
+                for lams in itertools.product(*(partitions(mus.count(mu), specht_dim(mu)) for mu in labels)):
+                    rows = math.prod(unitary_dim(lam, specht_dim(mu)) for mu, lam in zip(labels, lams))
+                    layout.append((mus, lams, nu, rows))
+            else:
+                layout.append((mus, None, nu, copies))
+    return tuple(layout)
+
+
+@functools.lru_cache(maxsize=None)
+def _halves(nu: tuple[int, ...]) -> np.ndarray:
+    """(I - Y_nu(tau_i)) / 2 stacked over i, the factor of the i-th term on the nu side; read-only."""
+    ys = np.array(young_transpositions(nu))
+    halves = 0.5 * (_identity(ys.shape[-1]) - ys)
+    halves.setflags(write=False)
+    return halves
+
+
+def _werner_const(terms: np.ndarray, nu: tuple[int, ...]) -> np.ndarray:
+    """const = -sum_i (I - Y_nu(tau_i)) / 2 (x) R_i for each coefficient of the stack R_i, rows (nu, copies).
+
+    One einsum, with no BLAS call and no array per i.
+    """
+    half = _halves(nu)
+    rows = len(half[0]) * terms.shape[-1]
+    return np.einsum("dixy,iab->daxby", terms, -half, order="C").reshape(len(terms), rows, rows)
+
+
+def _werner_terms(pair: dict, k: int, layout: tuple, chosen):
+    """Yield (index, const, term) for each index of chosen, ascending, into layout, as polynomials in gamma.
+
+    pair[mu] holds A_i = I + gamma Y_mu(tau_i), i = 0..k, stacked over i,
+    as coefficients on a leading axis: (I, Y_mu(tau_i)), or the one
+    coefficient I + gamma Y_mu(tau_i) with gamma applied.  With R_i the
+    product of the copies' A_i, or of their pi_lambda(A_i) in a piece, const
+    = -sum_i (I - Y_nu(tau_i)) / 2 (x) R_i (`_werner_const`) and term =
+    sum_i R_i, on the same leading axis; term is one list of
+    coefficients for the blocks of one copy multiset and lams.  Products are
+    formed only as chosen needs them, and the pieces of one copy multiset at
+    a time.
+    """
+    wholes = {(): np.ones((1, k + 1, 1, 1))}  # memo of _whole
+    powers: dict = {mu: {} for mu in pair}  # memo of _gl_power per label
+    pieces, current = {}, None  # lams -> (R_i stacked over i, sum_i R_i) of the current copy multiset
+    for index in chosen:
+        mus, lams, nu, _ = layout[index]
+        if mus != current:
+            pieces, current = {}, mus
+        if lams not in pieces:
+            if lams is None:
+                terms = _whole(pair, mus, wholes)
+            else:
+                factors = (_gl_power(pair[mu], lam, powers[mu]) for mu, lam in zip(dict.fromkeys(mus), lams))
+                terms = functools.reduce(_kron_poly, factors)
+            pieces[lams] = terms, list(terms.sum(axis=1))
+        terms, term = pieces[lams]
+        yield index, _werner_const(terms, nu), term
+
+
+class WernerPolynomial:
+    """The blocks and pieces of the n-copy, k-extension probe of a d x d Werner state as polynomials in gamma.
+
+    Made once per (d, n, k) by `werner_polynomial`.  R_i is a product of
+    len(mus) factors I + gamma Y, so every block is a polynomial of degree
+    len(mus) <= n, and nothing else in it depends on gamma.  The blocks of
+    fewer than SOLO_MIN_ROWS rows, which `BlockProbe` stacks, are held in
+    coeffs, shape (n + 1, entries), one row per power of gamma: const of
+    every stack of one size, block by block in werner_blocks' order, then
+    term once per copy multiset and lams.  They are `_werner_terms` on the
+    coefficients (I, Y_mu(tau_i)) of A_i: exact, with no fit.  I_f (x) term
+    is placed from term by index, so coeffs holds no zero off its diagonal
+    (20 MiB instead of 27.5 MiB at d = 3, n = 8, k = 2).  Larger blocks would
+    take far more (255 MiB at d = 3, n = k = 3), so they are built for each
+    gamma, by the same `_werner_terms` with gamma applied.
+    """
+
+    def __init__(self, d: int, n: int, k: int):
+        self.n, self.k = n, k
+        self.layout = layout = _werner_layout(d, n, k)
+        self.exponents = np.array([n - len(mus) for mus, *_ in layout], dtype=int)  # of each block's prefactor
+        f = np.array([specht_dim(nu) for _, _, nu, _ in layout])
+        t = np.array([rows for *_, rows in layout])
+        self.solos = np.flatnonzero(f * t >= SOLO_MIN_ROWS).tolist()
+        small = np.flatnonzero(f * t < SOLO_MIN_ROWS)
+        small = small[np.argsort((f * t)[small], kind="stable")]  # by size, in layout order within one size
+        f, t = f[small], t[small]
+        start = np.concatenate(([0], np.cumsum((f * t) ** 2)))  # of each stacked block's const
+        sizes, firsts, counts = (a.tolist() for a in np.unique(f * t, return_index=True, return_counts=True))
+        self.stacks = [(size, int(start[first]), small[first : first + count]) for size, first, count in zip(sizes, firsts, counts)]
+        self._const_entries = entries = int(start[-1])
+        term_start = {}
+        for index in small.tolist():
+            mus, lams, _, rows = layout[index]
+            if (mus, lams) not in term_start:
+                term_start[mus, lams], entries = entries, entries + rows * rows
+        # I_f (x) term of every stacked block, entry e = (i, x, y) of its diagonal blocks: linear[destination] = values[source]
+        block = np.repeat(np.arange(len(small)), f * t * t)
+        e = np.arange(len(block)) - np.repeat(np.cumsum(f * t * t) - f * t * t, f * t * t)
+        square = t[block] ** 2
+        i, (x, y) = e // square, np.divmod(e % square, t[block])
+        destination = start[block] + (i * t[block] + x) * (f * t)[block] + i * t[block] + y
+        source = np.array([term_start[layout[index][:2]] for index in small.tolist()])[block] + e % square
+        self._linear = destination, source
+        shapes = dict.fromkeys(mu for mus, *_ in layout for mu in mus)
+        self._young = {mu: np.array(young_transpositions(mu)) for mu in shapes}
+        pair = {mu: np.array([[_identity(len(ys[0]))] * (k + 1), ys]) for mu, ys in self._young.items()}
+        self.coeffs = np.zeros((n + 1, entries))
+        const_start = dict(zip(small.tolist(), start.tolist()))
+        for index, const, term in _werner_terms(pair, k, layout, sorted(const_start)):
+            mus, lams, _, rows = layout[index]
+            first = const_start[index]
+            self.coeffs[: len(const), first : first + const[0].size] = const.reshape(len(const), -1)
+            self.coeffs[: len(term), term_start[mus, lams] : term_start[mus, lams] + rows * rows] = np.reshape(term, (len(term), -1))
+        self.coeffs.setflags(write=False)
+        self._kept_by_sign: dict = {}
+
+    def _kept(self, sign: float) -> tuple[list, list]:
+        """(stacks, solos) of the blocks kept at gamma = sign = +-1, or at |gamma| < 1 for sign 0; made once per sign.
+
+        stacks holds (indices, mask) per stack: the kept blocks' layout
+        indices, and which blocks of the stack they are, None for all.  At
+        gamma = +-1 a piece whose lambda has more rows than the rank of
+        A_i = I +- Y_mu(tau_i) is zero and is left out.
+        """
+        if sign not in self._kept_by_sign:
+            rank = {
+                mu: int(np.linalg.matrix_rank(_identity(len(ys[0])) + sign * ys[0])) if sign else len(ys[0])
+                for mu, ys in self._young.items()
+            }
+            kept = np.array([
+                lams is None or all(len(lam) <= rank[mu] for mu, lam in zip(dict.fromkeys(mus), lams))
+                for mus, lams, _, _ in self.layout
+            ])
+            masks = [kept[indices] for _, _, indices in self.stacks]
+            stacks = [(indices[mask], None if mask.all() else mask) for (_, _, indices), mask in zip(self.stacks, masks)]
+            self._kept_by_sign[sign] = stacks, [index for index in self.solos if kept[index]]
+        return self._kept_by_sign[sign]
+
+    def blocks(self, gamma: float) -> tuple[list, object]:
+        """(stacks, solos) of the probe at gamma.
+
+        stacks holds (indices, const, linear) per nonempty stack: the
+        blocks' layout indices, and const and linear = I_f (x) term shaped
+        (blocks, size, size), evaluated from coeffs with one product, views of
+        one array where no block is left out.  solos yields (index, const,
+        term) for each larger block, built now with gamma applied.
+        """
+        gemv = scipy.linalg.blas.get_blas_funcs("gemv", (self.coeffs,))  # coeffs.T is Fortran-ordered: read in place
+        values = gemv(1.0, self.coeffs.T, gamma ** np.arange(self.n + 1.0))
+        linear_values = np.zeros(self._const_entries)
+        destination, source = self._linear
+        linear_values[destination] = values[source]
+        kept_stacks, kept_solos = self._kept(gamma if abs(gamma) == 1.0 else 0.0)
+        stacks = []
+        for (size, first, indices), (chosen, mask) in zip(self.stacks, kept_stacks):
+            part = slice(first, first + len(indices) * size * size)
+            const, linear = values[part].reshape(-1, size, size), linear_values[part].reshape(-1, size, size)
+            if mask is not None:
+                const, linear = const[mask], linear[mask]
+            if len(chosen):
+                stacks.append((chosen, const, linear))
+        pair = {mu: (_identity(len(ys[0])) + gamma * ys)[None] for mu, ys in self._young.items()} if kept_solos else {}
+        solos = ((index, const[0], term[0]) for index, const, term in _werner_terms(pair, self.k, self.layout, kept_solos))
+        return stacks, solos
+
+
+@functools.lru_cache(maxsize=None)
+def werner_polynomial(d: int, n: int, k: int) -> WernerPolynomial:
+    """The WernerPolynomial of (d, n, k), made on first use and kept: a sweep over gamma builds it once."""
+    return WernerPolynomial(d, n, k)
 
 
 def werner_blocks(gamma: float, d: int, n: int, k: int):
@@ -303,8 +512,9 @@ def werner_blocks(gamma: float, d: int, n: int, k: int):
     k + 2 with at most 2 rows.  The other n - len(mus)
     copies carry one-dimensional labels, each multiplying the block by
     1 + gamma for (k + 2) or 1 - gamma for (1^(k+2)) when d >= k + 2.
-    Rows are ordered (nu, copies).  term is sum_i R_i, one array shared by
-    the blocks of one copy multiset, and by the pieces of one lams.
+    Rows are ordered (nu, copies).  term is sum_i R_i; a block of
+    SOLO_MIN_ROWS rows or more shares one term array with the blocks of its
+    copy multiset, or the pieces of its lams.
 
     A block of SOLO_MIN_ROWS rows or more in which a label repeats is split.
     The j copies that carry one label mu enter R_i as A_i^(x j), with
@@ -316,42 +526,24 @@ def werner_blocks(gamma: float, d: int, n: int, k: int):
     distinct labels of mus, and is None for a whole block.  A lambda with
     more rows than the rank of A_i, which is below f^mu only at gamma = +-1,
     gives a zero piece and is left out.
+
+    The smaller blocks are `werner_polynomial` evaluated at gamma, as
+    `werner_probe` takes them; the larger ones are built with gamma applied.
     """
-    m = k + 2
-    shapes = [mu for mu in partitions(m, d) if 1 < len(mu) < m]
-    # pair[mu][i] = A_i = I + gamma Y_mu(tau_i), i = 0..k, one stack per label
-    pair = {mu: _identity(specht_dim(mu)) + gamma * np.array(young_transpositions(mu)) for mu in shapes}
-    rank = {mu: len(a[0]) if abs(gamma) < 1.0 else int(np.linalg.matrix_rank(a[0])) for mu, a in pair.items()}
-    # the factor of the i-th term on the nu side, (I - Y_nu(tau_i)) / 2
-    halves = {nu: [0.5 * (_identity(len(y)) - y) for y in young_transpositions(nu)] for nu in partitions(m, 2)}
-    smallest_nu = min(len(half[0]) for half in halves.values())
-    powers: dict = {mu: {} for mu in shapes}  # memo of _gl_power per label
-    wholes = {(): np.ones((k + 1, 1, 1))}  # R_i stacked over i for the multisets of whole blocks
-    for mus in itertools.chain.from_iterable(
-        itertools.combinations_with_replacement(shapes, j) for j in range(n + 1)
-    ):
-        labels = sorted(set(mus), key=mus.index)
-        repeats, copies = len(labels) < len(mus), math.prod(len(pair[mu][0]) for mu in mus)
-        if mus and (not repeats or copies * smallest_nu < SOLO_MIN_ROWS):
-            # some block of mus stays whole; so does one of mus[:-1], which came first
-            wholes[mus] = _kron_stack(wholes[mus[:-1]], pair[mus[-1]])
-        pieces = {}  # lams -> (R_i stacked over i, sum_i R_i) of this copy multiset
-        for nu, half in halves.items():
-            if repeats and copies * len(half[0]) >= SOLO_MIN_ROWS:
-                choices = itertools.product(*(partitions(mus.count(mu), rank[mu]) for mu in labels))
-            else:
-                choices = [None]
-            for lams in choices:
-                if lams not in pieces:
-                    terms = wholes[mus] if lams is None else functools.reduce(
-                        _kron_stack, (_gl_power(pair[mu], lam, powers[mu]) for mu, lam in zip(labels, lams)), wholes[()]
-                    )
-                    pieces[lams] = terms, terms.sum(axis=0)
-                terms, term_sum = pieces[lams]
-                const = np.zeros((len(term_sum) * len(half[0]),) * 2)
-                for r, h in zip(terms, half):
-                    const -= _kron(h, r)
-                yield mus, lams, nu, const, term_sum
+    polynomial = werner_polynomial(d, n, k)
+    stacks, solos = polynomial.blocks(gamma)
+    stacked = {}
+    for indices, const, linear in stacks:
+        for index, c, l in zip(indices, const, linear):
+            t = polynomial.layout[index][3]
+            stacked[index] = c, l[:t, :t]
+    solo = next(solos, None)
+    for index, (mus, lams, nu, _) in enumerate(polynomial.layout):
+        if index in stacked:
+            yield (mus, lams, nu, *stacked[index])
+        elif solo is not None and solo[0] == index:
+            yield (mus, lams, nu, *solo[1:])
+            solo = next(solos, None)
 
 
 # blocks from this many rows get one scipy lowest-eigenpair solve each, and werner_blocks splits
@@ -393,7 +585,9 @@ class BlockProbe:
     prefactors 0 <= low <= high that scale the block's nonnegative and
     negative eigenvalues.  A real block below SOLO_MIN_ROWS rows joins the
     stack of its size, (const, linear, low, high) shaped (blocks, size, size)
-    with linear = I_f (x) term; every other block is a solo.  Each alpha
+    with linear = I_f (x) term; every other block is a solo.  stacks
+    already formed, such as `werner_probe`'s, are passed as stacks and
+    taken as they are, ahead of those formed from blocks.  Each alpha
     costs one batched `np.linalg.eigvalsh` per stack, one lowest-eigenpair
     solve per solo, and one for the lowest stacked block.  The slope is p
     v^dag (I_f (x) term) v for the lowest eigenvector v of the lowest block
@@ -402,10 +596,11 @@ class BlockProbe:
     pencil vectors of pencil_tops(), at one matvec per block.  Both return
     lift(i, x) for the vector x of the i-th block yielded, where a lift is
     given (the dense probe's, into the probe's layout), and x itself
-    otherwise.
+    otherwise; a lift indexes blocks alone, so it is not given with stacks.
     """
 
-    def __init__(self, blocks, lift=None):
+    def __init__(self, blocks, lift=None, stacks=()):
+        stacks = list(stacks)
         by_size: dict[int, list] = {}
         origins: dict[int, list[int]] = {}
         self.solos, self._solo_origins = [], []
@@ -417,8 +612,8 @@ class BlockProbe:
             else:
                 self.solos.append((const, term, low, high))
                 self._solo_origins.append(index)
-        self.stacks = [tuple(map(np.array, zip(*by_size[size]))) for size in sorted(by_size)]
-        self._stack_origins = [origins[size] for size in sorted(by_size)]
+        self.stacks = stacks + [tuple(map(np.array, zip(*by_size[size]))) for size in sorted(by_size)]
+        self._stack_origins = [[None] * len(const) for const, *_ in stacks] + [origins[size] for size in sorted(by_size)]
         self._lift = lift
         # every solo solve, real or complex, works in this one byte array: allocating an array per block
         # and sample left 3.7 MB more resident after a 17-point fig1 sweep
@@ -523,11 +718,18 @@ def werner_probe(gamma: float, d: int, n: int, k: int) -> BlockProbe:
     """The Werner probe as a BlockProbe, on the I + gamma V scale: (d^2 + gamma d)^n times the probe.
 
     low and high are a block's smallest and largest prefactor over the one-dimensional labels of its other copies.
+    The stacks are `werner_polynomial(d, n, k)` evaluated at gamma, handed over as they are; only the solos are
+    built here.
     """
     one_dim = (1.0 + gamma, 1.0 - gamma) if d >= k + 2 else (1.0 + gamma,)
+    # the prefactors by exponent n - len(mus)
+    low, high = (np.array([prefactor**e for e in range(n + 1)]) for prefactor in (min(one_dim), max(one_dim)))
+    polynomial = werner_polynomial(d, n, k)
+    stacks, solos = polynomial.blocks(gamma)
+    exponents = polynomial.exponents
     return BlockProbe(
-        (const, term, min(one_dim) ** (n - len(mus)), max(one_dim) ** (n - len(mus)))
-        for mus, _, _, const, term in werner_blocks(gamma, d, n, k)
+        ((const, term, low[exponents[index]], high[exponents[index]]) for index, const, term in solos),
+        stacks=[(const, linear, low[exponents[indices]], high[exponents[indices]]) for indices, const, linear in stacks],
     )
 
 

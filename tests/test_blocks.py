@@ -1,9 +1,13 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,6 +319,93 @@ def test_pieces_repeat_the_spectra_of_their_blocks(d, n, k, gamma):
         assert not pieces and split > 0
 
 
+def direct_werner_blocks(gamma, d, n, k):
+    """(mus, lams, nu, const, term) of every block and piece, in werner_blocks' order, from its products at gamma.
+
+    The reference for the blocks made from polynomials in gamma.  A piece's R_i
+    is the Kronecker product, over the distinct labels mu, of
+    U_lam^T A_i^(x j) U_lam, with A_i = I + gamma Y_mu(tau_i) and U_lam from
+    the gl_step chain; lam runs over the partitions of the label's j copies
+    with at most rank(A_i) rows.  Blocks of SOLO_MIN_ROWS rows or more where a
+    label repeats are split.
+    """
+    m = k + 2
+    shapes = [mu for mu in partitions(m, d) if 1 < len(mu) < m]
+    for j in range(n + 1):
+        for mus in itertools.combinations_with_replacement(shapes, j):
+            labels = list(dict.fromkeys(mus))
+            pairs = {mu: [np.eye(specht_dim(mu)) + gamma * y for y in young_transpositions(mu)] for mu in labels}
+            ranks = [int(np.linalg.matrix_rank(pairs[mu][0])) for mu in labels]
+            for nu in partitions(m, 2):
+                ys = young_transpositions(nu)
+                if len(labels) < len(mus) and math.prod(specht_dim(mu) for mu in mus) * len(ys[0]) >= SOLO_MIN_ROWS:
+                    choices = itertools.product(*(partitions(mus.count(mu), r) for mu, r in zip(labels, ranks)))
+                else:
+                    choices = [None]
+                for lams in choices:
+                    terms = []
+                    for i in range(k + 1):
+                        if lams is None:
+                            factors = [pairs[mu][i] for mu in mus]
+                        else:
+                            bases = [jucys_murphy_basis(specht_dim(mu), lam) for mu, lam in zip(labels, lams)]
+                            powers = [functools.reduce(np.kron, [pairs[mu][i]] * mus.count(mu)) for mu in labels]
+                            factors = [u.T @ power @ u for u, power in zip(bases, powers)]
+                        terms.append(functools.reduce(np.kron, factors, np.ones((1, 1))))
+                    const = -sum(np.kron(0.5 * (np.eye(len(y)) - y), r) for r, y in zip(terms, ys))
+                    yield mus, lams, nu, const, sum(terms)
+
+
+@pytest.mark.parametrize(
+    "d, n, k",
+    [(2, n, k) for n in (1, 2, 3) for k in (1, 2, 3)] + [(3, n, k) for n in (1, 2, 3, 4) for k in (1, 2)] + [(3, 8, 1)],
+)
+def test_werner_polynomial_blocks_equal_the_direct_build(d, n, k):
+    # the stacked blocks are evaluated from coefficients in gamma and the solos built at gamma: both must be the
+    # products at gamma, with the same keys in the same order and the same pieces left out at gamma = +-1
+    for gamma in (-1.0, -0.6, 0.0, 0.35, 1.0):
+        got, reference = list(werner_blocks(gamma, d, n, k)), list(direct_werner_blocks(gamma, d, n, k))
+        assert [block[:3] for block in got] == [block[:3] for block in reference]
+        for (mus, lams, nu, const, term), (*_, ref_const, ref_term) in zip(got, reference):
+            assert const.shape == ref_const.shape and term.shape == ref_term.shape
+            scale = max(np.abs(ref_const).max(), np.abs(ref_term).max())
+            assert np.abs(const - ref_const).max() <= 1e-13 * scale, (gamma, mus, lams, nu)
+            assert np.abs(term - ref_term).max() <= 1e-13 * scale, (gamma, mus, lams, nu)
+
+
+def test_werner_polynomial_is_made_once_per_shape(monkeypatch):
+    made = []
+    init = blocks_mod.WernerPolynomial.__init__
+
+    def counted(polynomial, d, n, k):
+        made.append((d, n, k))
+        init(polynomial, d, n, k)
+
+    monkeypatch.setattr(blocks_mod.WernerPolynomial, "__init__", counted)
+    blocks_mod.werner_polynomial.cache_clear()
+    for gamma in np.linspace(-1.0, 1.0, 17):
+        fidelity_threshold(KExtProblem.for_werner(d=3, gamma=float(gamma), n=8, k=1))
+    assert made == [(3, 8, 1)] and blocks_mod.werner_polynomial.cache_info().currsize == 1
+    werner_probe(0.35, 3, 2, 1)
+    assert made == [(3, 8, 1), (3, 2, 1)] and blocks_mod.werner_polynomial.cache_info().currsize == 2
+
+
+def test_werner_polynomial_holds_only_the_small_blocks():
+    # the solos' coefficients would take 6.5 GiB at (3, 8, 2); the stacked blocks' take 20.2 MiB
+    polynomial = blocks_mod.werner_polynomial(3, 8, 2)
+    assert polynomial.solos and polynomial.coeffs.nbytes <= 25 * 2**20
+
+
+def test_import_makes_no_werner_polynomial():
+    # nothing is built before the first Werner probe, so the set-up time of an import cannot grow
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "from kextdistill import blocks; print(blocks.werner_polynomial.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0"
+
+
 @pytest.mark.parametrize("d, n, k", [(2, 1, 3), (3, 2, 2), (3, 1, 4), (3, 8, 1)])
 def test_schur_weyl_slope_is_a_supergradient(d, n, k, assert_supergradient):
     for gamma in (-1.0, -0.4, 0.5):
@@ -397,19 +488,20 @@ def test_schur_weyl_threshold_matches_the_probe(side):
 
 
 def test_schur_weyl_builds_its_blocks_once_when_the_solver_is_made(monkeypatch):
+    # counted at the evaluation of one gamma's blocks: the polynomial's coefficients are made once per (d, n, k)
     built = []
-    real = blocks_mod.werner_blocks
+    real = blocks_mod.WernerPolynomial.blocks
 
-    def counted(*args):
-        built.append(args)
-        return real(*args)
+    def counted(polynomial, gamma):
+        built.append((polynomial, gamma))
+        return real(polynomial, gamma)
 
-    monkeypatch.setattr(blocks_mod, "werner_blocks", counted)
+    monkeypatch.setattr(blocks_mod.WernerPolynomial, "blocks", counted)
     problem = KExtProblem.for_werner(d=3, gamma=-0.5, k=3, backend="schur_weyl")
     assert problem.resolved_backend() == "schur_weyl"
     assert built == []
     solve = problem.probe().lambda_min
-    assert built == [(-0.5, 3, 1, 3)]
+    assert built == [(blocks_mod.werner_polynomial(3, 1, 3), -0.5)]
     values = [solve(alpha)[0] for alpha in (0.3, 0.9)]
     assert len(built) == 1 and values[0] < values[1]
 
