@@ -154,7 +154,7 @@ def unitary_dim(shape: tuple[int, ...], f: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def largest_block(d: int, n: int, k: int) -> int:
-    """Rows of the largest block or piece `werner_blocks` yields for the n-copy, k-extension probe of a d x d Werner state.
+    """Rows of the largest block or piece of `_werner_layout` for the n-copy, k-extension probe of a d x d Werner state.
 
     A block of fewer than SOLO_MIN_ROWS rows stays whole; a larger one
     splits into pieces of prod_mu unitary_dim(lambda_mu, f^mu) * f^nu rows,
@@ -317,11 +317,25 @@ def _whole(pair: dict, mus: tuple, memo: dict) -> np.ndarray:
 
 
 def _werner_layout(d: int, n: int, k: int) -> tuple[tuple, ...]:
-    """(mus, lams, nu, t) of every block and piece of `werner_blocks` at |gamma| < 1, in its order; term has t rows.
+    """(mus, lams, nu, t) of every block and piece const + alpha I_{dim nu} (x) term of the Werner probe at |gamma| < 1.
 
-    A block of SOLO_MIN_ROWS rows or more in which a label repeats is split
-    into one piece per choice of lambda |- j with at most f^mu rows for the j
-    copies of each label mu.
+    term has t rows, and const dim nu times as many, ordered (nu, copies).
+    mus is a multiset of multi-row copy labels: a sorted tuple of at most n
+    partitions of k + 2 with at most d rows, neither one row nor one column.
+    The other n - len(mus) copies carry one-dimensional labels, each
+    multiplying the block by 1 + gamma for (k + 2) or 1 - gamma for
+    (1^(k+2)) when d >= k + 2.  nu is a partition of k + 2 with at most 2
+    rows.
+
+    A block of SOLO_MIN_ROWS rows or more in which a label repeats is split.
+    The j copies that carry one label mu enter R_i as A_i^(x j), with
+    A_i = I + gamma Y_mu(tau_i), which commutes with every permutation of
+    those copies.  So the block is the direct sum, over one lambda |- j with
+    at most f^mu rows per distinct label, of pieces with A_i^(x j) replaced
+    by pi_lambda(A_i) = U_lambda^T A_i^(x j) U_lambda (see `gl_step`), each
+    repeated f^lambda times.  lams holds those lambda, in the order of the
+    distinct labels of mus, and is None for a whole block.  The order is
+    by len(mus), then mus, nu and lams.
     """
     m = k + 2
     shapes = [mu for mu in partitions(m, d) if 1 < len(mu) < m]
@@ -393,18 +407,24 @@ def _werner_terms(pair: dict, k: int, layout: tuple, chosen):
 class WernerPolynomial:
     """The blocks and pieces of the n-copy, k-extension probe of a d x d Werner state as polynomials in gamma.
 
-    Made once per (d, n, k) by `werner_polynomial`.  R_i is a product of
-    len(mus) factors I + gamma Y, so every block is a polynomial of degree
-    len(mus) <= n, and nothing else in it depends on gamma.  The blocks of
-    fewer than SOLO_MIN_ROWS rows, which `BlockProbe` stacks, are held in
-    coeffs, shape (n + 1, entries), one row per power of gamma: const of
-    every stack of one size, block by block in werner_blocks' order, then
-    term once per copy multiset and lams.  They are `_werner_terms` on the
+    Made once per (d, n, k) by `werner_polynomial`; layout is
+    `_werner_layout(d, n, k)`, whose index names a block, and every block is
+    on the I + gamma V scale.  R_i is a product of len(mus) factors
+    I + gamma Y, so every block is a polynomial of degree len(mus) <= n, and
+    nothing else in it depends on gamma.  The blocks of fewer than
+    SOLO_MIN_ROWS rows, which `BlockProbe` stacks, are held in coeffs, shape
+    (n + 1, entries), one row per power of gamma: const of every stack of one
+    size, block by block in layout order, then term once per copy multiset
+    and lams.  They are `_werner_terms` on the
     coefficients (I, Y_mu(tau_i)) of A_i: exact, with no fit.  I_f (x) term
     is placed from term by index, so coeffs holds no zero off its diagonal
     (20 MiB instead of 27.5 MiB at d = 3, n = 8, k = 2).  Larger blocks would
     take far more (255 MiB at d = 3, n = k = 3), so they are built for each
-    gamma, by the same `_werner_terms` with gamma applied.
+    gamma, by the same `_werner_terms` with gamma applied; a solo shares
+    one term array with the solos of its copy multiset, or the pieces of its
+    lams.  At gamma = +-1, A_i = I +- Y_mu(tau_i) has rank below f^mu, and a
+    piece whose lambda has more rows than that rank is zero: `blocks` leaves
+    it out.
     """
 
     def __init__(self, d: int, n: int, k: int):
@@ -503,50 +523,7 @@ def werner_polynomial(d: int, n: int, k: int) -> WernerPolynomial:
     return WernerPolynomial(d, n, k)
 
 
-def werner_blocks(gamma: float, d: int, n: int, k: int):
-    """Yield (mus, lams, nu, const, term) for every block or piece const + alpha I_{dim nu} (x) term of the Werner probe.
-
-    Every block and piece is on the I + gamma V scale.  mus is a multiset of
-    multi-row copy labels (a sorted tuple of at most n partitions of k + 2
-    with at most d rows, neither one row nor one column), nu a partition of
-    k + 2 with at most 2 rows.  The other n - len(mus)
-    copies carry one-dimensional labels, each multiplying the block by
-    1 + gamma for (k + 2) or 1 - gamma for (1^(k+2)) when d >= k + 2.
-    Rows are ordered (nu, copies).  term is sum_i R_i; a block of
-    SOLO_MIN_ROWS rows or more shares one term array with the blocks of its
-    copy multiset, or the pieces of its lams.
-
-    A block of SOLO_MIN_ROWS rows or more in which a label repeats is split.
-    The j copies that carry one label mu enter R_i as A_i^(x j), with
-    A_i = I + gamma Y_mu(tau_i), which commutes with every permutation of
-    those copies.  So the block is the direct sum, over one lambda |- j per
-    distinct label, of pieces with A_i^(x j) replaced by
-    pi_lambda(A_i) = U_lambda^T A_i^(x j) U_lambda (see `gl_step`), each
-    repeated f^lambda times.  lams holds those lambda, in the order of the
-    distinct labels of mus, and is None for a whole block.  A lambda with
-    more rows than the rank of A_i, which is below f^mu only at gamma = +-1,
-    gives a zero piece and is left out.
-
-    The smaller blocks are `werner_polynomial` evaluated at gamma, as
-    `werner_probe` takes them; the larger ones are built with gamma applied.
-    """
-    polynomial = werner_polynomial(d, n, k)
-    stacks, solos = polynomial.blocks(gamma)
-    stacked = {}
-    for indices, const, linear in stacks:
-        for index, c, l in zip(indices, const, linear):
-            t = polynomial.layout[index][3]
-            stacked[index] = c, l[:t, :t]
-    solo = next(solos, None)
-    for index, (mus, lams, nu, _) in enumerate(polynomial.layout):
-        if index in stacked:
-            yield (mus, lams, nu, *stacked[index])
-        elif solo is not None and solo[0] == index:
-            yield (mus, lams, nu, *solo[1:])
-            solo = next(solos, None)
-
-
-# blocks from this many rows get one scipy lowest-eigenpair solve each, and werner_blocks splits
+# blocks from this many rows get one scipy lowest-eigenpair solve each, and _werner_layout splits
 # them where a copy label repeats; smaller ones share one batched numpy solve per size.  numpy
 # and scipy load separate OpenBLAS libraries, each with its own thread pool.  On 2 cores, with
 # single-copy d = 3 Werner curves, which nothing splits: 21 points at k = 4 took 0.26 s at 26 or
@@ -651,7 +628,7 @@ class BlockProbe:
         return float(best), float(slope), self._lifted(origin, vec)
 
     def pencil_tops(self) -> list[tuple[float, float]]:
-        """(r, g) of every block, as `linalg.pencil_bracket` takes them; LinAlgError if a linear part is singular.
+        """(r, g) of every block, as `linalg.pencil_bracket` takes them; [] if a linear part cannot be factored.
 
         r is the top eigenvalue of the block's pencil (-const, I_f (x) term),
         and g = high x^dag (I_f (x) term) x for its unit eigenvector x.  Each
@@ -660,8 +637,11 @@ class BlockProbe:
         `eigh` per stack; a solo takes `linalg.pencil_top` in the buffer, with
         one Cholesky factor per term, shared by adjacent solos.  Each block's
         eigenvector, scaled to x^dag (I_f (x) term) x = 1, is kept for
-        rayleigh_bound.
+        rayleigh_bound.  Where dsygv or a Cholesky factor fails, as at
+        gamma = +-1 and on rank-deficient states, no tops and no vectors are
+        kept, and `pencil_bracket([])` is [0, 1].
         """
+        self._pencil_vectors = None
         tops, stack_vectors, solo_vectors = [], [], []
         for const, linear, low, high in self.stacks:
             vectors = np.empty(const.shape[:2])
@@ -669,14 +649,17 @@ class BlockProbe:
                 # the pencil (c, l) has eigenvalues -r, ascending, with eigenvectors v^T l v = 1
                 vals, vecs, info = scipy.linalg.lapack.dsygv(c, l)
                 if info:
-                    raise np.linalg.LinAlgError(f"dsygv failed on a {len(c)}-row block, info {info}")
+                    return []
                 x[:] = vecs[:, 0]
                 tops.append((-float(vals[0]), p / float(vecs[:, 0] @ vecs[:, 0])))
             stack_vectors.append(vectors)
         factored = None
         for const, term, low, high in self.solos:
             if term is not factored:
-                factored, chol = term, scipy.linalg.cholesky(term, lower=True, check_finite=False)
+                try:
+                    factored, chol = term, scipy.linalg.cholesky(term, lower=True, check_finite=False)
+                except np.linalg.LinAlgError:
+                    return []
             r, x = pencil_top(const, chol, len(const) // len(term), self._work(const))
             solo_vectors.append(x)
             tops.append((r, high / float(np.vdot(x, x).real)))

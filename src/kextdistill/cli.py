@@ -100,7 +100,8 @@ def _tol_alpha(text: str) -> float:
 
 
 def _ints(value: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in value.split(",") if v.strip())
+    """The comma-separated integers of value; an empty value is (), and an empty item is a ValueError."""
+    return tuple(int(v) for v in value.split(",")) if value else ()
 
 
 # config key -> (SweepConfig field, parser of the value text)

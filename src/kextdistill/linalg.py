@@ -346,8 +346,9 @@ def _reduced_pencil(const: np.ndarray, chol: np.ndarray, copies: int, out: np.nd
         # slab <- chol^-1 slab, written as slab^T <- slab^T chol^-T on its Fortran-ordered transpose
         trsm(1.0, chol, slab.T, side=1, lower=1, trans_a=1, overwrite_b=1)
     # rows <- rows chol^-dag, written as conj(rows)^T <- chol^-1 conj(rows)^T; the array then holds
-    # the conjugate of the reduced Hermitian matrix, which is its transpose.  Solving for
-    # PENCIL_SOLVE_COLUMNS columns at a time touched 1 MB less of OpenBLAS's buffer at n = 8
+    # the conjugate of the reduced Hermitian matrix, which is its transpose.  Solving all columns
+    # in one trsm instead of PENCIL_SOLVE_COLUMNS at a time raised peak RSS by 1.6-1.9 MB on the
+    # fig4 k = 5 curve and by 3.6-4.1 MB on five fig5 (3, 3) points (2 cores), through OpenBLAS's buffers
     columns = work.reshape(n * copies, t).T
     if np.iscomplexobj(work):
         np.conjugate(work, out=work)
@@ -365,7 +366,8 @@ def pencil_top(
     ordered (copy, row of L).  One working array of const's size (out, if
     given) holds -const; triangular solves reduce it in place to the standard
     Hermitian matrix (I (x) chol)^-1 (-const) (I (x) chol)^-dag, and LAPACK
-    finds its top eigenpair (r, z) in place.  Then x = (I (x) chol)^-dag z.
+    finds its top eigenpair (r, z) in place.  Then x = (I (x) chol)^-dag z,
+    by the same BLAS trsm.
     """
     n = len(const)
     top = (n - 1, n - 1)
@@ -376,8 +378,11 @@ def pencil_top(
         # LAPACK's index-range solvers found no eigenpair where the top eigenvalue has a high
         # multiplicity (gamma = 0, k = 5: two distinct eigenvalues); solve the whole spectrum
         vals, vecs = scipy.linalg.eigh(_reduced_pencil(const, chol, copies, out).T, overwrite_a=True, check_finite=False)
-    x = scipy.linalg.solve_triangular(chol, vecs[:, -1].reshape(copies, -1).T, lower=True, trans="C")
-    return float(vals[-1]), x.T.reshape(-1)
+    # x^T = chol^-dag z^T, copies as columns, by the reduction's BLAS trsm: on 2 cores LAPACK's trtrs
+    # took 22-42 us per call, and up to 8.7 ms in some processes, where trsm took 2-4 us
+    z = vecs[:, -1].reshape(copies, -1).T
+    trsm = scipy.linalg.get_blas_funcs("trsm", (chol, z))
+    return float(vals[-1]), trsm(1.0, chol, z, lower=1, trans_a=2, overwrite_b=1).T.reshape(-1)
 
 
 def pencil_bracket(tops: Iterable[tuple[float, float]]) -> tuple[float, float]:

@@ -107,15 +107,15 @@ class ThresholdResult:
     to [0, 1] or on a bracket wider than tol_alpha the Newton samples.  A
     value is lambda_min, except for that one sample of a bracket no wider
     than tol_alpha, which is the pencil vectors' Rayleigh bound where it is
-    below -TOL_EIG: lambda_min <= value < -TOL_EIG.  On iterative, a value
-    is lambda_min only where the sample was a full solve; elsewhere it is the
-    Rayleigh quotient of a loosely solved vector, an upper bound, and then
-    lambda_min <= value < -TOL_EIG too.
+    below -TOL_EIG: lambda_min <= value < -TOL_EIG.  On iterative, every
+    value is the Rayleigh quotient of the solve's unit vector, an upper bound
+    on lambda_min: lambda_min within the solve's error where the sample was
+    a full solve, and lambda_min <= value < -TOL_EIG where it was loose.
     lambda_residual is the value that certifies alpha_star, and certificate
     a unit vector v with v^dag P(alpha_star) v = lambda_residual, ordered
     like ProbeAssembly(problem).layout, spectator first: the probe's
     eigenvector where lambda_residual is lambda_min, the pencil vector or the
-    loose vector where it is a Rayleigh bound.  On dense it is the winning
+    solve's vector where it is a Rayleigh quotient.  On dense it is the winning
     block's vector lifted into that layout by blocks.pair_spin_probe.
     certificate is None on schur_weyl, whose vectors are a block's, or when
     no alpha was certified negative.
@@ -453,39 +453,28 @@ class ProbeAssembly:
             acc.transpose(order)[...] += product
         return kernel.to_layout(acc).reshape(-1)
 
-    def lambda_min(self, alpha: float) -> tuple[float, float, np.ndarray]:
-        """(lambda_min, slope v^dag L v, eigenvector v) on handle(alpha), started from the last v, the first from EIG_SEED.
-
-        A full solve, to ITER_EIG_TOL; lambda_min is ARPACK's Ritz value.
-        ValueError for alpha outside [0, 1] or NaN, where norm_bound fails; SolverConvergenceError if ARPACK fails.
-        """
-        lam, _, slope = self._solve(alpha, ITER_EIG_TOL)
-        return lam, slope, self._previous
-
-    def lambda_bound(self, alpha: float, residual: float) -> tuple[float, float, np.ndarray]:
-        """(q, slope v^dag L v, v): an ARPACK solve stopped at `residual`, started like lambda_min.
+    def lambda_min(self, alpha: float, residual: float = ITER_EIG_TOL) -> tuple[float, float, np.ndarray]:
+        """(q, slope v^dag L v, v): an ARPACK solve of handle(alpha) to residual, started from the last v, the first from EIG_SEED.
 
         q = v^dag P(alpha) v is the unit vector v's Rayleigh quotient, computed
         in the slope's kernel pass, not ARPACK's Ritz value: an upper bound on
-        lambda_min(alpha), so q < -TOL_EIG certifies alpha with v.
+        lambda_min(alpha), so q < -TOL_EIG certifies alpha with v.  At the
+        default ITER_EIG_TOL the solve is full, and q is lambda_min within its
+        error; a looser residual stops earlier.  v becomes the next warm start.
+        ValueError for alpha outside [0, 1] or NaN, where norm_bound fails; SolverConvergenceError if ARPACK fails.
         """
-        _, q, slope = self._solve(alpha, residual)
-        return q, slope, self._previous
+        # the kernel is made before ARPACK's workspace: made inside the first solve, after it, its buffers
+        # raised peak RSS by 1.5 MB on a 5184-row complex probe
+        handle, kernel = self.handle(_check_alpha(alpha)), self._kernel
+        _, self._previous = eig_min_iterative(handle, v0=self._previous, residual=residual)
+        kernel.load(self._previous.reshape(self.layout.dims + (1,)))
+        return (*kernel.rayleigh(alpha), self._previous)
 
     def rayleigh_bound(self, alpha: float) -> tuple[float, np.ndarray]:
         """(q, v): the last solve's v and its Rayleigh quotient v^dag P(alpha) v, an upper bound on lambda_min; no eigensolve."""
         kernel = self._kernel
         kernel.load(self._previous.reshape(self.layout.dims + (1,)))
         return kernel.rayleigh(_check_alpha(alpha))[0], self._previous
-
-    def _solve(self, alpha: float, residual: float) -> tuple[float, float, float]:
-        """(Ritz value, q, slope) of an ARPACK solve to residual, whose vector becomes the next warm start."""
-        # the kernel is made before ARPACK's workspace: made inside the first solve, after it, its buffers
-        # raised peak RSS by 1.5 MB on a 5184-row complex probe
-        handle, kernel = self.handle(_check_alpha(alpha)), self._kernel
-        ritz, self._previous = eig_min_iterative(handle, v0=self._previous, residual=residual)
-        kernel.load(self._previous.reshape(self.layout.dims + (1,)))
-        return (ritz, *kernel.rayleigh(alpha))
 
     def pencil_tops(self) -> list[tuple[float, float]]:
         """[]: no explicit pieces, so linalg.pencil_bracket gives [0, 1]."""
@@ -523,8 +512,9 @@ def fidelity_threshold(problem: KExtProblem, tol_alpha: float = DEFAULT_TOL_ALPH
     Every sample solves one problem.probe(), from linalg.pencil_bracket of
     its pencil_tops(): on dense and schur_weyl, one top eigenpair of the
     pencil (-C, L) per block of C + alpha L brackets the threshold, and the
-    first sample certifies the lower end.  It is [0, 1] on iterative (no tops)
-    and where a Cholesky factor of L fails (gamma = +-1, rank-deficient states).
+    first sample certifies the lower end.  It is [0, 1] where pencil_tops() is
+    []: on iterative, and where a linear part cannot be factored (gamma = +-1,
+    rank-deficient states).
     Where the bracket is no wider than tol_alpha, that first sample is the
     probe's rayleigh_bound: the pencil vectors' scaled Rayleigh quotient, an
     upper bound on lambda_min, so that a value below -TOL_EIG certifies the
@@ -548,10 +538,7 @@ def fidelity_threshold(problem: KExtProblem, tol_alpha: float = DEFAULT_TOL_ALPH
     probe = problem.probe()
     samples: list[tuple[float, float, float]] = []  # (alpha, value, slope), in the order taken
     residual, certificate = None, None
-    try:
-        bracket = pencil_bracket(probe.pencil_tops())
-    except np.linalg.LinAlgError:  # L is singular to working precision
-        bracket = (0.0, 1.0)
+    bracket = pencil_bracket(probe.pencil_tops())
     closed = bracket[1] - bracket[0] <= tol_alpha
 
     def loose(alpha: float) -> tuple[float, float, np.ndarray] | None:
@@ -568,7 +555,7 @@ def fidelity_threshold(problem: KExtProblem, tol_alpha: float = DEFAULT_TOL_ALPH
             if last_value + last_slope * reach - 0.5 * curvature * reach**2 >= -TOL_EIG:
                 q, vec = probe.rayleigh_bound(alpha)
                 return q, last_slope, vec
-        return probe.lambda_bound(alpha, max(ITER_EIG_TOL, LOOSE_EIG_SHARE * abs(last_value)))
+        return probe.lambda_min(alpha, max(ITER_EIG_TOL, LOOSE_EIG_SHARE * abs(last_value)))
 
     def evaluate(alpha: float) -> tuple[float, float, bool]:
         nonlocal residual, certificate

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kextdistill.linalg import HermitianOperator
+from kextdistill.linalg import ITER_EIG_TOL, HermitianOperator
 from kextdistill.solver import ProbeAssembly
 from kextdistill.states import bell_state
 
@@ -57,7 +57,7 @@ def probe_operator():
 
 
 class ProbeLog:
-    """What every ProbeAssembly did: matvecs, its handles' kernel applications, and full, the alpha of each lambda_min."""
+    """What every ProbeAssembly did: matvecs, its handles' kernel applications, and full, the alpha of each full solve."""
 
     def __init__(self):
         self.matvecs = 0
@@ -66,7 +66,7 @@ class ProbeLog:
 
 @pytest.fixture
 def probe_log(monkeypatch):
-    """A ProbeLog of every ProbeAssembly in the test: lambda_min is the full solve, lambda_bound and rayleigh_bound are not."""
+    """A ProbeLog of every ProbeAssembly in the test: lambda_min at the default residual is a full solve, looser ones are not."""
     log = ProbeLog()
     handle, lambda_min = ProbeAssembly.handle, ProbeAssembly.lambda_min
 
@@ -79,9 +79,10 @@ def probe_log(monkeypatch):
 
         return dataclasses.replace(made, apply=apply)
 
-    def logged_lambda_min(self, alpha):
-        log.full.append(alpha)
-        return lambda_min(self, alpha)
+    def logged_lambda_min(self, alpha, residual=ITER_EIG_TOL):
+        if residual == ITER_EIG_TOL:
+            log.full.append(alpha)
+        return lambda_min(self, alpha, residual)
 
     monkeypatch.setattr(ProbeAssembly, "handle", counted_handle)
     monkeypatch.setattr(ProbeAssembly, "lambda_min", logged_lambda_min)

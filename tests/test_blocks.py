@@ -24,7 +24,7 @@ from kextdistill.blocks import (
     s3_block_lambda_min,
     specht_dim,
     unitary_dim,
-    werner_blocks,
+    werner_polynomial,
     werner_probe,
     young_orthogonal_form,
     young_transpositions,
@@ -169,6 +169,19 @@ def test_young_orthogonal_form_is_a_representation(m):
             assert all(y[0, 0] == 1.0 for y in adjacent)
         if shape[0] == 1:
             assert all(y[0, 0] == -1.0 for y in adjacent)
+
+
+def werner_blocks(gamma, d, n, k):
+    """(mus, lams, nu, const, term) of every block and piece of the Werner probe, in layout order: blocks(gamma) unstacked."""
+    polynomial = werner_polynomial(d, n, k)
+    stacks, solos = polynomial.blocks(gamma)
+    found = {index: (const, term) for index, const, term in solos}
+    for indices, consts, linears in stacks:
+        for index, const, linear in zip(indices.tolist(), consts, linears):
+            t = polynomial.layout[index][3]
+            found[index] = const, linear[:t, :t]
+    for index in sorted(found):
+        yield (*polynomial.layout[index][:3], *found[index])
 
 
 def whole_werner_blocks(gamma, d, n, k):

@@ -170,6 +170,37 @@ def test_threshold_rejects_a_state_file_with_a_non_finite_entry(tmp_path, capsys
     assert captured.out == "" and "NaN or infinite" in captured.err
 
 
+VALID_STATE = ["kext-state v1", "layout A:1 B:2", "dim 2", "0.5 0.0", "0.0 0.0", "0.0 0.0", "0.5 0.0"]
+
+
+@pytest.mark.parametrize(
+    "line, text, message",
+    [
+        (1, "layout A:1 B:two", "malformed layout token"),
+        (2, None, "missing 'dim' line"),
+        (2, "dim two", "malformed dim line"),
+        (2, "dim 3", "does not match layout dimension"),
+        (6, None, "expected 4 entry lines"),
+        (6, "0.5 zero", "malformed entry line"),
+    ],
+    ids=["layout-token", "no-dim-line", "dim-line", "dim-not-layout", "entry-count", "entry-line"],
+)
+def test_threshold_rejects_a_malformed_state_file(tmp_path, capsys, line, text, message):
+    # VALID_STATE runs; each case replaces or, for None, drops one of its lines
+    lines = list(VALID_STATE)
+    if text is None:
+        del lines[line]
+    else:
+        lines[line] = text
+    path = tmp_path / "bad.state"
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli(["threshold", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    path.write_text("\n".join(VALID_STATE) + "\n")
+    assert run_cli(["threshold", "--file", str(path)]) == 0
+
+
 @pytest.mark.parametrize("tol_alpha", ["1e-12", "inf", "nan", "1.0"])
 def test_threshold_rejects_tol_alpha_outside_its_range(capsys, tol_alpha):
     # below 1e-10 the eigensolvers cannot resolve the bracket; at 1, inf or NaN
@@ -244,6 +275,14 @@ def config_with(base: str, lines: list[str]) -> str:
         "n = 1,two",
         "n =",  # an empty list ran no curve and exited 0
         "k =",
+        "n = 1,,2",  # an empty item was dropped: these ran n = (1, 2), k = (1,) and n = (1,)
+        "k = 1,",
+        "n = ,1",
+        "n = 0",
+        "k = 0",
+        "family = file",  # with no file entry
+        "parametrization = q",
+        "k = 1,2",  # several k, and no {k} in the output pattern
         "side = charlie",
         "bell = phi_minus",
         "bell = phi_plus",  # the target is fixed: a bell key is unknown, whatever its value
@@ -533,13 +572,14 @@ def test_validate_reports_margins():
 
 
 def test_validate_compares_the_iterative_solve_with_dense(monkeypatch):
-    eig_min_iterative = solver.eig_min_iterative
+    # the iterative value is the Rayleigh quotient of ARPACK's vector, not its Ritz value: shift that value
+    lambda_min = solver.ProbeAssembly.lambda_min
 
-    def shifted(handle, v0=None, residual=ITER_EIG_TOL):
-        value, vector = eig_min_iterative(handle, v0, residual)
-        return value + 1e-6, vector
+    def shifted(self, alpha, residual=ITER_EIG_TOL):
+        value, slope, vector = lambda_min(self, alpha, residual)
+        return value + 1e-6, slope, vector
 
-    monkeypatch.setattr(solver, "eig_min_iterative", shifted)
+    monkeypatch.setattr(solver.ProbeAssembly, "lambda_min", shifted)
     assert not validate.check_iterative_vs_dense().passed
 
 

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kextdistill import blocks
+from kextdistill import blocks, solver
 from kextdistill.analytic import alpha_max_k1, maxmixed_bound
 from kextdistill.linalg import (
+    ITER_EIG_TOL,
     HermitianOperator,
     LinearMapHandle,
     SystemLayout,
@@ -76,16 +77,16 @@ RAYLEIGH_ROUNDING = 1e-12
 
 
 def pencil_start(probe, tol_alpha):
-    """(bracket, certified) as fidelity_threshold starts on probe; bracket is None where a Cholesky factor fails.
+    """(bracket, certified) as fidelity_threshold starts on probe; bracket is None where pencil_tops() is [].
 
     certified is (lo, q) where the search takes its one sample from the pencil
     vectors, else None: where the pencil bracket (lo, hi) is no wider than
     tol_alpha and q, the probe's rayleigh_bound at lo, is below -TOL_EIG.
     """
-    try:
-        lo, hi = pencil_bracket(probe.pencil_tops())
-    except np.linalg.LinAlgError:
+    tops = probe.pencil_tops()
+    if not tops:
         return None, None
+    lo, hi = pencil_bracket(tops)
     if hi - lo <= tol_alpha and (q := probe.rayleigh_bound(lo)[0]) < -TOL_EIG:
         return (lo, hi), (lo, q)
     return (lo, hi), None
@@ -631,13 +632,15 @@ def test_iterative_threshold_matvecs(side, probe_log):
 def test_an_uncertified_loose_sample_is_solved_again(monkeypatch, probe_log):
     # a loose q that does not certify its alpha is solved again to ITER_EIG_TOL before the search uses it,
     # so it cannot set the upper end: alpha* is still certified and tight
-    lambda_bound, loose = ProbeAssembly.lambda_bound, []
+    lambda_min, loose = ProbeAssembly.lambda_min, []
 
-    def uncertified(self, alpha, residual):
+    def uncertified(self, alpha, residual=ITER_EIG_TOL):
+        if residual == ITER_EIG_TOL:
+            return lambda_min(self, alpha)
         loose.append(alpha)
-        return -0.5 * TOL_EIG, *lambda_bound(self, alpha, residual)[1:]
+        return -0.5 * TOL_EIG, *lambda_min(self, alpha, residual)[1:]
 
-    monkeypatch.setattr(ProbeAssembly, "lambda_bound", uncertified)
+    monkeypatch.setattr(ProbeAssembly, "lambda_min", uncertified)
     problem = KExtProblem(state=reference_2x3_state(6), k=2, side="alice", backend="iterative")
     result = fidelity_threshold(problem)
     assert loose and set(loose) <= set(probe_log.full)
@@ -1123,6 +1126,25 @@ def test_f1_strategy_symmetric_projector_via_kernel_state():
     p_s, _ = projectors(3)
     state = from_matrix(p_s.entries, p_s.layout)
     cj, side = construct_f1_strategy(state, 1)
+    assert side == "bob"
+    assert evaluate_map_fidelity(cj, state) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_f1_strategy_finds_a_product_kernel_vector_off_the_basis(k):
+    # rho ~ I - |phi psi><phi psi| on 2 x 3 has rank 5 and no zero on its diagonal, so the basis shortcut
+    # cannot fire: the alternating search must find the product vector the state annihilates
+    rng = np.random.default_rng(2909)
+    phi, psi = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (2, 3))
+    product = np.kron(phi / np.linalg.norm(phi), psi / np.linalg.norm(psi))
+    state = from_matrix(np.eye(6) - np.outer(product, product.conj()), layout(("A", 2), ("B", 3)))
+    assert np.linalg.matrix_rank(state.matrix) == 5 and np.diagonal(state.matrix).real.min() > 1e-3
+    found = solver._find_product_kernel_vector(state)
+    assert found is not None
+    vec = np.kron(*found)
+    assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+    assert np.linalg.norm(state.matrix @ vec) < 1e-12
+    cj, side = construct_f1_strategy(state, k)
     assert side == "bob"
     assert evaluate_map_fidelity(cj, state) == pytest.approx(1.0, abs=1e-10)
 
